@@ -7,8 +7,7 @@ Core pieces:
   flow_engine  simulated match-action engine with rule-update latency model
   offload      offload manager: threshold decision, rule lifecycle, batched deletes
   netsim       discrete-event network with miniature TCP endpoints and HTTP apps
-  bench        workloads, oracles, metrics, table bench
-  api / cli    FastAPI service wrapping the above; CLI as a thin client
+  oracles      independent reference models the tests check the mappings against
 """
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ import mmap
 import multiprocessing as mp
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterator, Optional
 
 from .packet import FlowKey
@@ -36,6 +37,9 @@ from .packet import FlowKey
 _M64 = (1 << 64) - 1
 _OCCUPIED = 1 << 63
 _SLOT_WORDS = 5  # version, key_hi, key_lo, value, ttl
+# Packed keys whose bucket hashes are memoised.  A flow's packets repeat its
+# key, so the cache needs to hold the live flows of one table, not all keys.
+_HASH_CACHE_SIZE = 1 << 12
 
 
 class TableFullError(RuntimeError):
@@ -70,6 +74,7 @@ def mix64(x: int) -> int:
     return x
 
 
+@lru_cache(maxsize=_HASH_CACHE_SIZE)
 def _hash_pair(kp: int) -> tuple[int, int]:
     hi = kp >> 40
     lo = kp & ((1 << 40) - 1)
@@ -96,6 +101,10 @@ class ListStorage:
 
     def key_at(self, i: int) -> int:
         return self.keys[i]
+
+    def read_bucket(self, base: int, n: int) -> tuple[list[int], list[int]]:
+        """Versions, then keys, of slots [base, base + n)."""
+        return self.versions[base:base + n], self.keys[base:base + n]
 
     def value_at(self, i: int) -> Any:
         return self.values[i]
@@ -153,6 +162,14 @@ class SharedMemStorage:
         if not lo & _OCCUPIED:
             return 0
         return (self._q[base + 1] << 40) | (lo & ~_OCCUPIED)
+
+    def read_bucket(self, base: int, n: int) -> tuple[list[int], list[int]]:
+        """Versions and keys of slots [base, base + n), read in one pass in
+        address order, so each slot's version is loaded before its key."""
+        w = self._q[base * _SLOT_WORDS:(base + n) * _SLOT_WORDS].tolist()
+        keys = [(hi << 40) | (lo & ~_OCCUPIED) if lo & _OCCUPIED else 0
+                for hi, lo in zip(w[1::_SLOT_WORDS], w[2::_SLOT_WORDS])]
+        return w[0::_SLOT_WORDS], keys
 
     def value_at(self, i: int) -> int:
         return self._q[i * _SLOT_WORDS + 3]
@@ -254,33 +271,32 @@ class CuckooTable:
         kp = key.pack()
         b1, b2 = self._buckets(kp)
         st = self.storage
-        delta = self.config.ttl_delta
+        spb = self._spb
         self.stats.lookups += 1
-        slot_ids = [b1 * self._spb + s for s in range(self._spb)]
-        if b2 != b1:
-            slot_ids += [b2 * self._spb + s for s in range(self._spb)]
+        bases = (b1 * spb, b2 * spb) if b2 != b1 else (b1 * spb,)
 
         for _ in range(self._READ_RETRIES):
-            snapshot = [st.version(i) for i in slot_ids]
-            retry = False
-            for n, i in enumerate(slot_ids):
-                v1 = snapshot[n]
-                if v1 & 1:
-                    retry = True
-                    continue
-                if st.key_at(i) != kp:
-                    continue
-                value = st.value_at(i)
-                st.set_ttl(i, now + delta)
-                if st.version(i) != v1:
-                    retry = True
-                    break
-                self.stats.hits += 1
-                return value
-            if not retry:
-                # A concurrent move could have hopped the key between the
-                # two buckets mid-scan; only a quiet re-read proves a miss.
-                if [st.version(i) for i in slot_ids] == snapshot:
+            snapshot = []
+            for base in bases:
+                versions, keys = st.read_bucket(base, spb)
+                if kp in keys:
+                    s = keys.index(kp)
+                    v1 = versions[s]
+                    if not v1 & 1:
+                        i = base + s
+                        value = st.value_at(i)
+                        st.set_ttl(i, now + self.config.ttl_delta)
+                        if st.version(i) == v1:
+                            self.stats.hits += 1
+                            return value
+                        break  # a writer touched the slot: retry
+                snapshot.append(versions)
+            else:
+                # A miss needs every slot quiet (no odd version) and the
+                # versions unchanged on a re-read: a concurrent move could
+                # have hopped the key between the two buckets mid-scan.
+                if (not any(v & 1 for versions in snapshot for v in versions)
+                        and [st.read_bucket(base, spb)[0] for base in bases] == snapshot):
                     return None
             self.stats.read_retries += 1
         return self._locked_lookup(kp, b1, b2, now)

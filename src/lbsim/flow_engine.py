@@ -207,11 +207,9 @@ class FlowEngine:
     def __init__(self, n_workers: int = 1,
                  vips: Iterable[tuple[int, int]] = (),
                  latency_model: Optional[LatencyModel] = None,
-                 capacity: int = RULE_CAPACITY_DEFAULT,
-                 per_packet_time: float = 0.0):
+                 capacity: int = RULE_CAPACITY_DEFAULT):
         self.model = latency_model or LatencyModel()
         self.capacity = capacity
-        self.per_packet_time = per_packet_time
         self.vips = set(vips)
         self.steering = PortShardSteering(n_workers)
         self.rules: dict[FlowKey, Rule] = {}

@@ -20,9 +20,6 @@ class EventQueue:
         heapq.heappush(self._q, (at, self._seq, fn, args))
         self._seq += 1
 
-    def schedule_in(self, delay: float, fn: Callable, *args) -> None:
-        self.schedule(self.now + delay, fn, *args)
-
     def __len__(self) -> int:
         return len(self._q)
 

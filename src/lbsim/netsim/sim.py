@@ -35,7 +35,6 @@ class TopologyParams:
     mss: int = 1460
     client_link: LinkParams = LinkParams()
     server_link: LinkParams = LinkParams()
-    engine_per_packet_time: float = 0.0
     table_buckets: int = 4096
     ttl_delta: float = 60.0
     sweep_interval: float = 30.0
@@ -118,8 +117,7 @@ class Simulation:
 
         self.engine = FlowEngine(
             n_workers=topo.n_workers, vips=[(VIP_ADDR, VIP_PORT)],
-            latency_model=LatencyModel(),
-            per_packet_time=topo.engine_per_packet_time)
+            latency_model=LatencyModel())
         self.engine.install_port_shard_rules(topo.n_workers)
 
         self.table = CuckooTable(TableConfig(bucket_count=topo.table_buckets,

@@ -178,13 +178,16 @@ class MiniTcpEndpoint:
     def on_segment(self, pkt: Packet, now: float) -> None:
         if self.dead:
             return
-        if pkt.rst:
+        flags = pkt.flags
+        if flags & TcpFlags.RST:
             self.dead = True
             self.app.on_reset(now)
             self._check_terminal()
             return
-        if pkt.syn and (pkt.flags & TcpFlags.ACK):
-            if self.syn_sent and not self.established:
+        if flags & TcpFlags.SYN:
+            if not flags & TcpFlags.ACK:
+                self._send_synack(now)  # duplicate SYN of an accepted connection
+            elif self.syn_sent and not self.established:
                 self.rcv_isn = pkt.seq
                 if pkt.options.mss:
                     self.seg = min(self.mss, pkt.options.mss)
@@ -196,15 +199,12 @@ class MiniTcpEndpoint:
             else:
                 self._ack(now)  # duplicate SYNACK: re-ACK
             return
-        if pkt.syn:
-            self._send_synack(now)  # duplicate SYN of an accepted connection
-            return
 
-        if pkt.flags & TcpFlags.ACK:
+        if flags & TcpFlags.ACK:
             self._process_ack(pkt, now)
         if pkt.payload:
             self._process_data(pkt, now)
-        if pkt.fin:
+        if flags & TcpFlags.FIN:
             self._process_fin(pkt, now)
         self._check_terminal()
 
@@ -415,16 +415,14 @@ class MiniTcpEndpoint:
         self._ack(now)
 
     def _fold_ooo(self, now: float) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for o in sorted(self.ooo):
-                if o <= self.rcv_nxt:
-                    chunk = self.ooo.pop(o)
-                    if o + len(chunk) > self.rcv_nxt:
-                        self._deliver(chunk[self.rcv_nxt - o:], now)
-                    progressed = True
-                    break
+        # Delivery only moves rcv_nxt forward, so one ascending pass folds
+        # every segment that becomes in-order.
+        for o in sorted(self.ooo):
+            if o > self.rcv_nxt:
+                break
+            chunk = self.ooo.pop(o)
+            if o + len(chunk) > self.rcv_nxt:
+                self._deliver(chunk[self.rcv_nxt - o:], now)
 
     def _deliver(self, chunk: bytes, now: float) -> None:
         self.rcv_nxt += len(chunk)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from enum import IntFlag
 from typing import Iterable, NamedTuple, Optional
 
 SEQ_MOD = 1 << 32
@@ -23,7 +22,10 @@ class MalformedPacketError(ValueError):
     """Raised when decode() is fed bytes that are not a valid encoded packet."""
 
 
-class TcpFlags(IntFlag):
+class TcpFlags:
+    """TCP flag bits as plain ints: `Packet.flags` is an int, and masks
+    like `TcpFlags.ACK | TcpFlags.PSH` stay ints."""
+
     SYN = 0x01
     ACK = 0x02
     FIN = 0x04
@@ -139,7 +141,7 @@ class Packet:
     key: FlowKey
     seq: int = 0
     ack: int = 0
-    flags: TcpFlags = TcpFlags(0)
+    flags: int = 0
     window: int = 65535
     options: TcpOptions = EMPTY_OPTIONS
     payload: bytes = b""
@@ -159,7 +161,8 @@ class Packet:
         if self.options.mss is not None and not (0 < self.options.mss < (1 << 16)):
             raise MalformedPacketError("MSS out of 16-bit range")
 
-    # Convenience predicates; hot paths test flag bits directly.
+    # Convenience predicates; the per-packet paths (SpliceAgent.handle_packet,
+    # MiniTcpEndpoint.on_segment) test flag bits directly.
     @property
     def syn(self) -> bool:
         return bool(self.flags & TcpFlags.SYN)
@@ -184,8 +187,8 @@ class Packet:
 
 
 # ---------------------------------------------------------------------------
-# Binary codec.  Fixed 32-byte big-endian header, then TLV options, then
-# payload.  Layout documented in docs/wire.md; keep both in sync.
+# Binary codec.  Fixed 32-byte big-endian header (`_HDR`), then TLV
+# options, then payload.
 
 _HDR = struct.Struct(">IIHHBBHIIIHH")
 HEADER_SIZE = _HDR.size  # 32
@@ -208,7 +211,7 @@ def encode(p: Packet) -> bytes:
         for l, r in p.options.sack_blocks:
             opts += struct.pack(">II", l, r)
     hdr = _HDR.pack(p.key.src_addr, p.key.dst_addr, p.key.src_port,
-                    p.key.dst_port, p.key.proto, int(p.flags), p.window,
+                    p.key.dst_port, p.key.proto, p.flags, p.window,
                     p.seq, p.ack, len(p.payload), len(opts), 0)
     return hdr + bytes(opts) + p.payload
 
@@ -250,7 +253,7 @@ def decode(buf: bytes) -> Packet:
             raise MalformedPacketError(f"unknown option type {t}")
         off += ln
     pkt = Packet(key=FlowKey(src, dst, sport, dport, proto), seq=seq, ack=ack,
-                 flags=TcpFlags(flags), window=window,
+                 flags=flags, window=window,
                  options=TcpOptions(mss, sack_permitted, sack_blocks),
                  payload=bytes(buf[end:end + plen]))
     pkt.validate()

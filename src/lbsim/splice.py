@@ -153,6 +153,11 @@ class BufferCapExceeded(RuntimeError):
     pass
 
 
+class ShardViolation(RuntimeError):
+    """A packet of a flow reached a worker other than the entry's owner:
+    the port-shard steering and the agent disagree."""
+
+
 class StreamBuf:
     """Byte reassembly at a fixed base offset: a contiguous prefix plus
     out-of-order fragments.  Duplicates and overlaps are tolerated; bytes
@@ -183,17 +188,14 @@ class StreamBuf:
             raise BufferCapExceeded(f"reassembly buffer over {self.cap} bytes")
 
     def _fold_fragments(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for foff in sorted(self.fragments):
-                frag = self.fragments[foff]
-                if foff <= self.end:
-                    del self.fragments[foff]
-                    if foff + len(frag) > self.end:
-                        self.data += frag[self.end - foff:]
-                    changed = True
-                    break
+        # Folding only moves `end` forward, so one ascending pass folds every
+        # fragment that becomes reachable.
+        for foff in sorted(self.fragments):
+            if foff > self.end:
+                break
+            frag = self.fragments.pop(foff)
+            if foff + len(frag) > self.end:
+                self.data += frag[self.end - foff:]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +429,7 @@ def clamped_ack_s2c(entry: ConnEntry, ack_in: int) -> int:
 class SpliceAgent:
     """Per-LB forwarding logic.  One instance serves all simulated workers;
     entries are confined to their owner worker by the port-shard steering,
-    which handle_packet asserts."""
+    which handle_packet checks (ShardViolation)."""
 
     def __init__(self, table: CuckooTable, routes: RouteTable, vip_addr: int,
                  vip_port: int, lb_addr: int, mss: int, cookie_secret: bytes,
@@ -455,12 +457,13 @@ class SpliceAgent:
     # -- dispatch --------------------------------------------------------------
 
     def handle_packet(self, pkt: Packet, now: float, worker_id: int = 0) -> list[Packet]:
-        if pkt.rst:
+        flags = pkt.flags
+        if flags & TcpFlags.RST:
             return self._on_rst(pkt, now)
-        if pkt.syn and not (pkt.flags & TcpFlags.ACK):
-            self.counters["syn_rx"] += 1
-            return [self.on_client_syn(pkt, now)]
-        if pkt.syn:
+        if flags & TcpFlags.SYN:
+            if not flags & TcpFlags.ACK:
+                self.counters["syn_rx"] += 1
+                return [self.on_client_syn(pkt, now)]
             entry = self.table.lookup(pkt.key, now)
             if entry is None or entry.closed:
                 return []  # SYNACK for an unknown flow
@@ -473,8 +476,9 @@ class SpliceAgent:
             return []  # pre-data handshake ACKs and stale packets: stateless
         if entry.closed:
             return []
-        assert entry.owner_worker == worker_id, \
-            f"flow {pkt.key} reached worker {worker_id}, owned by {entry.owner_worker}"
+        if entry.owner_worker != worker_id:
+            raise ShardViolation(
+                f"flow {pkt.key} reached worker {worker_id}, owned by {entry.owner_worker}")
         if pkt.key == entry.client_key:
             return self._on_client_packet(pkt, entry, now)
         return self._on_server_packet(pkt, entry, now)
@@ -555,8 +559,9 @@ class SpliceAgent:
     # -- client-side packets -------------------------------------------------------
 
     def _on_client_packet(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
+        flags = pkt.flags
         entry.client_window = pkt.window
-        if pkt.flags & TcpFlags.ACK:
+        if flags & TcpFlags.ACK:
             entry.client_ack_front = seq_max(entry.client_ack_front, pkt.ack)
             if (entry.server_fin is not None and not entry.server_fin_acked
                     and entry.state is SpliceState.ESTABLISHED):
@@ -568,9 +573,9 @@ class SpliceAgent:
         if pkt.payload:
             self.counters["c2s_data_pkts"] += 1
             out += self.on_client_data(pkt, entry, now)
-        elif pkt.flags & TcpFlags.ACK and not pkt.fin:
+        elif (flags & (TcpFlags.ACK | TcpFlags.FIN)) == TcpFlags.ACK:
             out += self.on_client_ack(pkt, entry, now)
-        if pkt.fin:
+        if flags & TcpFlags.FIN:
             out += self._on_client_fin(pkt, entry, now)
         self._check_response_complete(entry, now)
         self._maybe_close(entry, now)
@@ -791,7 +796,8 @@ class SpliceAgent:
     def _on_server_packet(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         if entry.state is not SpliceState.ESTABLISHED:
             return []
-        if pkt.flags & TcpFlags.ACK and entry.client_fin is not None \
+        flags = pkt.flags
+        if flags & TcpFlags.ACK and entry.client_fin is not None \
                 and not entry.client_fin_acked:
             fin_back = map_seq_c2s(entry, entry.client_fin)
             if seq_ge(pkt.ack, seq_add(fin_back, 1)):
@@ -801,9 +807,9 @@ class SpliceAgent:
             self.counters["s2c_data_pkts"] += 1
             entry.resp_worker_pkts += 1
             out += self.on_server_data(pkt, entry, now)
-        elif pkt.flags & TcpFlags.ACK and not pkt.fin:
+        elif (flags & (TcpFlags.ACK | TcpFlags.FIN)) == TcpFlags.ACK:
             out += self._on_server_ack(pkt, entry, now)
-        if pkt.fin:
+        if flags & TcpFlags.FIN:
             out += self._on_server_fin(pkt, entry, now)
         self._maybe_close(entry, now)
         return out

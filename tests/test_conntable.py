@@ -3,8 +3,10 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lbsim.conntable import CuckooTable, TableConfig, TableFullError, mix64
+from lbsim.conntable import CuckooTable, TableConfig, TableFullError, _hash_pair, mix64
 from lbsim.packet import FlowKey
 
 DELTA = 60.0
@@ -117,8 +119,9 @@ def test_fill_until_full_preserves_prior_keys():
     assert t.load_factor() > 0.5
 
 
-def test_single_threaded_matches_reference_map():
-    t = CuckooTable(TableConfig(bucket_count=256, ttl_delta=DELTA))
+@pytest.mark.parametrize("shared", [False, True])
+def test_single_threaded_matches_reference_map(shared):
+    t = CuckooTable(TableConfig(bucket_count=256, ttl_delta=DELTA), shared=shared)
     ref: dict[FlowKey, int] = {}
     ref_expiry: dict[FlowKey, float] = {}
     rng = random.Random(77)
@@ -150,6 +153,16 @@ def test_single_threaded_matches_reference_map():
                 del ref[kk]
                 del ref_expiry[kk]
     assert dict(t.items()) == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 104) - 1))
+def test_memoised_hash_pair_matches_mix64_formula(kp):
+    hi, lo = kp >> 40, kp & ((1 << 40) - 1)
+    expected = (mix64(hi ^ mix64(lo ^ 0x9E3779B97F4A7C15)),
+                mix64(hi ^ mix64(lo ^ 0xC2B2AE3D27D4EB4F)))
+    assert _hash_pair(kp) == expected
+    assert _hash_pair(kp) == expected  # second call is served by the cache
 
 
 def test_sweep_evicts_expired_entry():

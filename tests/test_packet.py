@@ -109,7 +109,7 @@ seq32 = st.integers(0, 2**32 - 1)
 
 @st.composite
 def valid_packets(draw):
-    flags = TcpFlags(draw(st.integers(0, 0x1F)))
+    flags = draw(st.integers(0, 0x1F))
     if flags & (TcpFlags.SYN | TcpFlags.RST):
         payload = b""
     else:
@@ -136,10 +136,16 @@ def test_roundtrip_property(p):
     assert decode(encode(p)) == p
 
 
+@settings(max_examples=100, deadline=None)
+@given(valid_packets())
+def test_decoded_flags_are_plain_ints(p):
+    assert type(decode(encode(p)).flags) is int
+
+
 def test_roundtrip_10k_random_packets():
     rng = random.Random(123)
     for _ in range(10_000):
-        flags = TcpFlags.ACK | (TcpFlags.PSH if rng.random() < 0.5 else TcpFlags(0))
+        flags = TcpFlags.ACK | (TcpFlags.PSH if rng.random() < 0.5 else 0)
         blocks = []
         for _ in range(rng.randrange(0, 3)):
             l = rng.getrandbits(32)

@@ -10,6 +10,7 @@ from lbsim.splice import (
     HeaderEdit,
     RouteRule,
     RouteTable,
+    ShardViolation,
     SpliceAgent,
     SpliceState,
 )
@@ -313,3 +314,33 @@ def test_half_open_entry_swept():
     assert len(agent.table) == 1
     agent.sweep(now=120.0)
     assert len(agent.table) == 0
+
+
+def test_packet_on_wrong_worker_raises_shard_violation():
+    agent = make_agent()
+    ck = client_key()
+    entry, _ = establish(agent, ck)
+    ack = Packet(key=ck, seq=seq_add(1000, len(GET)),
+                 ack=seq_add(entry.isn_lb_front, 1), flags=TcpFlags.ACK)
+    with pytest.raises(ShardViolation):
+        agent.handle_packet(ack, 0.0, worker_id=shard_of(ck.src_port) + 1)
+
+
+def test_emitted_flags_are_plain_ints():
+    agent = make_agent()
+    ck = client_key()
+    worker = shard_of(ck.src_port)
+    synack = do_syn(agent, ck)
+    emitted = [synack, *send_request(agent, ck, synack, GET)]
+    backend_syn = emitted[-1]
+    sa = Packet(key=backend_syn.key.reverse(), seq=7_000_000,
+                ack=seq_add(backend_syn.seq, 1), flags=TcpFlags.SYN | TcpFlags.ACK)
+    emitted += agent.handle_packet(sa, 0.0, worker_id=worker)
+    resp = Packet(key=sa.key, seq=7_000_001, ack=seq_add(backend_syn.seq, 1),
+                  flags=TcpFlags.ACK | TcpFlags.PSH,
+                  payload=b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+    emitted += agent.handle_packet(resp, 0.0, worker_id=worker)
+    emitted += agent.handle_packet(Packet(key=ck, seq=seq_add(1000, len(GET)),
+                                          flags=TcpFlags.RST), 0.0, worker_id=worker)
+    assert {p.flags for p in emitted} >= {TcpFlags.SYN, TcpFlags.RST}
+    assert all(type(p.flags) is int for p in emitted)
