@@ -119,8 +119,7 @@ def test_fill_until_full_preserves_prior_keys():
     assert t.load_factor() > 0.5
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_single_threaded_matches_reference_map(shared):
+def _check_against_reference_map(shared):
     t = CuckooTable(TableConfig(bucket_count=256, ttl_delta=DELTA), shared=shared)
     ref: dict[FlowKey, int] = {}
     ref_expiry: dict[FlowKey, float] = {}
@@ -153,6 +152,14 @@ def test_single_threaded_matches_reference_map(shared):
                 del ref[kk]
                 del ref_expiry[kk]
     assert dict(t.items()) == ref
+
+
+def test_single_threaded_matches_reference_map():
+    _check_against_reference_map(shared=False)
+
+
+def test_single_threaded_shared_storage_matches_reference_map():
+    _check_against_reference_map(shared=True)
 
 
 @settings(max_examples=300, deadline=None)
