@@ -1,10 +1,10 @@
 """Simulated match-action flow-processing engine.
 
 Exact-match 5-tuple rules carry header rewrites (set a field, add a wrapping
-constant to seq/ack) and one fate: hairpin back to the wire, steer to a
-worker queue, or drop.  There are no range matches, payload reads, or SACK
-rewrites; a matched packet that carries SACK blocks falls through to the
-worker path, which can rewrite them.
+constant to seq/ack) and hairpin the packet back to the wire.  There are no
+range matches, payload reads, or SACK rewrites; a matched packet that
+carries SACK blocks falls through to the worker path, which can rewrite
+them.
 
 Rule updates cost time.  The latency model is calibrated from measured
 per-rule insert/delete costs at batch sizes 1, 2, 8 and 16, linearly
@@ -21,7 +21,7 @@ from enum import Enum, auto
 from typing import Iterable, Optional, Sequence, Union
 
 from .conntable import mix64
-from .packet import FlowKey, Packet, TcpFlags, seq_add
+from .packet import FlowKey, Packet, seq_add
 
 RULE_CAPACITY_DEFAULT = 65536
 
@@ -62,26 +62,11 @@ class AddToField:
 
 
 @dataclass(frozen=True)
-class SteerToQueue:
-    worker: int
-
-
-@dataclass(frozen=True)
 class Hairpin:
     pass
 
 
-@dataclass(frozen=True)
-class Drop:
-    pass
-
-
-@dataclass(frozen=True)
-class Count:
-    pass
-
-
-Action = Union[SetField, AddToField, SteerToQueue, Hairpin, Drop, Count]
+Action = Union[SetField, AddToField, Hairpin]
 
 
 class RuleState(Enum):
@@ -100,7 +85,6 @@ class Rule:
     ready_at: float = 0.0
     gone_at: Optional[float] = None
     hit_count: int = 0
-    count_hits: int = 0
     last_hit: float = 0.0
 
 
@@ -159,12 +143,10 @@ class PortShardSteering:
     port; the splice agent picks backend ports in the client's shard, so a
     connection's two directions always reach the same worker."""
 
-    def __init__(self, n_workers: int, port_space: tuple[int, int] = (0, 65536)):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.port_space = port_space
-        self.rule_count = port_space[1] - port_space[0]
 
     def shard_of(self, port: int) -> int:
         return mix64(port ^ _SHARD_SALT) % self.n_workers
@@ -175,9 +157,7 @@ class PortShardSteering:
 
 class ResultKind(Enum):
     HAIRPIN = auto()
-    STEERED = auto()
     MISSED = auto()
-    DROPPED = auto()
 
 
 @dataclass
@@ -185,21 +165,18 @@ class EngineResult:
     kind: ResultKind
     packet: Optional[Packet] = None
     worker: Optional[int] = None
-    rule_id: Optional[int] = None
 
 
 @dataclass
 class EngineStats:
     matched: int = 0
     missed: int = 0
-    dropped: int = 0
+    dropped: int = 0       # no rule drops; stays 0 in ingress = matched + missed + dropped
     sack_diverted: int = 0
     rules_inserted: int = 0
     rules_deleted: int = 0
     insert_batches: int = 0
     delete_batches: int = 0
-    last_insert_per_rule_us: float = 0.0
-    last_delete_per_rule_us: float = 0.0
     misses_per_worker: dict[int, int] = field(default_factory=dict)
 
 
@@ -217,11 +194,6 @@ class FlowEngine:
         self._next_id = 1
 
     # -- steering ---------------------------------------------------------------
-
-    def install_port_shard_rules(self, n_workers: int,
-                                 port_space: tuple[int, int] = (0, 65536)) -> PortShardSteering:
-        self.steering = PortShardSteering(n_workers, port_space)
-        return self.steering
 
     def shard_of(self, port: int) -> int:
         return self.steering.shard_of(port)
@@ -258,7 +230,6 @@ class FlowEngine:
             if existing is not None:
                 raise RuleConflictError(
                     f"rule {existing.id} for {rule.match} still being deleted")
-        per_rule_us = self.model.insert_per_rule_us(len(batch))
         done = now + self.model.insert_batch_seconds(len(batch))
         for rule in batch:
             rule.state = RuleState.INSTALLING
@@ -267,7 +238,6 @@ class FlowEngine:
             self.rules[rule.match] = rule
         self.stats.rules_inserted += len(batch)
         self.stats.insert_batches += 1
-        self.stats.last_insert_per_rule_us = per_rule_us
         return done
 
     def delete_rules(self, rule_ids: Sequence[int], now: float) -> float:
@@ -276,7 +246,6 @@ class FlowEngine:
         returned completion time."""
         if not rule_ids:
             raise ValueError("empty batch")
-        per_rule_us = self.model.delete_per_rule_us(len(rule_ids))
         done = now + self.model.delete_batch_seconds(len(rule_ids))
         wanted = set(rule_ids)
         for rule in self.rules.values():
@@ -285,7 +254,6 @@ class FlowEngine:
                 rule.gone_at = done
         self.stats.rules_deleted += len(rule_ids)
         self.stats.delete_batches += 1
-        self.stats.last_delete_per_rule_us = per_rule_us
         return done
 
     def _expire_deleted(self, now: float) -> None:
@@ -298,8 +266,9 @@ class FlowEngine:
     # -- datapath ------------------------------------------------------------------
 
     def process(self, pkt: Packet, now: float) -> EngineResult:
-        """Each ingress packet is exactly one of: matched-and-emitted
-        (hairpin or steered), missed-to-worker, dropped-by-rule."""
+        """Each ingress packet is exactly one of: matched-and-hairpinned, or
+        missed-to-worker (no effective rule, SACK blocks, or a rule without
+        a Hairpin action)."""
         rule = self.rules.get(pkt.key)
         if rule is not None:
             if rule.state is RuleState.DELETING and rule.gone_at <= now:
@@ -312,44 +281,23 @@ class FlowEngine:
         if rule is not None and pkt.options.sack_blocks:
             self.stats.sack_diverted += 1
             rule = None
-        if rule is None:
-            worker = self._steer(pkt)
-            self.stats.missed += 1
-            self.stats.misses_per_worker[worker] = \
-                self.stats.misses_per_worker.get(worker, 0) + 1
-            return EngineResult(ResultKind.MISSED, packet=pkt, worker=worker)
-
-        rule.hit_count += 1
-        rule.last_hit = now
-        fields = {"seq": pkt.seq, "ack": pkt.ack, "window": pkt.window,
-                  "src_addr": pkt.key.src_addr, "dst_addr": pkt.key.dst_addr,
-                  "src_port": pkt.key.src_port, "dst_port": pkt.key.dst_port}
-        fate: Optional[Action] = None
-        for action in rule.actions:
-            if isinstance(action, SetField):
-                fields[action.name] = action.value
-            elif isinstance(action, AddToField):
-                fields[action.name] = seq_add(fields[action.name], action.delta)
-            elif isinstance(action, Count):
-                rule.count_hits += 1
-            else:
-                fate = action
-                break
-        out = pkt.with_(
-            key=FlowKey(fields["src_addr"], fields["dst_addr"],
-                        fields["src_port"], fields["dst_port"], pkt.key.proto),
-            seq=fields["seq"], ack=fields["ack"], window=fields["window"])
-        if isinstance(fate, Drop):
-            self.stats.dropped += 1
-            return EngineResult(ResultKind.DROPPED, rule_id=rule.id)
-        if isinstance(fate, SteerToQueue):
-            self.stats.matched += 1
-            return EngineResult(ResultKind.STEERED, packet=out,
-                                worker=fate.worker, rule_id=rule.id)
-        if isinstance(fate, Hairpin):
-            self.stats.matched += 1
-            return EngineResult(ResultKind.HAIRPIN, packet=out, rule_id=rule.id)
-        # no fate action: fall through to steering with the original packet
+        if rule is not None:
+            rule.hit_count += 1
+            rule.last_hit = now
+            fields = {"seq": pkt.seq, "ack": pkt.ack, "window": pkt.window,
+                      "src_addr": pkt.key.src_addr, "dst_addr": pkt.key.dst_addr,
+                      "src_port": pkt.key.src_port, "dst_port": pkt.key.dst_port}
+            for action in rule.actions:
+                if isinstance(action, SetField):
+                    fields[action.name] = action.value
+                elif isinstance(action, AddToField):
+                    fields[action.name] = seq_add(fields[action.name], action.delta)
+                else:  # Hairpin
+                    self.stats.matched += 1
+                    return EngineResult(ResultKind.HAIRPIN, packet=pkt.with_(
+                        key=FlowKey(fields["src_addr"], fields["dst_addr"],
+                                    fields["src_port"], fields["dst_port"], pkt.key.proto),
+                        seq=fields["seq"], ack=fields["ack"], window=fields["window"]))
         worker = self._steer(pkt)
         self.stats.missed += 1
         self.stats.misses_per_worker[worker] = \

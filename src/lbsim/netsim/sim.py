@@ -118,7 +118,6 @@ class Simulation:
         self.engine = FlowEngine(
             n_workers=topo.n_workers, vips=[(VIP_ADDR, VIP_PORT)],
             latency_model=LatencyModel())
-        self.engine.install_port_shard_rules(topo.n_workers)
 
         self.table = CuckooTable(TableConfig(bucket_count=topo.table_buckets,
                                              ttl_delta=topo.ttl_delta))
@@ -241,8 +240,6 @@ class Simulation:
         if res.kind is ResultKind.HAIRPIN:
             self.engine_hairpins += 1
             self._emit(res.packet, now)
-            return
-        if res.kind is ResultKind.DROPPED:
             return
         worker = res.worker
         pkt = res.packet

@@ -113,7 +113,6 @@ class OffloadManager:
             "rules_installed": 0, "rule_conflicts": 0, "deletes_enqueued": 0,
             "delete_batches": 0, "latch_waits": 0, "offloads_skipped_small": 0,
         }
-        self.install_log: list[tuple[float, float]] = []  # (submit time, ready time)
 
     # -- signals from the splice agent -----------------------------------------
 
@@ -125,7 +124,7 @@ class OffloadManager:
             return
         rule = build_offload_rule(self.engine, entry, self.params.rule_idle_timeout)
         try:
-            ready = self.engine.insert_rules([rule], "nonblocking", now)
+            self.engine.insert_rules([rule], "nonblocking", now)
         except RuleConflictError:
             self.stats["rule_conflicts"] += 1
             return
@@ -133,7 +132,6 @@ class OffloadManager:
         entry.latched = True
         self._by_rule[rule.id] = entry
         self.stats["rules_installed"] += 1
-        self.install_log.append((now, ready))
 
     def on_response_complete(self, entry: ConnEntry, now: float) -> None:
         if entry.offload_rule is None:

@@ -102,33 +102,6 @@ class TcpOptions:
 EMPTY_OPTIONS = TcpOptions()
 
 
-def normalize_sack_blocks(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Canonicalize SACK blocks: drop empties, sort in serial order, merge overlap.
-
-    Blocks are half-open [left, right) with right strictly after left in
-    wrapping order.  The input set must span less than 2^31 sequence space
-    (true for any real receive window), otherwise serial order is undefined.
-    Idempotent, and the covered byte set is preserved.
-    """
-    cleaned = [(l & 0xFFFFFFFF, r & 0xFFFFFFFF) for l, r in blocks if l != r]
-    if not cleaned:
-        return ()
-    # Anchor: the left edge that precedes every other left edge serially.
-    anchor = cleaned[0][0]
-    for l, _ in cleaned[1:]:
-        if seq_lt(l, anchor):
-            anchor = l
-    unwrapped = sorted((seq_sub(l, anchor), seq_sub(l, anchor) + seq_sub(r, l))
-                       for l, r in cleaned)
-    merged: list[list[int]] = []
-    for lo, hi in unwrapped:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((seq_add(anchor, lo), seq_add(anchor, hi)) for lo, hi in merged)
-
-
 @dataclass(frozen=True, slots=True)
 class Packet:
     """One simplified TCP/IP datagram.

@@ -3,8 +3,12 @@
 A connection is bridged, not terminated: after the backend handshake the
 agent forwards packets between the two TCP connections while rewriting
 sequence and ACK numbers.  Inserted header bytes shift the two sequence
-spaces apart; an array of insertion points records where and by how much,
-and every mapping is a linear scan over that array.
+spaces apart.  An entry keeps a base shift, the bytes of insertions that can
+no longer affect a packet, plus a short list of live insertion points; every
+mapping starts from the base and scans the live points.  A point is folded
+into the base once no packet can still fall below its end (see
+InsertionPoint), so a keep-alive connection holds at most the point of the
+request in flight, however many requests it carries.
 
 The agent buffers only what it must: the request head until a backend is
 chosen, and the inserted bytes until the server ACKs them.  Everything else
@@ -29,6 +33,7 @@ from .packet import (
     addr_str,
     seq_add,
     seq_ge,
+    seq_gt,
     seq_max,
     seq_sub,
 )
@@ -44,19 +49,6 @@ class SpliceState(Enum):
     ESTABLISHED = auto()
 
 
-class AckAction(Enum):
-    FORWARD = auto()
-    SUPPRESS = auto()
-    RETRANSMIT_INSERTED = auto()
-
-
-@dataclass
-class MappedAck:
-    action: AckAction
-    ack_out: Optional[int] = None      # absolute client-space ACK when FORWARD
-    point_index: Optional[int] = None  # insertion point index otherwise
-
-
 @dataclass
 class InsertionPoint:
     """One content insertion into the client-to-server stream.
@@ -64,15 +56,37 @@ class InsertionPoint:
     sender_off is a 0-based byte offset in the client's stream (relative to
     ISN+1).  The receiver sees the inserted bytes at [recv_start, recv_end)
     where recv_start = sender_off + cum_before.
+
+    The bytes are held until a server ACK reaches recv_end.  When a server
+    ACK first passes recv_end, fold_after records the client-facing
+    sequence number one past the highest server byte the agent has relayed,
+    or the client's ACK if that is higher.  Every server byte at or beyond
+    it reached the client with an ACK at or past sender_off: through the
+    agent, it followed that server ACK on a FIFO link and carries a higher
+    ACK; through the flow engine, it carries the ACK of the whole request,
+    as a rule exists only while the response to a received request is sent.
+    So once the client ACKs such a byte, it has taken in an ACK at or past
+    sender_off, and a TCP client sends no later segment that starts below
+    it; server ACKs only grow, so none falls at or below recv_end again.
+    The point can no longer affect a packet and is folded into the entry's
+    base shift, unless packets held behind the offload latch, sent before
+    that client ACK, still wait to be replayed.  The server ACK has to pass recv_end, not reach it: one
+    exactly at recv_end is suppressed (classify_ack's "inside"), so the
+    client may still resend the request from its start, and a later ACK
+    there must still be suppressed.
     """
 
     sender_off: int
-    data: Optional[bytes]
+    data: Optional[bytes]              # None once the server ACKed recv_end
     length: int
     cum_before: int
-    acked: bool = False
     sent: bool = False
     dup_ack_count: int = 0
+    fold_after: Optional[int] = None   # absolute client-facing seq
+
+    @property
+    def acked(self) -> bool:
+        return self.data is None
 
     @property
     def recv_start(self) -> int:
@@ -82,20 +96,18 @@ class InsertionPoint:
     def recv_end(self) -> int:
         return self.sender_off + self.cum_before + self.length
 
-    def release(self) -> None:
-        self.acked = True
-        self.data = None
-
 
 # ---------------------------------------------------------------------------
 # Pure mapping helpers.  These work on stream offsets (plain ints); the
-# agent converts to and from absolute sequence numbers at its edges.
+# agent converts to and from absolute sequence numbers at its edges.  `base`
+# is the byte count of folded insertions; the answers hold for offsets past
+# the folded points, which are the only ones that still occur.
 
 
-def map_pos_c2s(points: Sequence[InsertionPoint], p: int) -> int:
+def map_pos_c2s(points: Sequence[InsertionPoint], p: int, base: int = 0) -> int:
     """Client-stream offset -> receiver-stream offset.  Inserted bytes at
     offsets <= p precede client byte p."""
-    shift = 0
+    shift = base
     for pt in points:
         if pt.sender_off <= p:
             shift += pt.length
@@ -104,9 +116,9 @@ def map_pos_c2s(points: Sequence[InsertionPoint], p: int) -> int:
     return p + shift
 
 
-def client_bytes_below(points: Sequence[InsertionPoint], a: int) -> int:
+def client_bytes_below(points: Sequence[InsertionPoint], a: int, base: int = 0) -> int:
     """Count of client bytes among receiver-stream positions [0, a)."""
-    inserted = 0
+    inserted = base
     for pt in points:
         if pt.recv_end <= a:
             inserted += pt.length
@@ -117,11 +129,12 @@ def client_bytes_below(points: Sequence[InsertionPoint], a: int) -> int:
     return a - inserted
 
 
-def classify_ack(points: Sequence[InsertionPoint], a: int) -> tuple[str, int, Optional[int]]:
+def classify_ack(points: Sequence[InsertionPoint], a: int,
+                 base: int = 0) -> tuple[str, int, Optional[int]]:
     """Classify a receiver-space cumulative ack offset against the inserted
-    regions: ("forward" | "at_start" | "inside", forwarded_offset, index).
-    Mirrors the contract of oracles.classify_ack."""
-    inserted = 0
+    regions: ("forward" | "at_start" | "inside", forwarded_offset, index
+    into points).  Mirrors the contract of oracles.classify_ack."""
+    inserted = base
     for idx, pt in enumerate(points):
         s, e = pt.recv_start, pt.recv_end
         if a == s:
@@ -134,16 +147,12 @@ def classify_ack(points: Sequence[InsertionPoint], a: int) -> tuple[str, int, Op
     return "forward", a - inserted, None
 
 
-def map_sack_block_c2s(points: Sequence[InsertionPoint], left: int, right: int) -> tuple[int, int]:
-    """Per-block application of the forward client->server position map."""
-    return map_pos_c2s(points, left), map_pos_c2s(points, right)
-
-
-def map_sack_block_s2c(points: Sequence[InsertionPoint], left: int, right: int) -> Optional[tuple[int, int]]:
+def map_sack_block_s2c(points: Sequence[InsertionPoint], left: int, right: int,
+                       base: int = 0) -> Optional[tuple[int, int]]:
     """Receiver-space SACK block -> client-space block; None when the block
     covers inserted bytes only."""
-    lo = client_bytes_below(points, left)
-    hi = client_bytes_below(points, right)
+    lo = client_bytes_below(points, left, base)
+    hi = client_bytes_below(points, right, base)
     if lo == hi:
         return None
     return lo, hi
@@ -182,8 +191,8 @@ class StreamBuf:
         if off <= self.end:
             self.data += chunk[self.end - off:]
             self._fold_fragments()
-        else:
-            self.fragments[off] = chunk
+        elif len(chunk) > len(self.fragments.get(off, b"")):
+            self.fragments[off] = chunk  # keep the longer of two at one offset
         if self.cap is not None and len(self.data) > self.cap:
             raise BufferCapExceeded(f"reassembly buffer over {self.cap} bytes")
 
@@ -334,7 +343,7 @@ class ConnEntry:
     eff_mss: int = 1460
     owner_worker: int = 0
 
-    insertions: list[InsertionPoint] = field(default_factory=list)
+    insertions: list[InsertionPoint] = field(default_factory=list)  # live only
     total_inserted: int = 0
     pending_request: Optional[StreamBuf] = None  # pre-backend client bytes
 
@@ -346,6 +355,7 @@ class ConnEntry:
     route: Optional[RouteRule] = None
     fwd_hi: int = 0                    # highest client offset forwarded
     client_ack_front: int = 0          # latest cumulative ack from the client
+    relayed_hi: int = 0                # client-facing seq past the server bytes relayed
     client_window: int = 65535
     request_index: int = 0
 
@@ -375,55 +385,53 @@ class ConnEntry:
         assert self.server_key is not None
         return self.server_key.reverse()
 
+    @property
+    def folded(self) -> int:
+        """Bytes inserted by folded points: the base shift of every map."""
+        pts = self.insertions
+        return pts[0].cum_before if pts else self.total_inserted
+
 
 def map_seq_c2s(entry: ConnEntry, seq_in: int) -> int:
     """Absolute client-space sequence number -> server-space."""
     p = seq_sub(seq_in, seq_add(entry.isn_client, 1))
-    return seq_add(seq_add(entry.isn_lb_back, 1), map_pos_c2s(entry.insertions, p))
+    return seq_add(seq_add(entry.isn_lb_back, 1),
+                   map_pos_c2s(entry.insertions, p, entry.folded))
 
 
-def map_ack_s2c(entry: ConnEntry, ack_in: int, count_duplicates: bool = True) -> MappedAck:
-    """Map a server cumulative ACK into client space, applying the
-    insertion-boundary cases.
+def _note_server_ack(entry: ConnEntry, a: int) -> None:
+    """A server ACK at receiver offset a releases the inserted bytes it
+    reaches the end of, and marks the points it passes for folding."""
+    for pt in entry.insertions:
+        if a < pt.recv_end:
+            break
+        pt.data = None
+        if pt.fold_after is None and a > pt.recv_end:
+            pt.fold_after = seq_max(entry.relayed_hi, entry.client_ack_front)
 
-    Side effects: an ACK reaching an insertion's end releases the held
-    bytes; an ACK parked exactly at an unACKed insertion's start counts
-    toward the duplicate threshold (pure ACKs only; data segments pass
-    count_duplicates=False) and the third consecutive occurrence asks the
-    caller to retransmit that insertion.
-    """
+
+def map_ack_s2c(entry: ConnEntry, ack_in: int) -> tuple[str, int, Optional[int]]:
+    """Map a server pure ACK into client space: classify_ack's kind and
+    point index, with the forwarded offset as an absolute client-space ACK.
+    Besides _note_server_ack's effects, progress past an insertion's start
+    ends its run of duplicate ACKs."""
     a = seq_sub(ack_in, seq_add(entry.isn_lb_back, 1))
-    points = entry.insertions
-    for pt in points:
-        if not pt.acked and a >= pt.recv_end:
-            pt.release()
-        if pt.dup_ack_count and a > pt.recv_start:
-            pt.dup_ack_count = 0
-    kind, fwd, idx = classify_ack(points, a)
-    out = seq_add(seq_add(entry.isn_client, 1), fwd)
-    if kind == "forward":
-        return MappedAck(AckAction.FORWARD, ack_out=out)
-    if kind == "at_start":
-        pt = points[idx]
-        if count_duplicates and not pt.acked:
-            pt.dup_ack_count += 1
-            if pt.dup_ack_count >= DUP_ACK_RETRANSMIT_THRESHOLD:
-                pt.dup_ack_count = 0
-                return MappedAck(AckAction.RETRANSMIT_INSERTED, ack_out=out,
-                                 point_index=idx)
-        return MappedAck(AckAction.FORWARD, ack_out=out)
-    return MappedAck(AckAction.SUPPRESS, ack_out=out, point_index=idx)
+    _note_server_ack(entry, a)
+    for pt in entry.insertions:
+        if a <= pt.recv_start:
+            break
+        pt.dup_ack_count = 0
+    kind, fwd, idx = classify_ack(entry.insertions, a, entry.folded)
+    return kind, seq_add(seq_add(entry.isn_client, 1), fwd), idx
 
 
 def clamped_ack_s2c(entry: ConnEntry, ack_in: int) -> int:
     """ACK-field rewrite for server data segments: never suppressed, the
     value clamps to the last client byte fully covered."""
     a = seq_sub(ack_in, seq_add(entry.isn_lb_back, 1))
-    for pt in entry.insertions:
-        if not pt.acked and a >= pt.recv_end:
-            pt.release()
+    _note_server_ack(entry, a)
     return seq_add(seq_add(entry.isn_client, 1),
-                   client_bytes_below(entry.insertions, a))
+                   client_bytes_below(entry.insertions, a, entry.folded))
 
 
 class SpliceAgent:
@@ -514,7 +522,7 @@ class SpliceAgent:
         entry.pending_request = StreamBuf(base=0, cap=self.head_cap)
         entry.head_buf = entry.pending_request
         entry.resp_head_buf = StreamBuf(base=0, cap=self.head_cap)
-        entry.client_ack_front = pkt.ack
+        entry.client_ack_front = entry.relayed_hi = pkt.ack
         self.table.insert(pkt.key, entry, now)
         self.counters["entries_created"] += 1
         return self._on_client_packet(pkt, entry, now)
@@ -539,7 +547,7 @@ class SpliceAgent:
         return out
 
     def _pure_ack_to_server(self, entry: ConnEntry) -> Packet:
-        spliced_next = map_pos_c2s(entry.insertions, entry.fwd_hi)
+        spliced_next = map_pos_c2s(entry.insertions, entry.fwd_hi, entry.folded)
         return Packet(key=entry.server_key,
                       seq=seq_add(seq_add(entry.isn_lb_back, 1), spliced_next),
                       ack=self._front_to_back_ack(entry),
@@ -563,6 +571,11 @@ class SpliceAgent:
         entry.client_window = pkt.window
         if flags & TcpFlags.ACK:
             entry.client_ack_front = seq_max(entry.client_ack_front, pkt.ack)
+            # fold the points this ACK shows to be past (see InsertionPoint)
+            pts = entry.insertions
+            while pts and pts[0].fold_after is not None and not entry.deferred \
+                    and seq_gt(entry.client_ack_front, pts[0].fold_after):
+                del pts[0]
             if (entry.server_fin is not None and not entry.server_fin_acked
                     and entry.state is SpliceState.ESTABLISHED):
                 fin_front = seq_add(entry.server_fin,
@@ -733,6 +746,7 @@ class SpliceAgent:
         out = []
         mss = entry.eff_mss
         ack = self._front_to_back_ack(entry)
+        base = entry.folded
         pos = lo
         while pos < hi:
             n = min(mss, hi - pos)
@@ -740,7 +754,7 @@ class SpliceAgent:
             out.append(Packet(
                 key=entry.server_key,
                 seq=seq_add(seq_add(entry.isn_lb_back, 1),
-                            map_pos_c2s(entry.insertions, pos)),
+                            map_pos_c2s(entry.insertions, pos, base)),
                 ack=ack, flags=TcpFlags.ACK | TcpFlags.PSH,
                 window=entry.client_window, payload=payload))
             self.counters["forwarded_payload_bytes"] += n
@@ -774,7 +788,8 @@ class SpliceAgent:
                        for l, r in pkt.options.sack_blocks)
         return [Packet(key=entry.server_key,
                        seq=seq_add(seq_add(entry.isn_lb_back, 1),
-                                   map_pos_c2s(entry.insertions, entry.fwd_hi)),
+                                   map_pos_c2s(entry.insertions, entry.fwd_hi,
+                                               entry.folded)),
                        ack=seq_add(pkt.ack, delta), flags=TcpFlags.ACK,
                        window=pkt.window,
                        options=TcpOptions(sack_blocks=blocks))]
@@ -808,7 +823,7 @@ class SpliceAgent:
             entry.resp_worker_pkts += 1
             out += self.on_server_data(pkt, entry, now)
         elif (flags & (TcpFlags.ACK | TcpFlags.FIN)) == TcpFlags.ACK:
-            out += self._on_server_ack(pkt, entry, now)
+            out += self.on_server_ack(pkt, entry, now)
         if flags & TcpFlags.FIN:
             out += self._on_server_fin(pkt, entry, now)
         self._maybe_close(entry, now)
@@ -819,6 +834,7 @@ class SpliceAgent:
         constant seq shift (no insertions server->client), clamped ACK."""
         self._track_response(pkt, entry, now)
         seq_out = seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server))
+        entry.relayed_hi = seq_max(entry.relayed_hi, seq_add(seq_out, len(pkt.payload)))
         ack_out = clamped_ack_s2c(entry, pkt.ack)
         if pkt.options.sack_blocks:
             options = TcpOptions(
@@ -830,14 +846,22 @@ class SpliceAgent:
                        flags=pkt.flags, window=pkt.window, options=options,
                        payload=pkt.payload)]
 
-    def _on_server_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        mapped = map_ack_s2c(entry, pkt.ack)
-        if mapped.action is AckAction.RETRANSMIT_INSERTED:
-            pt = entry.insertions[mapped.point_index]
-            return self._insertion_packets(entry, pt, retransmit=True)
-        if mapped.action is AckAction.SUPPRESS:
+    def on_server_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
+        """Pure ACK from the server.  One inside or at the end of an inserted
+        region is suppressed; the third in a row parked at an unACKed
+        insertion's start retransmits that insertion; the rest are relayed
+        with the ACK mapped to client space."""
+        kind, ack_out, idx = map_ack_s2c(entry, pkt.ack)
+        if kind == "inside":
             self.counters["acks_suppressed"] += 1
             return []
+        if kind == "at_start":
+            pt = entry.insertions[idx]
+            if not pt.acked:
+                pt.dup_ack_count += 1
+                if pt.dup_ack_count >= DUP_ACK_RETRANSMIT_THRESHOLD:
+                    pt.dup_ack_count = 0
+                    return self._insertion_packets(entry, pt, retransmit=True)
         if pkt.options.sack_blocks:
             options = TcpOptions(
                 sack_blocks=self._sack_blocks_to_client(entry, pkt.options.sack_blocks))
@@ -845,7 +869,7 @@ class SpliceAgent:
             options = pkt.options
         return [Packet(key=entry.client_key.reverse(),
                        seq=seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
-                       ack=mapped.ack_out, flags=TcpFlags.ACK, window=pkt.window,
+                       ack=ack_out, flags=TcpFlags.ACK, window=pkt.window,
                        options=options)]
 
     def _sack_blocks_to_client(self, entry: ConnEntry,
@@ -855,10 +879,11 @@ class SpliceAgent:
             return ()
         base = seq_add(entry.isn_lb_back, 1)
         cbase = seq_add(entry.isn_client, 1)
+        folded = entry.folded
         out = []
         for l, r in blocks:
             mapped = map_sack_block_s2c(entry.insertions,
-                                        seq_sub(l, base), seq_sub(r, base))
+                                        seq_sub(l, base), seq_sub(r, base), folded)
             if mapped is not None:
                 out.append((seq_add(cbase, mapped[0]), seq_add(cbase, mapped[1])))
         return tuple(out)
@@ -909,9 +934,9 @@ class SpliceAgent:
 
     def _on_server_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         entry.server_fin = seq_add(pkt.seq, len(pkt.payload))
-        return [Packet(key=entry.client_key.reverse(),
-                       seq=seq_add(entry.server_fin,
-                                   seq_sub(entry.isn_lb_front, entry.isn_server)),
+        fin_front = seq_add(entry.server_fin, seq_sub(entry.isn_lb_front, entry.isn_server))
+        entry.relayed_hi = seq_max(entry.relayed_hi, seq_add(fin_front, 1))
+        return [Packet(key=entry.client_key.reverse(), seq=fin_front,
                        ack=clamped_ack_s2c(entry, pkt.ack),
                        flags=TcpFlags.FIN | TcpFlags.ACK, window=pkt.window)]
 

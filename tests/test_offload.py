@@ -14,7 +14,14 @@ from lbsim.offload import (
 from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add
 from lbsim.splice import Backend, ConnEntry, InsertionPoint, SpliceState
 
-from test_splice_agent import GET, client_key, establish, make_agent, shard_of
+from test_splice_agent import (
+    GET,
+    client_key,
+    establish,
+    make_agent,
+    shard_of,
+    spliced_payloads,
+)
 
 
 def test_formula_threshold_from_measured_latencies():
@@ -168,7 +175,8 @@ def test_response_completion_flushes_batch_of_16():
     for entry in entries:
         mgr.on_response_complete(entry, 2.0)
     assert mgr.stats["delete_batches"] == 1
-    assert engine.stats.last_delete_per_rule_us == 18.08
+    sim.run_until(2.0 + 16 * 18.08e-6 - 1e-9)  # batch-16 cost not yet elapsed
+    assert all(e.latched for e in entries)
     sim.run_until(2.0 + 16 * 18.08e-6 + 1e-9)
     assert all(e.offload_rule is None and not e.latched for e in entries)
 
@@ -182,7 +190,8 @@ def test_single_completion_flushes_on_timeout_at_batch1_cost():
     assert mgr.stats["delete_batches"] == 0  # waiting for the flush timer
     sim.run_until(2.0 + 100e-6)
     assert mgr.stats["delete_batches"] == 1
-    assert engine.stats.last_delete_per_rule_us == 57.49
+    sim.run_until(2.0 + 100e-6 + 57.49e-6 - 1e-9)  # batch-1 cost not yet elapsed
+    assert entry.latched
     sim.run_until(2.0 + 100e-6 + 57.49e-6)
     assert entry.offload_rule is None and not entry.latched
 
@@ -207,6 +216,29 @@ def test_next_request_held_until_rule_clean_then_replayed():
     data = b"".join(p.payload for p in sim.emitted if p.payload)
     assert b"GET /api/y" in data
     assert len(entry.insertions) == 2  # the held request was processed
+
+
+def test_held_resend_replayed_with_its_insertion_still_live():
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    head = first_response_pkt(entry, 4 << 20)  # its ACK passes the insertion
+    agent.handle_packet(head, 1.0, worker_id=w)
+    assert entry.latched
+    # the client saw no ACK: it resends its request with the next one, and
+    # the latch holds the segment
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    held = Packet(key=ck, seq=1000, ack=seq_add(entry.isn_lb_front, 1),
+                  flags=TcpFlags.ACK | TcpFlags.PSH, payload=GET + req2)
+    assert agent.handle_packet(held, 2.0, worker_id=w) == []
+    # then it ACKs the whole response, mostly relayed by the engine
+    resp_len = len(head.payload) + (4 << 20)
+    agent.handle_packet(Packet(key=ck, seq=seq_add(1000, len(GET + req2)),
+                               ack=seq_add(entry.isn_lb_front, 1 + resp_len),
+                               flags=TcpFlags.ACK), 3.0, worker_id=w)
+    sim.run_until(4.0)
+    assert not entry.deferred
+    assert spliced_payloads(entry, sim.emitted)[:2] == [(0, 30), (57, 2)]
 
 
 def test_entry_teardown_enqueues_rule_delete():

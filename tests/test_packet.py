@@ -14,7 +14,6 @@ from lbsim.packet import (
     addr_str,
     decode,
     encode,
-    normalize_sack_blocks,
     parse_addr,
     read_trace,
     seq_add,
@@ -158,31 +157,6 @@ def test_roundtrip_10k_random_packets():
             options=TcpOptions(sack_blocks=tuple(blocks)),
             payload=rng.randbytes(rng.randrange(0, 100)))
         assert decode(encode(p)) == p
-
-
-def test_normalize_sack_idempotent_and_covering():
-    rng = random.Random(5)
-    for _ in range(500):
-        base = rng.getrandbits(32)
-        blocks = []
-        for _ in range(rng.randrange(1, 6)):
-            lo = (base + rng.randrange(0, 5000)) % (1 << 32)
-            blocks.append((lo, (lo + rng.randrange(1, 800)) % (1 << 32)))
-        norm = normalize_sack_blocks(blocks)
-        assert normalize_sack_blocks(norm) == norm
-        # covered byte set preserved (relative to base)
-        def covered(bs):
-            out = set()
-            for l, r in bs:
-                start = (l - base) % (1 << 32)
-                for i in range(start, start + (r - l) % (1 << 32)):
-                    out.add(i)
-            return out
-        assert covered(norm) == covered(blocks)
-        # pairwise non-overlapping and sorted
-        rel = [((l - base) % (1 << 32), (r - base) % (1 << 32)) for l, r in norm]
-        for (l1, r1), (l2, r2) in zip(rel, rel[1:]):
-            assert r1 < l2
 
 
 def test_trace_roundtrip(tmp_path):

@@ -36,6 +36,15 @@ def test_streambuf_shuffled_fragments_match_in_order(frags):
     assert not buf.fragments
 
 
+def test_streambuf_keeps_longer_fragment_at_same_offset():
+    buf = StreamBuf()
+    buf.add(10, b"abcdefghij")
+    buf.add(10, b"ab")
+    buf.add(0, b"0123456789")
+    assert bytes(buf.data) == b"0123456789abcdefghij"
+    assert not buf.fragments
+
+
 class _Sink(AppCallbacks):
     def __init__(self):
         self.data = bytearray()

@@ -258,6 +258,126 @@ def test_retransmitted_request_resends_unacked_insertion():
     assert agent.counters["inserted_bytes_retx"] > before
 
 
+XFF = b"x-forwarded-for: 10.0.0.1\r\n"
+RESP = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+def from_client(entry, off, ack_off, payload=b""):
+    """Client segment at client-stream offset off, ACKing server-stream
+    offset ack_off."""
+    return Packet(key=entry.client_key, seq=seq_add(seq_add(entry.isn_client, 1), off),
+                  ack=seq_add(seq_add(entry.isn_lb_front, 1), ack_off),
+                  flags=TcpFlags.ACK | (TcpFlags.PSH if payload else 0), payload=payload)
+
+
+def from_server(entry, off, ack_off, payload=b""):
+    """Server segment at server-stream offset off, ACKing receiver-stream
+    (spliced) offset ack_off."""
+    return Packet(key=entry.server_in_key, seq=seq_add(seq_add(entry.isn_server, 1), off),
+                  ack=seq_add(seq_add(entry.isn_lb_back, 1), ack_off),
+                  flags=TcpFlags.ACK | (TcpFlags.PSH if payload else 0), payload=payload)
+
+
+def spliced_payloads(entry, pkts):
+    """(receiver-stream offset, payload length) of each data packet."""
+    base = seq_add(entry.isn_lb_back, 1)
+    return [(seq_sub(p.seq, base), len(p.payload)) for p in pkts if p.payload]
+
+
+def established_with_handler(ck=None):
+    agent = make_agent()
+    ck = ck or client_key()
+    entry, out = establish(agent, ck)
+    return entry, out, lambda pkt: agent.handle_packet(pkt, 0.0, worker_id=shard_of(ck.src_port))
+
+
+def test_resend_from_offset_0_after_ack_at_insertion_end():
+    entry, _, handle = established_with_handler()
+    ins = entry.insertions[0]
+    assert (ins.sender_off, ins.length) == (30, 27)
+    # the server ACKs exactly the insertion's end: suppressed, bytes released
+    assert handle(from_server(entry, 0, 57)) == []
+    assert ins.acked
+    # the client saw no ACK and resends the request from offset 0
+    out = handle(from_client(entry, 0, 0, GET))
+    assert spliced_payloads(entry, out) == [(0, 30), (57, 2)]
+
+
+def test_ack_at_insertion_end_stays_suppressed_after_client_acks_data():
+    # a server that answers before the request's last bytes arrive: the
+    # point is reached but not passed, so it must stay live
+    entry, _, handle = established_with_handler()
+    assert handle(from_server(entry, 0, 57)) == []
+    handle(from_server(entry, 0, 57, RESP))
+    handle(from_client(entry, len(GET), len(RESP)))
+    assert handle(from_server(entry, len(RESP), 57)) == []
+    assert len(entry.insertions) == 1
+
+
+def test_client_ack_of_bytes_the_agent_never_relayed_does_not_fold():
+    # the client ACKs server bytes the flow engine relayed; a later client
+    # ACK of no newer byte must not fold the next request's point
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, len(GET) + 27))  # request ACKed
+    handle(from_client(entry, len(GET), 5000))    # 5000 bytes came via the engine
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    first = handle(from_client(entry, len(GET), 5000, req2))
+    handle(from_server(entry, 5000, len(GET) + len(req2) + 2 * 27))
+    # the server's ACK never reached the client, which resends req2
+    again = handle(from_client(entry, len(GET), 5000, req2))
+    assert spliced_payloads(entry, again)[0] == spliced_payloads(entry, first)[0]
+    assert len(entry.insertions) == 1
+
+
+def test_client_ack_of_bytes_relayed_before_the_server_ack_does_not_fold():
+    # a response relayed before the server ACKed the request's end carries
+    # an older ACK; the client ACKing it shows nothing about the point
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, 20, RESP))
+    handle(from_server(entry, len(RESP), len(GET) + 27))  # lost on its way on
+    out = handle(from_client(entry, 20, len(RESP), GET[20:]))
+    assert spliced_payloads(entry, out) == [(20, 10), (57, 2)]
+    assert len(entry.insertions) == 1
+
+
+def test_server_ack_and_sack_map_past_a_folded_insertion():
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, 59))
+    handle(from_server(entry, 0, 59, RESP))
+    handle(from_client(entry, len(GET), len(RESP)))
+    assert entry.insertions == [] and entry.folded == 27
+    b, cb = seq_add(entry.isn_lb_back, 1), seq_add(entry.isn_client, 1)
+    sack = TcpOptions(sack_blocks=((seq_add(b, 69), seq_add(b, 79)),))
+    out = handle(from_server(entry, len(RESP), 59).with_(options=sack))
+    assert [(p.ack, p.options.sack_blocks) for p in out] == \
+        [(seq_add(cb, 32), ((seq_add(cb, 42), seq_add(cb, 52)),))]
+
+
+def test_long_keepalive_holds_at_most_one_live_insertion():
+    entry, out, handle = established_with_handler()
+    to_server = [p for p in out if p.payload]
+    expected = bytearray(GET[:-2] + XFF + GET[-2:])
+    c_off, s_off = len(GET), 0  # client and server bytes sent so far
+    for k in range(32):
+        if k:
+            req = b"GET /api/%d HTTP/1.1\r\nHost: h\r\n\r\n" % k
+            expected += req[:-2] + XFF + req[-2:]
+            to_server += [p for p in handle(from_client(entry, c_off, s_off, req))
+                          if p.payload]
+            c_off += len(req)
+        handle(from_server(entry, s_off, len(expected)))
+        handle(from_server(entry, s_off, len(expected), RESP))
+        s_off += len(RESP)
+        handle(from_client(entry, c_off, s_off))
+        assert len(entry.insertions) <= 1, k
+    assert entry.resp_index == 32
+    assert entry.total_inserted == 32 * len(XFF)
+    stream = bytearray(len(expected))
+    for (off, n), p in zip(spliced_payloads(entry, to_server), to_server):
+        stream[off:off + n] = p.payload
+    assert stream == expected
+
+
 def test_fin_exchange_removes_entry():
     agent = make_agent()
     ck = client_key()
