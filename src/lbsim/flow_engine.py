@@ -4,7 +4,8 @@ Exact-match 5-tuple rules carry header rewrites (set a field, add a wrapping
 constant to seq/ack) and hairpin the packet back to the wire.  There are no
 range matches, payload reads, or SACK rewrites; a matched packet that
 carries SACK blocks falls through to the worker path, which can rewrite
-them.
+them.  A rule's action chain is compiled once, when the rule is made, into
+the constants of its rewrite (`Rewrite`); the hit path applies those.
 
 Rule updates cost time.  The latency model is calibrated from measured
 per-rule insert/delete costs at batch sizes 1, 2, 8 and 16, linearly
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .conntable import mix64
-from .packet import FlowKey, Packet, seq_add
+from .packet import FlowKey, Packet
 
 RULE_CAPACITY_DEFAULT = 65536
 
@@ -68,6 +69,50 @@ class Hairpin:
 
 Action = Union[SetField, AddToField, Hairpin]
 
+# A seq or ack rewrite: (value set, or None to keep the packet's), then a
+# wrapping delta added after it (None if nothing is added).
+FieldOp = tuple[Optional[int], Optional[int]]
+
+
+class Rewrite(NamedTuple):
+    """An action chain up to its Hairpin, folded into constants.  Rules
+    match an exact 5-tuple, so the output key is the same for every packet
+    a rule hits."""
+
+    key: FlowKey
+    seq: FieldOp
+    ack: FieldOp
+    window: Optional[int]
+
+
+def compile_actions(match: FlowKey, actions: Sequence[Action]) -> Optional[Rewrite]:
+    """The rewrite `actions` apply to a packet with key `match`, or None
+    when the chain has no Hairpin.  Actions after the Hairpin never run."""
+    addrs = match._asdict()
+    ops = {"seq": (None, None), "ack": (None, None)}
+    window = None
+    for action in actions:
+        if isinstance(action, Hairpin):
+            return Rewrite(FlowKey(**addrs), ops["seq"], ops["ack"], window)
+        name = action.name
+        if isinstance(action, AddToField):
+            value, delta = ops[name]
+            ops[name] = (value, action.delta if delta is None else delta + action.delta)
+        elif name in ops:
+            ops[name] = (action.value, None)
+        elif name == "window":
+            window = action.value
+        else:
+            addrs[name] = action.value
+    return None
+
+
+def _apply(op: FieldOp, value: int) -> int:
+    set_to, delta = op
+    if set_to is not None:
+        value = set_to
+    return value if delta is None else (value + delta) & 0xFFFFFFFF
+
 
 class RuleState(Enum):
     INSTALLING = auto()
@@ -86,6 +131,11 @@ class Rule:
     gone_at: Optional[float] = None
     hit_count: int = 0
     last_hit: float = 0.0
+    # `actions` compiled once, for the hit path; None without a Hairpin
+    rewrite: Optional[Rewrite] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rewrite = compile_actions(self.match, self.actions)
 
 
 # -- latency model --------------------------------------------------------------
@@ -284,20 +334,14 @@ class FlowEngine:
         if rule is not None:
             rule.hit_count += 1
             rule.last_hit = now
-            fields = {"seq": pkt.seq, "ack": pkt.ack, "window": pkt.window,
-                      "src_addr": pkt.key.src_addr, "dst_addr": pkt.key.dst_addr,
-                      "src_port": pkt.key.src_port, "dst_port": pkt.key.dst_port}
-            for action in rule.actions:
-                if isinstance(action, SetField):
-                    fields[action.name] = action.value
-                elif isinstance(action, AddToField):
-                    fields[action.name] = seq_add(fields[action.name], action.delta)
-                else:  # Hairpin
-                    self.stats.matched += 1
-                    return EngineResult(ResultKind.HAIRPIN, packet=pkt.with_(
-                        key=FlowKey(fields["src_addr"], fields["dst_addr"],
-                                    fields["src_port"], fields["dst_port"], pkt.key.proto),
-                        seq=fields["seq"], ack=fields["ack"], window=fields["window"]))
+            rw = rule.rewrite
+            if rw is not None:
+                self.stats.matched += 1
+                return EngineResult(ResultKind.HAIRPIN, packet=Packet(
+                    key=rw.key, seq=_apply(rw.seq, pkt.seq), ack=_apply(rw.ack, pkt.ack),
+                    flags=pkt.flags,
+                    window=pkt.window if rw.window is None else rw.window,
+                    options=pkt.options, payload=pkt.payload))
         worker = self._steer(pkt)
         self.stats.missed += 1
         self.stats.misses_per_worker[worker] = \

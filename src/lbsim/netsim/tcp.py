@@ -6,13 +6,26 @@ cwnd is the limit), receive buffer unbounded.
 The transmit stream can mix literal bytes with generated spans, so multi-
 megabyte response bodies never materialize wholesale: segments are
 rendered from (offset, length) on demand, retransmissions included.
+
+Loss recovery keeps its SACK state incrementally instead of rescanning the
+window on every ACK.  The sender's scoreboard, `sacked`, is a sorted list
+of disjoint, non-touching [lo, hi) blocks; a recovery resend walks it with
+one pointer, crosses runs of already-resent holes in one jump each, and
+stops at the first hole not yet resent (the idea of RFC 6675's NextSeg,
+without its IsLost rule: every unSACKed segment below snd_nxt counts as a
+hole).  The receiver keeps the merged [lo, hi) spans of its out-of-order
+segments, `ooo_spans`, next to the segments themselves; the SACK option is
+their first four, and a fold drops the spans it delivers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Callable, Optional
 
 from ..packet import (
+    MAX_SACK_BLOCKS,
     FlowKey,
     Packet,
     TcpFlags,
@@ -22,6 +35,7 @@ from ..packet import (
 )
 
 _STALE_WINDOW = 1 << 30  # offsets beyond this are stale/corrupt; ignore
+_span_hi = itemgetter(1)
 
 
 class TxStream:
@@ -94,12 +108,15 @@ class MiniTcpEndpoint:
         self.in_recovery = False
         self.recover = 0
         self.sacked: list[list[int]] = []     # disjoint sorted [lo, hi) offsets
-        self._retx_marks: set[int] = set()
+        # positions resent in this recovery: each maps to a later position p
+        # such that every seg-stride position in [key, p) is resent too
+        self._retx_marks: dict[int, int] = {}
 
         # receiver state
         self.rcv_isn = 0
         self.rcv_nxt = 0
-        self.ooo: dict[int, bytes] = {}
+        self.ooo: dict[int, bytes] = {}       # out-of-order segments by offset
+        self.ooo_spans: list[list[int]] = []  # merged [lo, hi) of ooo, sorted
         self.peer_fin_off: Optional[int] = None
         self.peer_fin_rcvd = False
 
@@ -314,36 +331,49 @@ class MiniTcpEndpoint:
         self._retransmit_hole(now)
         self._arm_rto(now)
 
-    def _holes(self) -> list[int]:
-        """Unacked, unSACKed segment starts in [snd_una, snd_nxt)."""
-        out = []
-        pos = self.snd_una
-        blocks = sorted(self.sacked)
-        while pos < self.snd_nxt:
-            covered = False
-            for lo, hi in blocks:
-                if lo <= pos < hi:
-                    pos = hi
-                    covered = True
-                    break
-            if covered:
-                continue
-            out.append(pos)
-            pos += self.seg
-        return out
-
     def _retransmit_hole(self, now: float) -> None:
-        for pos in self._holes():
-            if pos not in self._retx_marks:
-                self._retx_marks.add(pos)
-                n = min(self.seg, self.snd_nxt - pos)
+        """Resend the first hole not yet resent in this recovery.  The holes
+        are the positions a walk from snd_una to snd_nxt visits: it jumps
+        over a SACK block that covers it and otherwise steps by seg; the
+        ones in `_retx_marks` were resent.  `sacked` is sorted and disjoint,
+        so one block pointer keeps up with the walk, and runs of resent
+        holes are crossed in one jump."""
+        blocks, marks, seg = self.sacked, self._retx_marks, self.seg
+        i, n_blocks = 0, len(blocks)
+        pos = self.snd_una
+        while pos < self.snd_nxt:
+            while i < n_blocks and blocks[i][1] <= pos:
+                i += 1
+            if i < n_blocks and blocks[i][0] <= pos:
+                pos = blocks[i][1]
+                continue
+            if pos not in marks:
+                marks[pos] = pos + seg
+                n = min(seg, self.snd_nxt - pos)
                 self._emit_data(pos, n, now)
                 self.stats["retransmits"] += 1
                 return
+            end = self._resent_run_end(pos)
+            if i < n_blocks and end > blocks[i][0]:
+                # stop at the walk's first position in or past the next block
+                end = pos - (pos - blocks[i][0]) // seg * seg
+            pos = end
         # everything below snd_nxt is SACKed; if the FIN is what is missing,
         # re-emit it
         if self.fin_sent and not self.fin_acked and self.snd_una == self.tx.length:
             self._emit_fin(now)
+
+    def _resent_run_end(self, pos: int) -> int:
+        """The first position past the run of resent holes that starts at
+        `pos`, stepping by seg; links on the way are shortened to it."""
+        marks = self._retx_marks
+        path = []
+        while pos in marks:
+            path.append(pos)
+            pos = marks[pos]
+        for p in path:
+            marks[p] = pos
+        return pos
 
     # -- RTO --------------------------------------------------------------------------
 
@@ -412,9 +442,25 @@ class MiniTcpEndpoint:
                 self._fold_ooo(now)
             elif off not in self.ooo or len(self.ooo[off]) < len(data):
                 self.ooo[off] = data
+                self._add_span(off, off + len(data))
         self._ack(now)
 
+    def _add_span(self, lo: int, hi: int) -> None:
+        """Merge [lo, hi) into `ooo_spans`; touching spans merge too."""
+        spans = self.ooo_spans
+        i = bisect_left(spans, lo, key=_span_hi)  # first span with hi >= lo
+        j = i
+        while j < len(spans) and spans[j][0] <= hi:
+            j += 1
+        if i < j:
+            lo = min(lo, spans[i][0])
+            hi = max(hi, spans[j - 1][1])
+        spans[i:j] = [[lo, hi]]
+
     def _fold_ooo(self, now: float) -> None:
+        spans = self.ooo_spans
+        if not spans or spans[0][0] > self.rcv_nxt:
+            return
         # Delivery only moves rcv_nxt forward, so one ascending pass folds
         # every segment that becomes in-order.
         for o in sorted(self.ooo):
@@ -423,6 +469,12 @@ class MiniTcpEndpoint:
             chunk = self.ooo.pop(o)
             if o + len(chunk) > self.rcv_nxt:
                 self._deliver(chunk[self.rcv_nxt - o:], now)
+        # The folded spans are the ones that now end at or below rcv_nxt;
+        # the rest start above it, since spans neither overlap nor touch.
+        i = 0
+        while i < len(spans) and spans[i][1] <= self.rcv_nxt:
+            i += 1
+        del spans[:i]
 
     def _deliver(self, chunk: bytes, now: float) -> None:
         self.rcv_nxt += len(chunk)
@@ -452,18 +504,11 @@ class MiniTcpEndpoint:
         return seq_add(seq_add(self.rcv_isn, 1), n)
 
     def _sack_option(self) -> TcpOptions:
-        if not self.ooo:
+        if not self.ooo_spans:
             return TcpOptions()
-        spans: list[tuple[int, int]] = []
-        for o in sorted(self.ooo):
-            hi = o + len(self.ooo[o])
-            if spans and o <= spans[-1][1]:
-                spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
-            else:
-                spans.append((o, hi))
         base = seq_add(self.rcv_isn, 1)
         blocks = tuple((seq_add(base, lo), seq_add(base, hi))
-                       for lo, hi in spans[:4])
+                       for lo, hi in self.ooo_spans[:MAX_SACK_BLOCKS])
         return TcpOptions(sack_blocks=blocks)
 
     def _ack(self, now: float) -> None:

@@ -893,15 +893,16 @@ class SpliceAgent:
             return
         off = seq_sub(pkt.seq, seq_add(entry.isn_server, 1))
         buf = entry.resp_head_buf
-        if off + len(pkt.payload) <= entry.resp_head_at:
+        # The head must end within head_cap bytes, so only that window is
+        # kept: out-of-order body segments past it never reach the buffer.
+        limit = entry.resp_head_at + self.head_cap
+        if off + len(pkt.payload) <= entry.resp_head_at or off >= limit:
             return
-        try:
-            buf.add(off, pkt.payload)
-        except BufferCapExceeded:
-            entry.resp_tracker_dead = True
-            return
+        buf.add(off, pkt.payload[:limit - off])
         head_end = self._head_complete(buf, entry.resp_head_at)
         if head_end is None:
+            if buf.end >= limit:
+                entry.resp_tracker_dead = True  # a full window and no head end
             return
         head = bytes(buf.data[entry.resp_head_at - buf.base:head_end - buf.base])
         length = _content_length(head)

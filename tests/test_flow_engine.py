@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbsim.flow_engine import (
     AddToField,
@@ -190,3 +192,56 @@ def test_stats_dump_is_text_table():
     e.process(Packet(key=S2C), now=1.0)
     text = e.format_stats()
     assert "matched" in text and "rule_id" in text
+
+
+def reference_rewrite(actions, pkt):
+    """The per-packet action interpreter that compiled rules replaced: the
+    hairpinned packet, or None for a chain without Hairpin."""
+    fields = {"seq": pkt.seq, "ack": pkt.ack, "window": pkt.window,
+              "src_addr": pkt.key.src_addr, "dst_addr": pkt.key.dst_addr,
+              "src_port": pkt.key.src_port, "dst_port": pkt.key.dst_port}
+    for action in actions:
+        if isinstance(action, SetField):
+            fields[action.name] = action.value
+        elif isinstance(action, AddToField):
+            fields[action.name] = seq_add(fields[action.name], action.delta)
+        else:  # Hairpin
+            return pkt.with_(
+                key=FlowKey(fields["src_addr"], fields["dst_addr"],
+                            fields["src_port"], fields["dst_port"], pkt.key.proto),
+                seq=fields["seq"], ack=fields["ack"], window=fields["window"])
+    return None
+
+
+_u32 = st.integers(0, (1 << 32) - 1)
+_u16 = st.integers(0, (1 << 16) - 1)
+_actions = st.one_of(
+    st.builds(SetField, st.sampled_from(["seq", "ack", "src_addr", "dst_addr"]), _u32),
+    st.builds(SetField, st.sampled_from(["src_port", "dst_port", "window"]), _u16),
+    st.builds(AddToField, st.sampled_from(["seq", "ack"]),
+              st.integers(-(1 << 33), 1 << 33)),
+    st.just(Hairpin()))
+_packets = st.builds(Packet, key=st.just(S2C), seq=_u32, ack=_u32,
+                     flags=st.sampled_from([TcpFlags.ACK, TcpFlags.ACK | TcpFlags.PSH,
+                                            TcpFlags.ACK | TcpFlags.FIN]),
+                     window=_u16, payload=st.binary(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_actions, max_size=10), st.lists(_packets, min_size=1, max_size=3))
+def test_compiled_rule_matches_reference_interpreter(actions, pkts):
+    e = make_engine()
+    rule = e.make_rule(S2C, actions)
+    e.insert_rules([rule], "blocking", now=0.0)
+    for i, pkt in enumerate(pkts, 1):
+        now = float(i)
+        r = e.process(pkt, now)
+        expected = reference_rewrite(actions, pkt)
+        if expected is None:
+            assert (r.kind, r.packet) == (ResultKind.MISSED, pkt)
+        else:
+            assert (r.kind, r.packet) == (ResultKind.HAIRPIN, expected)
+        assert (rule.hit_count, rule.last_hit) == (i, now)
+    hairpins = len(pkts) if Hairpin() in actions else 0
+    assert (e.stats.matched, e.stats.missed) == (hairpins, len(pkts) - hairpins)
+    assert rule.actions == tuple(actions)

@@ -1,6 +1,9 @@
 """End-to-end simulator tests: stream equality under loss, endpoint TCP
 behavior, offload interplay, determinism."""
 
+import hashlib
+import struct
+
 import pytest
 
 from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, WorkloadParams
@@ -127,3 +130,51 @@ def test_offload_never_vs_auto_worker_packet_counts():
     assert auto.worker_pkts["s2c_data"] < no_off.worker_pkts["s2c_data"]
     assert auto.engine_hairpins > 0
     assert no_off.engine_hairpins == 0
+
+
+_EGRESS_RECORD = struct.Struct(">dIIHHBIIBHI")
+
+
+def test_seeded_lossy_offload_run_is_pinned():
+    """Loss recovery, SACK mapping and engine hits on one seeded run, pinned
+    to exact counts and to a digest of every packet the LB emits.  A change
+    meant to leave behaviour alone must leave all of these as they are."""
+    params = SimParams(
+        topology=TopologyParams(client_link=LinkParams(loss=0.01),
+                                server_link=LinkParams(loss=0.01)),
+        workload=WorkloadParams(connections=3,
+                                sizes=((256 << 10, 1.0), (2 << 20, 1.0)),
+                                requests_per_connection=(1, 2)),
+        drain=30.0)
+    sim = Simulation(params, seed=7)
+    h = hashlib.blake2b(digest_size=16)
+    emit = sim._emit
+
+    def hashed_emit(pkt, now):
+        k, o = pkt.key, pkt.options
+        h.update(_EGRESS_RECORD.pack(now, k.src_addr, k.dst_addr, k.src_port,
+                                     k.dst_port, k.proto, pkt.seq, pkt.ack,
+                                     pkt.flags, pkt.window, len(pkt.payload)))
+        h.update(repr((o.mss, o.sack_permitted, o.sack_blocks)).encode())
+        h.update(pkt.payload)
+        emit(pkt, now)
+
+    sim._emit = hashed_emit
+    sim.run()
+    assert_streams_equal(sim)
+    assert sim.queue.processed == 49128
+    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (9126, 14052)
+    endpoint_stats = {}
+    for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
+        for name, n in ep.stats.items():
+            endpoint_stats[name] = endpoint_stats.get(name, 0) + n
+    assert endpoint_stats == {
+        "retransmits": 7467, "rto_fires": 0, "fast_retransmits": 30,
+        "segments_tx": 10755, "acks_tx": 11556, "bytes_delivered": 4719125}
+    assert sim.agent.counters == {
+        "syn_rx": 3, "synack_tx": 3, "entries_created": 3, "resets_tx": 0,
+        "c2s_data_pkts": 4, "s2c_data_pkts": 1514, "acks_suppressed": 4,
+        "inserted_bytes_tx": 108, "inserted_bytes_retx": 0,
+        "forwarded_payload_bytes": 2186658, "entries_removed": 3,
+        "cookie_failures": 0, "deferred_pkts": 0, "ttl_sweeps": 1}
+    assert h.hexdigest() == "400d50f24b2518541b942d5549ac5577"

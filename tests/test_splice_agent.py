@@ -6,6 +6,7 @@ import pytest
 from lbsim.conntable import CuckooTable, TableConfig
 from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, seq_add, seq_sub
 from lbsim.splice import (
+    REQUEST_HEAD_CAP,
     Backend,
     HeaderEdit,
     RouteRule,
@@ -464,3 +465,34 @@ def test_emitted_flags_are_plain_ints():
                                           flags=TcpFlags.RST), 0.0, worker_id=worker)
     assert {p.flags for p in emitted} >= {TcpFlags.SYN, TcpFlags.RST}
     assert all(type(p.flags) is int for p in emitted)
+
+
+def test_response_head_found_after_a_flood_of_later_segments():
+    # the head segment of a large response is lost and the next 19 arrive
+    # first: more bytes than head_cap sit out of order when it is resent
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, len(GET) + len(XFF)))
+    body_len = 4 << 20
+    stream = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % body_len
+    stream += bytes(20 * 1460 - len(stream))
+    segments = [(k * 1460, stream[k * 1460:(k + 1) * 1460]) for k in range(20)]
+    for off, payload in segments[1:] + segments[:1]:
+        handle(from_server(entry, off, len(GET) + len(XFF), payload))
+        buf = entry.resp_head_buf
+        assert len(buf.data) + sum(map(len, buf.fragments.values())) <= REQUEST_HEAD_CAP
+    assert not entry.resp_tracker_dead
+    assert entry.resp_len == body_len
+
+
+@pytest.mark.parametrize("extra, parsed", [(0, True), (1, False)])
+def test_response_head_must_end_within_head_cap(extra, parsed):
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, len(GET) + len(XFF)))
+    head = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Pad: "
+    head += b"p" * (REQUEST_HEAD_CAP + extra - len(head) - 4) + b"\r\n\r\n"
+    stream = head + b"ok"
+    # the first segment stops one byte short of the window's end
+    for lo, hi in ((0, REQUEST_HEAD_CAP - 1), (REQUEST_HEAD_CAP - 1, len(stream))):
+        handle(from_server(entry, lo, len(GET) + len(XFF), stream[lo:hi]))
+    assert entry.resp_tracker_dead is not parsed
+    assert entry.resp_len == (2 if parsed else None)
