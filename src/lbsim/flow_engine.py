@@ -2,10 +2,12 @@
 
 Exact-match 5-tuple rules carry header rewrites (set a field, add a wrapping
 constant to seq/ack) and hairpin the packet back to the wire.  There are no
-range matches, payload reads, or SACK rewrites; a matched packet that
-carries SACK blocks falls through to the worker path, which can rewrite
-them.  A rule's action chain is compiled once, when the rule is made, into
-the constants of its rewrite (`Rewrite`); the hit path applies those.
+range matches, payload reads, or SACK rewrites.  A matched packet that
+carries SACK blocks, a FIN or an RST is diverted to the worker path
+(`diverts`): the worker rewrites SACK blocks, and it must see a connection
+end to tear its entry down.  A rule's action chain is compiled once, when
+the rule is made, into the constants of its rewrite (`Rewrite`); the hit
+path applies those.
 
 Rule updates cost time.  The latency model is calibrated from measured
 per-rule insert/delete costs at batch sizes 1, 2, 8 and 16, linearly
@@ -22,7 +24,7 @@ from enum import Enum, auto
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .conntable import mix64
-from .packet import FlowKey, Packet
+from .packet import FlowKey, Packet, TcpFlags
 
 RULE_CAPACITY_DEFAULT = 65536
 
@@ -182,6 +184,12 @@ class LatencyModel:
         return self.delete_per_rule_us(batch_size) * batch_size * 1e-6
 
 
+def diverts(pkt: Packet) -> bool:
+    """A packet no rule handles, even one that matches: it carries SACK
+    blocks, a FIN or an RST."""
+    return bool(pkt.flags & (TcpFlags.FIN | TcpFlags.RST) or pkt.options.sack_blocks)
+
+
 # -- steering ----------------------------------------------------------------------
 
 _SHARD_SALT = 0x5EED0001
@@ -317,8 +325,8 @@ class FlowEngine:
 
     def process(self, pkt: Packet, now: float) -> EngineResult:
         """Each ingress packet is exactly one of: matched-and-hairpinned, or
-        missed-to-worker (no effective rule, SACK blocks, or a rule without
-        a Hairpin action)."""
+        missed-to-worker (no effective rule, a packet that `diverts`, or a
+        rule without a Hairpin action)."""
         rule = self.rules.get(pkt.key)
         if rule is not None:
             if rule.state is RuleState.DELETING and rule.gone_at <= now:
@@ -328,8 +336,9 @@ class FlowEngine:
                 rule = None  # not yet effective: miss to the worker
             elif rule.state is RuleState.INSTALLING:
                 rule.state = RuleState.ACTIVE
-        if rule is not None and pkt.options.sack_blocks:
-            self.stats.sack_diverted += 1
+        if rule is not None and diverts(pkt):
+            if pkt.options.sack_blocks:
+                self.stats.sack_diverted += 1
             rule = None
         if rule is not None:
             rule.hit_count += 1

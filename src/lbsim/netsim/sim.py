@@ -60,7 +60,6 @@ class SimParams:
                                      Backend(0x0A030002, 8080))
     until: float = 300.0                # hard sim-time cap
     drain: float = 0.0                  # extra time after every endpoint has closed
-    trace_path: Optional[str] = None
 
 
 @dataclass
@@ -155,8 +154,6 @@ class Simulation:
         self.response_log: list[ResponseEvent] = []
         self.worker_pkts = {"c2s": 0, "s2c": 0, "s2c_data": 0}
         self.engine_hairpins = 0
-        self.trace: Optional[list[tuple[int, Packet]]] = \
-            [] if params.trace_path else None
         self._build_workload()
         self._schedule_housekeeping()
 
@@ -234,8 +231,6 @@ class Simulation:
         self.link_s2lb.send(pkt, now)
 
     def _lb_ingress(self, now: float, pkt: Packet) -> None:
-        if self.trace is not None:
-            self.trace.append((int(now * 1e9), pkt))
         res = self.engine.process(pkt, now)
         if res.kind is ResultKind.HAIRPIN:
             self.engine_hairpins += 1
@@ -288,15 +283,9 @@ class Simulation:
         if self.params.drain > 0:
             self.queue.run(until=min(self.queue.now + self.params.drain,
                                      self.params.until))
-        if self.params.trace_path and self.trace is not None:
-            from ..packet import write_trace
-            write_trace(self.params.trace_path, self.trace)
         return self
 
     # -- results -----------------------------------------------------------------
-
-    def all_clean(self) -> bool:
-        return all(s.clean for s in self.sessions)
 
     def server_received_streams(self) -> dict[FlowKey, bytes]:
         return {k: bytes(s.transcript)

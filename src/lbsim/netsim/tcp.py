@@ -1,5 +1,5 @@
-"""Miniature TCP endpoint: reliability, SACK, fast retransmit, RTO, and a
-NewReno-shaped congestion window.  No RTT estimation (fixed RTO base with
+"""Miniature TCP endpoint: reliability, SACK, RFC 6675 loss recovery, RTO,
+and a Reno-shaped congestion window.  No RTT estimation (fixed RTO base with
 exponential backoff), no window scaling (the advertised window is ignored;
 cwnd is the limit), receive buffer unbounded.
 
@@ -7,20 +7,48 @@ The transmit stream can mix literal bytes with generated spans, so multi-
 megabyte response bodies never materialize wholesale: segments are
 rendered from (offset, length) on demand, retransmissions included.
 
-Loss recovery keeps its SACK state incrementally instead of rescanning the
-window on every ACK.  The sender's scoreboard, `sacked`, is a sorted list
-of disjoint, non-touching [lo, hi) blocks; a recovery resend walks it with
-one pointer, crosses runs of already-resent holes in one jump each, and
-stops at the first hole not yet resent (the idea of RFC 6675's NextSeg,
-without its IsLost rule: every unSACKed segment below snd_nxt counts as a
-hole).  The receiver keeps the merged [lo, hi) spans of its out-of-order
-segments, `ooo_spans`, next to the segments themselves; the SACK option is
-their first four, and a fold drops the spans it delivers.
+Sending.  Outside recovery a segment goes only when all of min(seg, bytes
+left) fits the window (sender SWS avoidance, RFC 9293 3.8.6.2.1), so a
+fractional cwnd never turns into a sliver; only the stream's tail is short.
+The first and second duplicate ACKs each release one new segment (limited
+transmit, RFC 3042), so a window of a few segments can still collect three.
+
+Loss recovery (RFC 6675, without the rescue retransmission of NextSeg rule
+4).  The scoreboard, `sacked`, is a sorted list of disjoint, non-touching
+[lo, hi) blocks above snd_una, with their byte count kept in `sacked_bytes`.
+- IsLost is one offset per ACK, `lost_to`: an unSACKed byte is lost when
+  more than 2 segments (DupThresh - 1) of SACKed bytes lie above it, which
+  holds exactly below `lost_to`.  It is found by walking down from the top
+  block until 2 segments are counted, so its cost does not grow with the
+  window.
+- The third duplicate ACK halves cwnd into ssthresh (no inflation per
+  duplicate ACK) and resends the segment at snd_una; HighRxt, `high_rxt`,
+  is the end of the highest resend.
+- `pipe` (SetPipe) counts the unSACKed bytes at or above `lost_to` (first
+  transmissions still in flight) plus the unSACKed bytes below HighRxt
+  (resent), from running totals.  While cwnd - pipe >= one segment, NextSeg
+  picks: rule 1, the first hole at or above HighRxt if it is lost; rule 2,
+  new data; rule 3, when there is no new data, the first hole at or above
+  HighRxt below the highest SACKed byte, lost or not.  A resend is at most
+  one segment and never covers SACKed bytes.
+- Lost retransmissions (RFC 8985's send-order rule, with DupThresh for the
+  reordering window): the recovery's resends are kept in send order with
+  the snd_nxt each went out at.  A resend is lost when that snd_nxt lies
+  below `lost_to`; its bytes then leave `pipe` and are sent again before
+  anything else.
+- A cumulative ACK at or past the snd_nxt of entry ends recovery.
+The RTO path is the plain one: go back one segment with cwnd 1 and leave
+recovery.
+
+The receiver keeps the merged [lo, hi) spans of its out-of-order segments,
+`ooo_spans`, next to the segments themselves; the SACK option is their
+first four, and a fold drops the spans it delivers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import deque
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -36,6 +64,31 @@ from ..packet import (
 
 _STALE_WINDOW = 1 << 30  # offsets beyond this are stale/corrupt; ignore
 _span_hi = itemgetter(1)
+
+
+def _add_span(spans: list[list[int]], lo: int, hi: int, mark: int = 0) -> tuple[int, int]:
+    """Merge [lo, hi) into `spans`, which are sorted, disjoint and not
+    touching; touching spans merge too.  Returns how many bytes were newly
+    covered, and how many of those lie below `mark`."""
+    i = bisect_left(spans, lo, key=_span_hi)  # first span with hi >= lo
+    j = i
+    added = below = 0
+    pos = lo
+    while j < len(spans) and spans[j][0] <= hi:
+        l, r = spans[j]
+        if l > pos:
+            added += l - pos
+            below += max(0, min(l, mark) - pos)
+        pos = max(pos, r)
+        j += 1
+    if hi > pos:
+        added += hi - pos
+        below += max(0, min(hi, mark) - pos)
+    if i < j:
+        lo = min(lo, spans[i][0])
+        hi = max(hi, spans[j - 1][1])
+    spans[i:j] = [[lo, hi]]
+    return added, below
 
 
 class TxStream:
@@ -105,12 +158,20 @@ class MiniTcpEndpoint:
         self.cwnd = self.INIT_CWND
         self.ssthresh = float("inf")
         self.dup_acks = 0
+        # SACK scoreboard: [lo, hi) blocks in [snd_una, snd_nxt), sorted,
+        # disjoint and non-touching; and the bytes they cover
+        self.sacked: list[list[int]] = []
+        self.sacked_bytes = 0
+        # RFC 6675 loss recovery
         self.in_recovery = False
         self.recover = 0
-        self.sacked: list[list[int]] = []     # disjoint sorted [lo, hi) offsets
-        # positions resent in this recovery: each maps to a later position p
-        # such that every seg-stride position in [key, p) is resent too
-        self._retx_marks: dict[int, int] = {}
+        self.lost_to = 0                      # unSACKed bytes below this are lost
+        self.high_rxt = 0                     # end of the highest resend (HighRxt)
+        self._sacked_below_rxt = 0            # SACKed bytes in [snd_una, high_rxt)
+        # this recovery's resends not yet lost, in send order: (lo, hi, snd_nxt
+        # when sent); and the lost ones waiting to be sent again: [lo, hi]
+        self._resends: deque[tuple[int, int, int]] = deque()
+        self._relost: deque[list[int]] = deque()
 
         # receiver state
         self.rcv_isn = 0
@@ -230,16 +291,18 @@ class MiniTcpEndpoint:
     def _pump(self, now: float) -> None:
         if not self.established or self.dead:
             return
-        window = int(self.cwnd * self.seg)
         sent = False
-        while self.snd_nxt < self.tx.length and self.snd_nxt - self.snd_una < window:
-            n = min(self.seg, self.tx.length - self.snd_nxt,
-                    window - (self.snd_nxt - self.snd_una))
-            if n <= 0:
-                break
-            self._emit_data(self.snd_nxt, n, now)
-            self.snd_nxt += n
-            sent = True
+        if self.in_recovery:
+            sent = self._recovery_send(now)
+        else:
+            # sender SWS avoidance: a segment goes only when all of it fits
+            window = int(self.cwnd * self.seg)
+            while self.snd_nxt < self.tx.length:
+                n = min(self.seg, self.tx.length - self.snd_nxt)
+                if self.snd_nxt - self.snd_una + n > window:
+                    break
+                self._send_new(n, now)
+                sent = True
         if (self.fin_pending and not self.fin_sent
                 and self.snd_nxt == self.tx.length
                 and self.snd_una == self.snd_nxt):
@@ -247,6 +310,10 @@ class MiniTcpEndpoint:
             sent = True
         if sent:
             self._arm_rto(now)
+
+    def _send_new(self, n: int, now: float) -> None:
+        self._emit_data(self.snd_nxt, n, now)
+        self.snd_nxt += n
 
     def _emit_data(self, off: int, n: int, now: float) -> None:
         payload = self.tx.read(off, n)
@@ -274,106 +341,193 @@ class MiniTcpEndpoint:
             return
         if ack_off > self.snd_nxt:
             return
-        for l, r in pkt.options.sack_blocks:
-            lo = seq_sub(l, seq_add(self.isn, 1))
-            hi = seq_sub(r, seq_add(self.isn, 1))
-            if lo < hi <= _STALE_WINDOW:
-                self._merge_sacked(lo, hi)
+        advanced = ack_off > self.snd_una
+        if advanced:
+            self._ack_through(ack_off)
+        if pkt.options.sack_blocks:
+            base = seq_add(self.isn, 1)
+            for l, r in pkt.options.sack_blocks:
+                lo = seq_sub(l, base)
+                hi = seq_sub(r, base)
+                if lo < hi <= _STALE_WINDOW:
+                    lo, hi = max(lo, self.snd_una), min(hi, self.snd_nxt)
+                    if lo < hi:
+                        self._merge_sacked(lo, hi)
 
-        if ack_off > self.snd_una:
-            self.snd_una = ack_off
+        if advanced:
             self.dup_acks = 0
             self._reset_rto(now)
-            self.sacked = [[lo, hi] for lo, hi in self.sacked if hi > ack_off]
             if self.in_recovery:
                 if ack_off >= self.recover:
-                    self.in_recovery = False
-                    self.cwnd = max(self.ssthresh, 2.0)
-                    self._retx_marks.clear()
-                else:
-                    self._retransmit_hole(now)  # partial ACK: next hole
+                    self._end_recovery()
             elif self.cwnd < self.ssthresh:
                 self.cwnd = min(self.cwnd + 1, self.MAX_CWND)
             else:
                 self.cwnd = min(self.cwnd + 1 / self.cwnd, self.MAX_CWND)
             if (self.snd_una < self.snd_nxt) or (self.fin_sent and not self.fin_acked):
                 self._arm_rto(now)
-            self._pump(now)
-            return
+        else:
+            outstanding = self.snd_una < self.snd_nxt or (self.fin_sent and not self.fin_acked)
+            if not pkt.payload and not pkt.fin and ack_off == self.snd_una and outstanding:
+                self.dup_acks += 1
+                if not self.in_recovery:
+                    if self.dup_acks >= 3:
+                        self._fast_retransmit(now)
+                    elif self.snd_nxt < self.tx.length:
+                        # limited transmit: dup ACKs 1 and 2 release a new segment each
+                        self._send_new(min(self.seg, self.tx.length - self.snd_nxt), now)
+                        self._arm_rto(now)
+                    return
+            if not self.in_recovery:
+                return
+        if self.in_recovery:
+            self._mark_lost()
+        self._pump(now)
 
-        outstanding = self.snd_una < self.snd_nxt or (self.fin_sent and not self.fin_acked)
-        if not pkt.payload and not pkt.fin and ack_off == self.snd_una and outstanding:
-            self.dup_acks += 1
-            if not self.in_recovery and self.dup_acks >= 3:
-                self._fast_retransmit(now)
-            elif self.in_recovery:
-                self.cwnd = min(self.cwnd + 1, self.MAX_CWND)
-                self._retransmit_hole(now)
-                self._pump(now)
+    def _ack_through(self, ack_off: int) -> None:
+        """Move snd_una to `ack_off` and drop the SACKed bytes below it."""
+        blocks = self.sacked
+        gone = 0
+        if blocks:
+            i = bisect_right(blocks, ack_off, key=_span_hi)  # first block past ack_off
+            for lo, hi in blocks[:i]:
+                gone += hi - lo
+            if i < len(blocks) and blocks[i][0] < ack_off:
+                gone += ack_off - blocks[i][0]
+                blocks[i][0] = ack_off
+            del blocks[:i]
+            self.sacked_bytes -= gone
+        self.snd_una = ack_off
+        if ack_off >= self.high_rxt:
+            self.high_rxt = ack_off
+            self._sacked_below_rxt = 0
+        else:
+            self._sacked_below_rxt -= gone
 
     def _merge_sacked(self, lo: int, hi: int) -> None:
-        spans = [[lo, hi]]
-        for l, r in self.sacked:
-            if r < lo or l > hi:
-                spans.append([l, r])
-            else:
-                spans[0][0] = min(spans[0][0], l)
-                spans[0][1] = max(spans[0][1], r)
-        self.sacked = sorted(spans)
+        added, below = _add_span(self.sacked, lo, hi, self.high_rxt)
+        self.sacked_bytes += added
+        self._sacked_below_rxt += below
+
+    def _hole_at(self, pos: int) -> tuple[int, int]:
+        """The first unSACKed run [start, end) at or above `pos`; it ends
+        at a SACK block, or at snd_nxt when no block lies above it."""
+        blocks = self.sacked
+        i = bisect_right(blocks, pos, key=_span_hi)
+        if i < len(blocks) and blocks[i][0] <= pos:
+            pos = blocks[i][1]
+            i += 1
+        return pos, blocks[i][0] if i < len(blocks) else self.snd_nxt
+
+    def _lost_boundary(self) -> int:
+        """IsLost as one offset: an unSACKed byte is lost when more than
+        DupThresh - 1 = 2 segments of SACKed bytes lie above it, which is
+        exactly when it lies below the returned offset."""
+        budget = 2 * self.seg
+        for lo, hi in reversed(self.sacked):
+            if hi - lo > budget:
+                return hi - budget
+            budget -= hi - lo
+        return self.snd_una
+
+    def _mark_lost(self) -> None:
+        """Update the lost boundary; the resends sent while snd_nxt was
+        below it are lost too, and queue to be sent again."""
+        self.lost_to = lost_to = self._lost_boundary()
+        resends = self._resends
+        while resends and resends[0][2] < lost_to:
+            lo, hi, _ = resends.popleft()
+            if hi > self.snd_una:
+                self._relost.append([lo, hi])
+
+    def _pipe(self) -> int:
+        """RFC 6675 SetPipe from running totals: the unSACKed bytes at or
+        above the lost boundary (first transmissions presumed in flight),
+        plus the unSACKed bytes below HighRxt (resent in this recovery),
+        less those whose last resend is lost."""
+        pipe = (self.snd_nxt - self.lost_to - min(self.sacked_bytes, 2 * self.seg)
+                + self.high_rxt - self.snd_una - self._sacked_below_rxt)
+        for lo, hi in self._relost:
+            pos = max(lo, self.snd_una)
+            while pos < hi:
+                start, end = self._hole_at(pos)
+                if start >= hi:
+                    break
+                pipe -= min(end, hi) - start
+                pos = end
+        return pipe
 
     def _fast_retransmit(self, now: float) -> None:
-        self.ssthresh = max(self.cwnd / 2, 2.0)
-        self.cwnd = self.ssthresh + 3
+        self.ssthresh = self.cwnd = max(self.cwnd / 2, 2.0)
         self.in_recovery = True
         self.recover = self.snd_nxt
-        self._retx_marks.clear()
+        self.high_rxt = self.snd_una
+        self._sacked_below_rxt = 0
         self.stats["fast_retransmits"] += 1
-        self._retransmit_hole(now)
+        start, end = self._hole_at(self.snd_una)
+        if start < self.snd_nxt:
+            self._resend_above_rxt(start, end, now)
+        elif self.fin_sent and not self.fin_acked:
+            self._emit_fin(now)  # all data is SACKed: the FIN is what is missing
+        self._mark_lost()
+        self._recovery_send(now)
         self._arm_rto(now)
 
-    def _retransmit_hole(self, now: float) -> None:
-        """Resend the first hole not yet resent in this recovery.  The holes
-        are the positions a walk from snd_una to snd_nxt visits: it jumps
-        over a SACK block that covers it and otherwise steps by seg; the
-        ones in `_retx_marks` were resent.  `sacked` is sorted and disjoint,
-        so one block pointer keeps up with the walk, and runs of resent
-        holes are crossed in one jump."""
-        blocks, marks, seg = self.sacked, self._retx_marks, self.seg
-        i, n_blocks = 0, len(blocks)
-        pos = self.snd_una
-        while pos < self.snd_nxt:
-            while i < n_blocks and blocks[i][1] <= pos:
-                i += 1
-            if i < n_blocks and blocks[i][0] <= pos:
-                pos = blocks[i][1]
-                continue
-            if pos not in marks:
-                marks[pos] = pos + seg
-                n = min(seg, self.snd_nxt - pos)
-                self._emit_data(pos, n, now)
-                self.stats["retransmits"] += 1
-                return
-            end = self._resent_run_end(pos)
-            if i < n_blocks and end > blocks[i][0]:
-                # stop at the walk's first position in or past the next block
-                end = pos - (pos - blocks[i][0]) // seg * seg
-            pos = end
-        # everything below snd_nxt is SACKed; if the FIN is what is missing,
-        # re-emit it
-        if self.fin_sent and not self.fin_acked and self.snd_una == self.tx.length:
-            self._emit_fin(now)
+    def _recovery_send(self, now: float) -> bool:
+        """Send NextSeg's picks while cwnd - pipe >= one segment."""
+        limit = int(self.cwnd * self.seg) - self.seg
+        sent = False
+        while self._pipe() <= limit and self._next_seg(now):
+            sent = True
+        return sent
 
-    def _resent_run_end(self, pos: int) -> int:
-        """The first position past the run of resent holes that starts at
-        `pos`, stepping by seg; links on the way are shortened to it."""
-        marks = self._retx_marks
-        path = []
-        while pos in marks:
-            path.append(pos)
-            pos = marks[pos]
-        for p in path:
-            marks[p] = pos
-        return pos
+    def _next_seg(self, now: float) -> bool:
+        """Send one segment: a lost resend again, else RFC 6675 NextSeg
+        rules 1-3 (no rule 4).  False when there is nothing to send."""
+        relost = self._relost
+        while relost:
+            entry = relost[0]
+            start, end = self._hole_at(max(entry[0], self.snd_una))
+            if start >= entry[1]:
+                relost.popleft()
+                continue
+            end = min(end, entry[1], start + self.seg)
+            if end == entry[1]:
+                relost.popleft()
+            else:
+                entry[0] = end
+            self._resend(start, end, now)
+            return True
+        start, end = self._hole_at(self.high_rxt)
+        if start < self.lost_to:                                 # rule 1
+            self._resend_above_rxt(start, end, now)
+        elif self.snd_nxt < self.tx.length:                      # rule 2
+            self._send_new(min(self.seg, self.tx.length - self.snd_nxt), now)
+        elif self.sacked and start < self.sacked[-1][0]:         # rule 3
+            self._resend_above_rxt(start, end, now)
+        else:
+            return False
+        return True
+
+    def _resend_above_rxt(self, start: int, end: int, now: float) -> None:
+        """Resend the hole [start, end) at or above HighRxt, one segment at
+        most, and move HighRxt past it; the bytes it skips are SACKed."""
+        end = min(end, start + self.seg)
+        self._sacked_below_rxt += start - self.high_rxt
+        self.high_rxt = end
+        self._resend(start, end, now)
+
+    def _resend(self, start: int, end: int, now: float) -> None:
+        self._emit_data(start, end - start, now)
+        self.stats["retransmits"] += 1
+        self._resends.append((start, end, self.snd_nxt))
+
+    def _end_recovery(self) -> None:
+        self.in_recovery = False
+        self.high_rxt = self.snd_una
+        self._sacked_below_rxt = 0
+        self._resends.clear()
+        self._relost.clear()
 
     # -- RTO --------------------------------------------------------------------------
 
@@ -411,8 +565,7 @@ class MiniTcpEndpoint:
         self.rto = min(self.rto * 2, self.RTO_MAX)
         self.ssthresh = max(self.cwnd / 2, 2.0)
         self.cwnd = 1.0
-        self.in_recovery = False
-        self._retx_marks.clear()
+        self._end_recovery()
         if data_outstanding:
             n = min(self.seg, self.snd_nxt - self.snd_una)
             self._emit_data(self.snd_una, n, now)
@@ -442,20 +595,8 @@ class MiniTcpEndpoint:
                 self._fold_ooo(now)
             elif off not in self.ooo or len(self.ooo[off]) < len(data):
                 self.ooo[off] = data
-                self._add_span(off, off + len(data))
+                _add_span(self.ooo_spans, off, off + len(data))
         self._ack(now)
-
-    def _add_span(self, lo: int, hi: int) -> None:
-        """Merge [lo, hi) into `ooo_spans`; touching spans merge too."""
-        spans = self.ooo_spans
-        i = bisect_left(spans, lo, key=_span_hi)  # first span with hi >= lo
-        j = i
-        while j < len(spans) and spans[j][0] <= hi:
-            j += 1
-        if i < j:
-            lo = min(lo, spans[i][0])
-            hi = max(hi, spans[j - 1][1])
-        spans[i:j] = [[lo, hi]]
 
     def _fold_ooo(self, now: float) -> None:
         spans = self.ooo_spans

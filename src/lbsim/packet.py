@@ -1,4 +1,4 @@
-"""Packet data model, wrapping 32-bit sequence arithmetic, and the trace codec.
+"""Packet data model, wrapping 32-bit sequence arithmetic, and the wire codec.
 
 Everything else in the package trades in these types.  Packets are immutable
 values: rewriting a header means building a new packet (dataclasses.replace),
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 SEQ_MOD = 1 << 32
 SEQ_HALF = 1 << 31
@@ -48,10 +48,6 @@ def seq_sub(a: int, b: int) -> int:
 def seq_lt(a: int, b: int) -> bool:
     """True iff a precedes b in modulo-2^32 serial-number order."""
     return a != b and seq_sub(b, a) < SEQ_HALF
-
-
-def seq_le(a: int, b: int) -> bool:
-    return a == b or seq_lt(a, b)
 
 
 def seq_gt(a: int, b: int) -> bool:
@@ -231,43 +227,6 @@ def decode(buf: bytes) -> Packet:
                  payload=bytes(buf[end:end + plen]))
     pkt.validate()
     return pkt
-
-
-# ---------------------------------------------------------------------------
-# Trace files: u64le record count, then per record u64le timestamp (ns),
-# u32le length, encoded packet bytes.
-
-
-def write_trace(path, records: Iterable[tuple[int, Packet]]) -> int:
-    recs = [(ts, encode(p)) for ts, p in records]
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(recs)))
-        for ts, blob in recs:
-            f.write(struct.pack("<QI", ts, len(blob)))
-            f.write(blob)
-    return len(recs)
-
-
-def read_trace(path) -> list[tuple[int, Packet]]:
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 8:
-        raise MalformedPacketError("trace shorter than its header")
-    (count,) = struct.unpack_from("<Q", data)
-    out = []
-    off = 8
-    for _ in range(count):
-        if len(data) - off < 12:
-            raise MalformedPacketError("truncated trace record header")
-        ts, ln = struct.unpack_from("<QI", data, off)
-        off += 12
-        if len(data) - off < ln:
-            raise MalformedPacketError("truncated trace record body")
-        out.append((ts, decode(data[off:off + ln])))
-        off += ln
-    if off != len(data):
-        raise MalformedPacketError("trailing bytes after last trace record")
-    return out
 
 
 def addr_str(addr: int) -> str:

@@ -140,6 +140,20 @@ def test_sack_bearing_packet_diverts_to_worker():
     assert r.packet.seq == pkt.seq  # untouched
 
 
+@pytest.mark.parametrize("flag", [TcpFlags.FIN, TcpFlags.RST])
+def test_fin_and_rst_divert_to_worker(flag):
+    e = make_engine()
+    rule = e.make_rule(S2C, [AddToField("seq", 1), Hairpin()])
+    e.insert_rules([rule], "blocking", now=0.0)
+    pkt = Packet(key=S2C, flags=TcpFlags.ACK | flag)
+    r = e.process(pkt, now=1.0)
+    assert r.kind is ResultKind.MISSED
+    assert r.packet == pkt
+    assert rule.hit_count == 0
+    assert e.stats.sack_diverted == 0  # counts SACK-bearing packets only
+    assert e.process(Packet(key=S2C, flags=TcpFlags.ACK), now=1.0).kind is ResultKind.HAIRPIN
+
+
 def test_conservation_over_random_packets():
     e = make_engine()
     e.insert_rules([e.make_rule(FlowKey(1, 1, 1, 1), [Hairpin()]),
@@ -196,7 +210,10 @@ def test_stats_dump_is_text_table():
 
 def reference_rewrite(actions, pkt):
     """The per-packet action interpreter that compiled rules replaced: the
-    hairpinned packet, or None for a chain without Hairpin."""
+    hairpinned packet, or None for a chain without Hairpin or a packet the
+    engine diverts (FIN, RST or SACK blocks)."""
+    if pkt.flags & (TcpFlags.FIN | TcpFlags.RST) or pkt.options.sack_blocks:
+        return None
     fields = {"seq": pkt.seq, "ack": pkt.ack, "window": pkt.window,
               "src_addr": pkt.key.src_addr, "dst_addr": pkt.key.dst_addr,
               "src_port": pkt.key.src_port, "dst_port": pkt.key.dst_port}
@@ -233,6 +250,7 @@ def test_compiled_rule_matches_reference_interpreter(actions, pkts):
     e = make_engine()
     rule = e.make_rule(S2C, actions)
     e.insert_rules([rule], "blocking", now=0.0)
+    hits, last_hit = 0, rule.last_hit
     for i, pkt in enumerate(pkts, 1):
         now = float(i)
         r = e.process(pkt, now)
@@ -241,7 +259,9 @@ def test_compiled_rule_matches_reference_interpreter(actions, pkts):
             assert (r.kind, r.packet) == (ResultKind.MISSED, pkt)
         else:
             assert (r.kind, r.packet) == (ResultKind.HAIRPIN, expected)
-        assert (rule.hit_count, rule.last_hit) == (i, now)
-    hairpins = len(pkts) if Hairpin() in actions else 0
+        if not pkt.flags & TcpFlags.FIN:  # a diverted packet is no hit
+            hits, last_hit = hits + 1, now
+        assert (rule.hit_count, rule.last_hit) == (hits, last_hit)
+    hairpins = hits if Hairpin() in actions else 0
     assert (e.stats.matched, e.stats.missed) == (hairpins, len(pkts) - hairpins)
     assert rule.actions == tuple(actions)

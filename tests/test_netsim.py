@@ -132,6 +132,47 @@ def test_offload_never_vs_auto_worker_packet_counts():
     assert no_off.engine_hairpins == 0
 
 
+@pytest.mark.parametrize("loss", [0.01, 0.05])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lossy_runs_resend_about_once_per_dropped_segment(loss, seed):
+    """The endpoints resend no more than 1.25 segments per data segment the
+    links drop, and teardown leaves nothing behind."""
+    params = SimParams(
+        topology=TopologyParams(client_link=LinkParams(loss=loss),
+                                server_link=LinkParams(loss=loss)),
+        workload=WorkloadParams(connections=3,
+                                sizes=((256 << 10, 1.0), (2 << 20, 1.0)),
+                                requests_per_connection=(1, 2)),
+        drain=30.0)
+    sim = Simulation(params, seed=seed)
+    dropped_segments = 0
+
+    def counting(link):
+        send = link.send
+
+        def counted(pkt, now):
+            nonlocal dropped_segments
+            dropped = link.dropped
+            send(pkt, now)
+            if pkt.payload and link.dropped > dropped:
+                dropped_segments += 1
+        link.send = counted
+
+    for link in (sim.link_c2lb, sim.link_lb2c, sim.link_s2lb, sim.link_lb2s):
+        counting(link)
+    sim.run()
+    assert_streams_equal(sim)
+    now = sim.queue.now
+    assert len(sim.table) == 0
+    assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
+    assert not sim.offload_mgr.pending
+    assert not sim.agent._used_ports
+    endpoints = [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values())
+    retransmits = sum(ep.stats["retransmits"] for ep in endpoints)
+    assert dropped_segments > 0
+    assert retransmits <= 1.25 * dropped_segments
+
+
 _EGRESS_RECORD = struct.Struct(">dIIHHBIIBHI")
 
 
@@ -162,19 +203,19 @@ def test_seeded_lossy_offload_run_is_pinned():
     sim._emit = hashed_emit
     sim.run()
     assert_streams_equal(sim)
-    assert sim.queue.processed == 49128
-    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (9126, 14052)
+    assert sim.queue.processed == 18295
+    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (2848, 3659)
     endpoint_stats = {}
     for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
         for name, n in ep.stats.items():
             endpoint_stats[name] = endpoint_stats.get(name, 0) + n
     assert endpoint_stats == {
-        "retransmits": 7467, "rto_fires": 0, "fast_retransmits": 30,
-        "segments_tx": 10755, "acks_tx": 11556, "bytes_delivered": 4719125}
+        "retransmits": 64, "rto_fires": 0, "fast_retransmits": 51,
+        "segments_tx": 3306, "acks_tx": 3259, "bytes_delivered": 4719125}
     assert sim.agent.counters == {
         "syn_rx": 3, "synack_tx": 3, "entries_created": 3, "resets_tx": 0,
-        "c2s_data_pkts": 4, "s2c_data_pkts": 1514, "acks_suppressed": 4,
+        "c2s_data_pkts": 4, "s2c_data_pkts": 420, "acks_suppressed": 4,
         "inserted_bytes_tx": 108, "inserted_bytes_retx": 0,
-        "forwarded_payload_bytes": 2186658, "entries_removed": 3,
+        "forwarded_payload_bytes": 606473, "entries_removed": 3,
         "cookie_failures": 0, "deferred_pkts": 0, "ttl_sweeps": 1}
-    assert h.hexdigest() == "400d50f24b2518541b942d5549ac5577"
+    assert h.hexdigest() == "4789cd8164444976036a2a3a86bd54ab"

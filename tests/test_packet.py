@@ -15,11 +15,9 @@ from lbsim.packet import (
     decode,
     encode,
     parse_addr,
-    read_trace,
     seq_add,
     seq_lt,
     seq_sub,
-    write_trace,
 )
 
 K = FlowKey(0x0A000001, 0x0A000002, 1234, 80)
@@ -157,27 +155,6 @@ def test_roundtrip_10k_random_packets():
             options=TcpOptions(sack_blocks=tuple(blocks)),
             payload=rng.randbytes(rng.randrange(0, 100)))
         assert decode(encode(p)) == p
-
-
-def test_trace_roundtrip(tmp_path):
-    rng = random.Random(9)
-    records = []
-    for i in range(50):
-        p = Packet(key=K, seq=rng.getrandbits(32), ack=rng.getrandbits(32),
-                   flags=TcpFlags.ACK, payload=rng.randbytes(rng.randrange(0, 40)))
-        records.append((i * 1000, p))
-    path = tmp_path / "t.trace"
-    assert write_trace(path, records) == 50
-    assert read_trace(path) == records
-
-
-def test_trace_rejects_truncation(tmp_path):
-    path = tmp_path / "t.trace"
-    write_trace(path, [(0, Packet(key=K, flags=TcpFlags.ACK))])
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-3])
-    with pytest.raises(MalformedPacketError):
-        read_trace(path)
 
 
 def test_addr_helpers():
