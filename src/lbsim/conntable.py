@@ -19,8 +19,10 @@ Two storages back the same algorithm:
   SharedMemStorage   an anonymous shared mmap + multiprocessing locks;
                      values are u64 ints (callers keep a side registry).
                      Fork-inherited, so genuinely parallel worker processes
-                     can hammer one table; used by the stress suite and the
-                     table bench.
+                     can hammer one table.  Only tests use it today (the
+                     reference-map and multi-process tests in
+                     tests/test_conntable.py); the simulator and the
+                     benchmark run on ListStorage.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..conntable import CuckooTable, TableConfig, mix64
-from ..flow_engine import FlowEngine, LatencyModel, ResultKind
+from ..flow_engine import FlowEngine, ResultKind
 from ..offload import OffloadManager, OffloadParams
 from ..packet import FlowKey, Packet, TcpFlags
 from ..splice import Backend, RouteTable, SpliceAgent
@@ -55,7 +55,6 @@ class SimParams:
     topology: TopologyParams = TopologyParams()
     workload: WorkloadParams = WorkloadParams()
     offload_mode: str = "auto"          # auto | always | never
-    offload: Optional[OffloadParams] = None
     backends: tuple[Backend, ...] = (Backend(0x0A030001, 8080),
                                      Backend(0x0A030002, 8080))
     until: float = 300.0                # hard sim-time cap
@@ -67,7 +66,6 @@ class ResponseEvent:
     conn: int
     index: int
     resp_len: int
-    worker_data_pkts: int
     offloaded: bool
     t: float
 
@@ -114,9 +112,7 @@ class Simulation:
         topo = params.topology
         self.queue = EventQueue()
 
-        self.engine = FlowEngine(
-            n_workers=topo.n_workers, vips=[(VIP_ADDR, VIP_PORT)],
-            latency_model=LatencyModel())
+        self.engine = FlowEngine(n_workers=topo.n_workers, vips=[(VIP_ADDR, VIP_PORT)])
 
         self.table = CuckooTable(TableConfig(bucket_count=topo.table_buckets,
                                              ttl_delta=topo.ttl_delta))
@@ -128,8 +124,7 @@ class Simulation:
             shard_of=self.engine.shard_of)
         self.agent.response_observer = self._record_response
 
-        self.offload_params = params.offload or OffloadParams.from_model(
-            self.engine.model, mss=topo.mss)
+        self.offload_params = OffloadParams(mss=topo.mss)
         self.offload_mgr: Optional[OffloadManager] = None
         if params.offload_mode != "never":
             self.offload_mgr = OffloadManager(
@@ -152,8 +147,6 @@ class Simulation:
         self.sessions: list[HttpClientSession] = []
         self._live_endpoints = 0   # endpoints, both sides, not yet terminal
         self.response_log: list[ResponseEvent] = []
-        self.worker_pkts = {"c2s": 0, "s2c": 0, "s2c_data": 0}
-        self.engine_hairpins = 0
         self._build_workload()
         self._schedule_housekeeping()
 
@@ -233,20 +226,9 @@ class Simulation:
     def _lb_ingress(self, now: float, pkt: Packet) -> None:
         res = self.engine.process(pkt, now)
         if res.kind is ResultKind.HAIRPIN:
-            self.engine_hairpins += 1
             self._emit(res.packet, now)
             return
-        worker = res.worker
-        pkt = res.packet
-        s2c = not (pkt.key.dst_addr == VIP_ADDR and pkt.key.dst_port == VIP_PORT) \
-            and pkt.key.dst_addr == LB_ADDR
-        if s2c:
-            self.worker_pkts["s2c"] += 1
-            if pkt.payload:
-                self.worker_pkts["s2c_data"] += 1
-        else:
-            self.worker_pkts["c2s"] += 1
-        for out in self.agent.handle_packet(pkt, now, worker):
+        for out in self.agent.handle_packet(res.packet, now, res.worker):
             self._emit(out, now)
 
     def _emit(self, pkt: Packet, now: float) -> None:
@@ -264,7 +246,6 @@ class Simulation:
             conn=entry.client_key.src_port - CLIENT_PORT_BASE,
             index=entry.resp_index,
             resp_len=entry.resp_len or 0,
-            worker_data_pkts=entry.resp_worker_pkts,
             offloaded=entry.offload_rule is not None,
             t=now))
 

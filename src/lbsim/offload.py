@@ -5,11 +5,12 @@ deleting one engine rule costs P.  Offloading a response of B bytes saves
 (B / MSS) * T of worker time, so it pays off only when B >= (P / T) * MSS.
 Deployments usually set a higher override threshold on top of the formula.
 
-Rule lifecycle: non-blocking install when a response crosses the threshold
-(workers keep rewriting identically until the rule turns ready); when the
-client has ACKed the whole response the rule id goes to a dedicated deleter
-that batches deletions; the connection's next request stays latched until
-its rule is really gone, so a stale rule can never rewrite fresh traffic.
+Rule lifecycle: install when a response crosses the threshold, without
+waiting for it (workers keep rewriting identically until the rule turns
+ready); when the client has ACKed the whole response the rule id goes to a
+dedicated deleter that batches deletions; the connection's next request
+stays latched until its rule is really gone, so a stale rule can never
+rewrite fresh traffic.
 """
 
 from __future__ import annotations
@@ -17,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .flow_engine import (
-    AddToField,
-    FlowEngine,
-    Hairpin,
-    LatencyModel,
-    Rule,
-    RuleConflictError,
-    SetField,
-)
+from .flow_engine import FlowEngine, LatencyModel, Rewrite, Rule, RuleConflictError
 from .packet import Packet, seq_sub
 from .splice import ConnEntry, SpliceAgent
 
@@ -37,16 +30,16 @@ class OffloadParams:
     b_override: Optional[int] = 1 << 20     # deployment threshold: 1 MiB
     mss: int = 1460
     t_per_packet: float = T_PER_PACKET_DEFAULT
-    p_rule_update: float = (25.39 + 18.08) * 1e-6  # insert+delete per rule, batch 16
     delete_batch_max: int = 16
     delete_flush_timeout: float = 100e-6
     rule_idle_timeout: float = 10.0
 
-    @classmethod
-    def from_model(cls, model: LatencyModel, delete_batch_max: int = 16, **kw) -> "OffloadParams":
-        p = (model.insert_per_rule_us(delete_batch_max)
-             + model.delete_per_rule_us(delete_batch_max)) * 1e-6
-        return cls(p_rule_update=p, delete_batch_max=delete_batch_max, **kw)
+    @property
+    def p_rule_update(self) -> float:
+        """Seconds to insert and delete one rule, at the delete batch size."""
+        model = LatencyModel()
+        return (model.insert_per_rule_us(self.delete_batch_max)
+                + model.delete_per_rule_us(self.delete_batch_max)) * 1e-6
 
     @property
     def formula_threshold(self) -> float:
@@ -71,20 +64,12 @@ def build_offload_rule(engine: FlowEngine, entry: ConnEntry,
     same constant deltas the worker path applies during the response phase
     (the request is fully ACKed, so the insertion-aware ACK map collapses to
     a constant), rewrite addresses to the client-facing flow, hairpin."""
-    delta_seq = seq_sub(entry.isn_lb_front, entry.isn_server)
-    delta_ack = seq_sub(seq_sub(entry.isn_client, entry.isn_lb_back),
-                        entry.total_inserted)
-    ck = entry.client_key
-    actions = (
-        AddToField("seq", delta_seq),
-        AddToField("ack", delta_ack),
-        SetField("src_addr", ck.dst_addr),
-        SetField("src_port", ck.dst_port),
-        SetField("dst_addr", ck.src_addr),
-        SetField("dst_port", ck.src_port),
-        Hairpin(),
-    )
-    return engine.make_rule(match=entry.server_in_key, actions=actions,
+    rewrite = Rewrite(
+        key=entry.client_key.reverse(),
+        seq_delta=seq_sub(entry.isn_lb_front, entry.isn_server),
+        ack_delta=seq_sub(seq_sub(entry.isn_client, entry.isn_lb_back),
+                          entry.total_inserted))
+    return engine.make_rule(match=entry.server_in_key, rewrite=rewrite,
                             idle_timeout=idle_timeout)
 
 
@@ -124,7 +109,7 @@ class OffloadManager:
             return
         rule = build_offload_rule(self.engine, entry, self.params.rule_idle_timeout)
         try:
-            self.engine.insert_rules([rule], "nonblocking", now)
+            self.engine.insert_rules([rule], now)
         except RuleConflictError:
             self.stats["rule_conflicts"] += 1
             return

@@ -357,7 +357,6 @@ class ConnEntry:
     client_ack_front: int = 0          # latest cumulative ack from the client
     relayed_hi: int = 0                # client-facing seq past the server bytes relayed
     client_window: int = 65535
-    request_index: int = 0
 
     # s2c response tracking (offsets in the server stream)
     resp_head_at: int = 0
@@ -367,7 +366,6 @@ class ConnEntry:
     resp_tracker_dead: bool = False    # unparseable/chunked: never offload again
     resp_signaled: bool = False
     resp_index: int = 0
-    resp_worker_pkts: int = 0          # s2c data packets workers saw this response
 
     # offload rule lifecycle (driven by the offload manager)
     offload_rule: Optional[int] = None
@@ -538,13 +536,13 @@ class SpliceAgent:
         out = [Packet(key=entry.server_key, seq=seq_add(entry.isn_lb_back, 1),
                       ack=seq_add(entry.isn_server, 1), flags=TcpFlags.ACK,
                       window=entry.client_window)]
-        pending = entry.pending_request
-        flushed = bytes(pending.data)
-        out += self._emit_spliced(entry, flushed, 0, now)
+        flushed = bytes(entry.pending_request.data)
         # pending buffers released; inserted bytes live on in their points
         entry.pending_request = None
         entry.head_buf = None
-        return out
+        # _try_route parsed the first head; the parser takes the flushed
+        # bytes from its body on, so a pipelined request gets its insertion
+        return out + self._ingest_new_data(flushed, 0, entry, now)
 
     def _pure_ack_to_server(self, entry: ConnEntry) -> Packet:
         spliced_next = map_pos_c2s(entry.insertions, entry.fwd_hi, entry.folded)
@@ -677,7 +675,6 @@ class SpliceAgent:
                 sender_off=sender_off, data=inserted, length=len(inserted),
                 cum_before=entry.total_inserted))
             entry.total_inserted += len(inserted)
-        entry.request_index += 1
 
     def _ingest_new_data(self, data: bytes, off: int, entry: ConnEntry,
                          now: float) -> list[Packet]:
@@ -820,7 +817,6 @@ class SpliceAgent:
         out: list[Packet] = []
         if pkt.payload:
             self.counters["s2c_data_pkts"] += 1
-            entry.resp_worker_pkts += 1
             out += self.on_server_data(pkt, entry, now)
         elif (flags & (TcpFlags.ACK | TcpFlags.FIN)) == TcpFlags.ACK:
             out += self.on_server_ack(pkt, entry, now)
@@ -931,7 +927,6 @@ class SpliceAgent:
             entry.resp_end = None
             entry.resp_len = None
             entry.resp_index += 1
-            entry.resp_worker_pkts = 0
 
     def _on_server_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         entry.server_fin = seq_add(pkt.seq, len(pkt.payload))

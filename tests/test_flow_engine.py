@@ -5,23 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbsim.flow_engine import (
-    AddToField,
     EngineCapacityError,
     FlowEngine,
-    Hairpin,
     LatencyModel,
     ResultKind,
+    Rewrite,
     RuleConflictError,
-    SetField,
 )
 from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, seq_add
 
 VIP = (0x0A0000FE, 80)
 S2C = FlowKey(0x0A000010, 0x0A010001, 8080, 40000)  # backend -> LB
+C_OUT = FlowKey(VIP[0], 0x0A000001, VIP[1], 40000)  # LB -> client
 
 
 def make_engine(n_workers=4):
     return FlowEngine(n_workers=n_workers, vips=[VIP])
+
+
+def shift(seq=0, ack=0):
+    """A rewrite toward the client that adds seq and ack to the numbers."""
+    return Rewrite(C_OUT, seq, ack)
 
 
 def test_latency_model_measured_anchor_points():
@@ -51,23 +55,23 @@ def test_latency_model_interpolation_monotone_and_clamped():
 
 def test_blocking_single_insert_ready_at_305us():
     e = make_engine()
-    rule = e.make_rule(S2C, [AddToField("seq", 5), Hairpin()])
-    done = e.insert_rules([rule], "blocking", now=1.0)
+    rule = e.make_rule(S2C, shift(seq=5))
+    done = e.insert_rules([rule], now=1.0)
     assert done == pytest.approx(1.0 + 305.40e-6)
     assert rule.ready_at == done
 
 
 def test_batch16_insert_per_rule_latency():
     e = make_engine()
-    rules = [e.make_rule(FlowKey(1, 2, 3, 1000 + i), [Hairpin()]) for i in range(16)]
-    done = e.insert_rules(rules, "nonblocking", now=0.0)
+    rules = [e.make_rule(FlowKey(1, 2, 3, 1000 + i), shift()) for i in range(16)]
+    done = e.insert_rules(rules, now=0.0)
     assert done == pytest.approx(16 * 25.39e-6)
 
 
 def test_packet_during_install_window_misses_to_worker():
     e = make_engine()
-    rule = e.make_rule(S2C, [AddToField("seq", 1), Hairpin()])
-    done = e.insert_rules([rule], "nonblocking", now=0.0)
+    rule = e.make_rule(S2C, shift(seq=1))
+    done = e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, seq=100, ack=5, flags=TcpFlags.ACK, payload=b"x")
     r = e.process(pkt, now=done / 2)
     assert r.kind is ResultKind.MISSED
@@ -79,18 +83,18 @@ def test_packet_during_install_window_misses_to_worker():
 
 def test_delete_batch_latencies_and_unmatchable_after():
     e = make_engine()
-    rule = e.make_rule(S2C, [Hairpin()])
-    e.insert_rules([rule], "blocking", now=0.0)
+    rule = e.make_rule(S2C, shift())
+    e.insert_rules([rule], now=0.0)
     done = e.delete_rules([rule.id], now=1.0)
     assert done == pytest.approx(1.0 + 57.49e-6)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK)
     # still matchable while the delete is in flight
     assert e.process(pkt, now=1.0).kind is ResultKind.HAIRPIN
     assert e.process(pkt, now=done).kind is ResultKind.MISSED
-    assert e.live_rule_for(S2C) is None
+    assert S2C not in e.rules
 
-    rules = [e.make_rule(FlowKey(9, 9, 9, i), [Hairpin()]) for i in range(8)]
-    e.insert_rules(rules, "nonblocking", now=2.0)
+    rules = [e.make_rule(FlowKey(9, 9, 9, i), shift()) for i in range(8)]
+    e.insert_rules(rules, now=2.0)
     done = e.delete_rules([r.id for r in rules], now=3.0)
     assert done == pytest.approx(3.0 + 8 * 19.42e-6)
 
@@ -103,19 +107,25 @@ def test_delete_unknown_rule_is_idempotent():
 
 def test_duplicate_active_match_conflicts():
     e = make_engine()
-    e.insert_rules([e.make_rule(S2C, [Hairpin()])], "blocking", now=0.0)
+    e.insert_rules([e.make_rule(S2C, shift())], now=0.0)
     with pytest.raises(RuleConflictError):
-        e.insert_rules([e.make_rule(S2C, [Hairpin()])], "nonblocking", now=1.0)
+        e.insert_rules([e.make_rule(S2C, shift())], now=1.0)
+
+
+def test_match_being_deleted_conflicts_until_gone():
+    e = make_engine()
+    rule = e.make_rule(S2C, shift())
+    e.insert_rules([rule], now=0.0)
+    done = e.delete_rules([rule.id], now=1.0)
+    with pytest.raises(RuleConflictError, match="still being deleted"):
+        e.insert_rules([e.make_rule(S2C, shift())], now=1.0)
+    e.insert_rules([e.make_rule(S2C, shift())], now=done)
 
 
 def test_full_action_chain_rewrites_and_hairpins():
     e = make_engine()
-    rule = e.make_rule(S2C, [
-        AddToField("seq", 1000), AddToField("ack", (1 << 32) - 7),
-        SetField("src_addr", VIP[0]), SetField("src_port", VIP[1]),
-        SetField("dst_addr", 0x0A000001), SetField("dst_port", 40000),
-        Hairpin()])
-    e.insert_rules([rule], "blocking", now=0.0)
+    rule = e.make_rule(S2C, shift(seq=1000, ack=(1 << 32) - 7))
+    e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, seq=5, ack=10, flags=TcpFlags.ACK | TcpFlags.PSH,
                  payload=b"abc")
     r = e.process(pkt, now=0.1)
@@ -125,13 +135,12 @@ def test_full_action_chain_rewrites_and_hairpins():
     assert out.ack == seq_add(10, (1 << 32) - 7) == 3
     assert out.key == FlowKey(VIP[0], 0x0A000001, VIP[1], 40000)
     assert out.payload == b"abc"
-    assert rule.hit_count == 1
+    assert rule.last_hit == 0.1
 
 
 def test_sack_bearing_packet_diverts_to_worker():
     e = make_engine()
-    e.insert_rules([e.make_rule(S2C, [AddToField("seq", 1), Hairpin()])],
-                   "blocking", now=0.0)
+    e.insert_rules([e.make_rule(S2C, shift(seq=1))], now=0.0)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK,
                  options=TcpOptions(sack_blocks=((5, 10),)))
     r = e.process(pkt, now=1.0)
@@ -143,22 +152,21 @@ def test_sack_bearing_packet_diverts_to_worker():
 @pytest.mark.parametrize("flag", [TcpFlags.FIN, TcpFlags.RST])
 def test_fin_and_rst_divert_to_worker(flag):
     e = make_engine()
-    rule = e.make_rule(S2C, [AddToField("seq", 1), Hairpin()])
-    e.insert_rules([rule], "blocking", now=0.0)
+    rule = e.make_rule(S2C, shift(seq=1))
+    e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK | flag)
     r = e.process(pkt, now=1.0)
     assert r.kind is ResultKind.MISSED
     assert r.packet == pkt
-    assert rule.hit_count == 0
+    assert rule.last_hit == rule.ready_at  # a diverted packet is no hit
     assert e.stats.sack_diverted == 0  # counts SACK-bearing packets only
     assert e.process(Packet(key=S2C, flags=TcpFlags.ACK), now=1.0).kind is ResultKind.HAIRPIN
 
 
 def test_conservation_over_random_packets():
     e = make_engine()
-    e.insert_rules([e.make_rule(FlowKey(1, 1, 1, 1), [Hairpin()]),
-                    e.make_rule(FlowKey(2, 2, 2, 2), [Hairpin()])],
-                   "blocking", now=0.0)
+    e.insert_rules([e.make_rule(FlowKey(1, 1, 1, 1), shift()),
+                    e.make_rule(FlowKey(2, 2, 2, 2), shift())], now=0.0)
     rng = random.Random(5)
     keys = [FlowKey(1, 1, 1, 1), FlowKey(2, 2, 2, 2),
             FlowKey(rng.getrandbits(32), rng.getrandbits(32), 5, 6)]
@@ -184,84 +192,73 @@ def test_port_shard_steering_covers_all_ports_and_pairs_directions():
 
 def test_poll_aged_reports_idle_rules_and_hits_reset_clock():
     e = make_engine()
-    rule = e.make_rule(S2C, [Hairpin()], idle_timeout=1.0)
-    e.insert_rules([rule], "blocking", now=0.0)
+    rule = e.make_rule(S2C, shift(), idle_timeout=1.0)
+    e.insert_rules([rule], now=0.0)
     assert e.poll_aged(now=0.5) == []
     assert e.poll_aged(now=2.5) == [rule.id]
     e.process(Packet(key=S2C), now=3.0)  # hit resets the idle clock
     assert e.poll_aged(now=3.9) == []
     assert e.poll_aged(now=4.5) == [rule.id]
+    e.delete_rules([rule.id], now=4.5)
+    assert e.poll_aged(now=4.5) == []  # a rule being deleted is not reported
 
 
 def test_capacity_cap():
     e = FlowEngine(n_workers=1, capacity=4)
-    rules = [e.make_rule(FlowKey(1, 2, 3, i), [Hairpin()]) for i in range(5)]
+    rules = [e.make_rule(FlowKey(1, 2, 3, i), shift()) for i in range(5)]
     with pytest.raises(EngineCapacityError):
-        e.insert_rules(rules, "nonblocking", now=0.0)
-
-
-def test_stats_dump_is_text_table():
-    e = make_engine()
-    e.insert_rules([e.make_rule(S2C, [Hairpin()])], "blocking", now=0.0)
-    e.process(Packet(key=S2C), now=1.0)
-    text = e.format_stats()
-    assert "matched" in text and "rule_id" in text
-
-
-def reference_rewrite(actions, pkt):
-    """The per-packet action interpreter that compiled rules replaced: the
-    hairpinned packet, or None for a chain without Hairpin or a packet the
-    engine diverts (FIN, RST or SACK blocks)."""
-    if pkt.flags & (TcpFlags.FIN | TcpFlags.RST) or pkt.options.sack_blocks:
-        return None
-    fields = {"seq": pkt.seq, "ack": pkt.ack, "window": pkt.window,
-              "src_addr": pkt.key.src_addr, "dst_addr": pkt.key.dst_addr,
-              "src_port": pkt.key.src_port, "dst_port": pkt.key.dst_port}
-    for action in actions:
-        if isinstance(action, SetField):
-            fields[action.name] = action.value
-        elif isinstance(action, AddToField):
-            fields[action.name] = seq_add(fields[action.name], action.delta)
-        else:  # Hairpin
-            return pkt.with_(
-                key=FlowKey(fields["src_addr"], fields["dst_addr"],
-                            fields["src_port"], fields["dst_port"], pkt.key.proto),
-                seq=fields["seq"], ack=fields["ack"], window=fields["window"])
-    return None
+        e.insert_rules(rules, now=0.0)
 
 
 _u32 = st.integers(0, (1 << 32) - 1)
 _u16 = st.integers(0, (1 << 16) - 1)
-_actions = st.one_of(
-    st.builds(SetField, st.sampled_from(["seq", "ack", "src_addr", "dst_addr"]), _u32),
-    st.builds(SetField, st.sampled_from(["src_port", "dst_port", "window"]), _u16),
-    st.builds(AddToField, st.sampled_from(["seq", "ack"]),
-              st.integers(-(1 << 33), 1 << 33)),
-    st.just(Hairpin()))
-_packets = st.builds(Packet, key=st.just(S2C), seq=_u32, ack=_u32,
-                     flags=st.sampled_from([TcpFlags.ACK, TcpFlags.ACK | TcpFlags.PSH,
-                                            TcpFlags.ACK | TcpFlags.FIN]),
-                     window=_u16, payload=st.binary(max_size=8))
+_deltas = st.one_of(_u32, st.integers(-(1 << 33), 1 << 33))
+_READY = LatencyModel().insert_batch_seconds(1)  # a rule inserted at 0
+_times = st.one_of(st.floats(0.0, 1e-3), st.just(_READY))
+_sack_blocks = st.lists(
+    st.tuples(_u32, st.integers(1, 1 << 20)).map(lambda b: (b[0], seq_add(*b))),
+    max_size=3).map(tuple)
+_packets = st.builds(
+    Packet,
+    key=st.sampled_from([S2C, S2C.reverse(), FlowKey(0x0A000011, 0x0A010001, 8080, 40001)]),
+    seq=_u32, ack=_u32,
+    flags=st.sampled_from([TcpFlags.ACK, TcpFlags.ACK | TcpFlags.PSH,
+                           TcpFlags.ACK | TcpFlags.FIN, TcpFlags.ACK | TcpFlags.RST,
+                           TcpFlags.RST]),
+    window=_u16, options=st.builds(TcpOptions, sack_blocks=_sack_blocks),
+    payload=st.binary(max_size=8))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_actions, max_size=10), st.lists(_packets, min_size=1, max_size=3))
-def test_compiled_rule_matches_reference_interpreter(actions, pkts):
+@given(out_key=st.builds(FlowKey, _u32, _u32, _u16, _u16), seq_delta=_deltas,
+       ack_delta=_deltas, delete_at=st.one_of(st.none(), _times),
+       arrivals=st.lists(st.tuples(_times, _packets), min_size=1, max_size=12))
+def test_rule_hairpins_exactly_its_rewrite(out_key, seq_delta, ack_delta, delete_at,
+                                           arrivals):
+    """A hit rewrites key, seq and ack and nothing else; every other packet
+    (another key, before ready_at, from gone_at on, or one that diverts)
+    comes back unchanged on its steered worker."""
     e = make_engine()
-    rule = e.make_rule(S2C, actions)
-    e.insert_rules([rule], "blocking", now=0.0)
-    hits, last_hit = 0, rule.last_hit
-    for i, pkt in enumerate(pkts, 1):
-        now = float(i)
+    rule = e.make_rule(S2C, Rewrite(out_key, seq_delta, ack_delta))
+    ready_at = e.insert_rules([rule], now=0.0)
+    gone_at, last_hit, hairpins, sack_diverted = None, rule.last_hit, 0, 0
+    for now, pkt in sorted(arrivals, key=lambda a: a[0]):
+        if delete_at is not None and gone_at is None and now >= delete_at:
+            gone_at = e.delete_rules([rule.id], delete_at)
         r = e.process(pkt, now)
-        expected = reference_rewrite(actions, pkt)
-        if expected is None:
-            assert (r.kind, r.packet) == (ResultKind.MISSED, pkt)
+        effective = (pkt.key == S2C and now >= ready_at
+                     and (gone_at is None or now < gone_at))
+        if effective and not (pkt.flags & (TcpFlags.FIN | TcpFlags.RST)
+                              or pkt.options.sack_blocks):
+            assert r.kind is ResultKind.HAIRPIN and r.worker is None
+            assert r.packet == Packet(
+                key=out_key, seq=(pkt.seq + seq_delta) % (1 << 32),
+                ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
+                window=pkt.window, options=pkt.options, payload=pkt.payload)
+            last_hit, hairpins = now, hairpins + 1
         else:
-            assert (r.kind, r.packet) == (ResultKind.HAIRPIN, expected)
-        if not pkt.flags & TcpFlags.FIN:  # a diverted packet is no hit
-            hits, last_hit = hits + 1, now
-        assert (rule.hit_count, rule.last_hit) == (hits, last_hit)
-    hairpins = hits if Hairpin() in actions else 0
-    assert (e.stats.matched, e.stats.missed) == (hairpins, len(pkts) - hairpins)
-    assert rule.actions == tuple(actions)
+            assert (r.kind, r.packet, r.worker) == (ResultKind.MISSED, pkt, e._steer(pkt))
+            sack_diverted += effective and bool(pkt.options.sack_blocks)
+        assert rule.last_hit == last_hit
+    assert (e.stats.matched, e.stats.sack_diverted) == (hairpins, sack_diverted)
+    assert e.stats.matched + e.stats.missed == len(arrivals)

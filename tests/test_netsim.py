@@ -94,7 +94,7 @@ def test_loss_5pct_offloaded_response_stream_equal():
     sim = run_sim(sizes=((2 << 20, 1.0),), loss=0.05, seed=13, mss=8960,
                   offload_mode="auto")
     assert_streams_equal(sim)
-    assert sim.engine_hairpins > 0  # the offload path really engaged
+    assert sim.engine.stats.matched > 0  # the offload path really engaged
 
 
 def test_same_seed_identical_event_count_and_bytes():
@@ -127,9 +127,9 @@ def test_offload_never_vs_auto_worker_packet_counts():
     kwargs = dict(connections=1, sizes=((2 << 20, 1.0),), seed=5, mss=8960)
     no_off = run_sim(offload_mode="never", **kwargs)
     auto = run_sim(offload_mode="auto", **kwargs)
-    assert auto.worker_pkts["s2c_data"] < no_off.worker_pkts["s2c_data"]
-    assert auto.engine_hairpins > 0
-    assert no_off.engine_hairpins == 0
+    assert auto.agent.counters["s2c_data_pkts"] < no_off.agent.counters["s2c_data_pkts"]
+    assert auto.engine.stats.matched > 0
+    assert no_off.engine.stats.matched == 0
 
 
 @pytest.mark.parametrize("loss", [0.01, 0.05])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lbsim.conntable import CuckooTable, TableConfig
-from lbsim.flow_engine import FlowEngine, LatencyModel, ResultKind
+from lbsim.flow_engine import FlowEngine, ResultKind
 from lbsim.offload import (
     OffloadManager,
     OffloadParams,
@@ -26,8 +26,8 @@ from test_splice_agent import (
 
 def test_formula_threshold_from_measured_latencies():
     # P at batch 16: 25.39 + 18.08 us; T = 0.333 us; MSS = 1460
-    params = OffloadParams.from_model(LatencyModel(), delete_batch_max=16,
-                                      t_per_packet=0.333e-6, b_override=None)
+    params = OffloadParams(delete_batch_max=16, t_per_packet=0.333e-6,
+                           b_override=None)
     p_us = 25.39 + 18.08
     expected = (p_us / 0.333) * 1460
     assert expected == pytest.approx(190_589.2, abs=1.0)
@@ -92,10 +92,17 @@ def offload_setup(b_override=1 << 20, flush_timeout=100e-6):
     agent = make_agent()
     engine = FlowEngine(n_workers=4, vips=[(0x0A0000FE, 80)])
     sim = Sim()
-    params = OffloadParams.from_model(LatencyModel(), b_override=b_override,
-                                      delete_flush_timeout=flush_timeout)
+    params = OffloadParams(b_override=b_override, delete_flush_timeout=flush_timeout)
     mgr = OffloadManager(engine, agent, params, sim.schedule, sim.emit)
     return agent, engine, sim, mgr
+
+
+def live_rule(engine, key, now):
+    """The rule that matches key and is not gone at now, if any."""
+    rule = engine.rules.get(key)
+    if rule is None or (rule.gone_at is not None and rule.gone_at <= now):
+        return None
+    return rule
 
 
 def established_entry(agent, port=40000):
@@ -119,7 +126,7 @@ def test_threshold_crossing_installs_hairpin_rule():
     agent.handle_packet(pkt, 1.0, worker_id=shard_of(ck.src_port))
     assert entry.offload_rule is not None
     assert entry.latched
-    rule = engine.live_rule_for(entry.server_in_key)
+    rule = live_rule(engine, entry.server_in_key, 1.0)
     assert rule is not None
     assert rule.ready_at == pytest.approx(1.0 + 305.40e-6)
     assert mgr.stats["rules_installed"] == 1
@@ -147,7 +154,7 @@ def test_engine_rewrite_matches_worker_rewrite_bit_for_bit():
     agent, engine, sim, mgr = offload_setup()
     ck, entry = established_entry(agent)
     rule = build_offload_rule(engine, entry, None)
-    engine.insert_rules([rule], "blocking", now=0.0)
+    engine.insert_rules([rule], now=0.0)
     rng = random.Random(99)
     resp_off = 40  # somewhere inside the response stream
     for _ in range(2000):
@@ -249,7 +256,7 @@ def test_entry_teardown_enqueues_rule_delete():
     rid = entry.offload_rule
     agent.remove_entry(entry, 3.0)
     sim.run_until(4.0)
-    assert engine.live_rule_for(entry.server_in_key, now=4.0) is None
+    assert live_rule(engine, entry.server_in_key, 4.0) is None
     assert rid not in mgr._by_rule
 
 

@@ -285,6 +285,25 @@ def spliced_payloads(entry, pkts):
     return [(seq_sub(p.seq, base), len(p.payload)) for p in pkts if p.payload]
 
 
+def test_pipelined_request_is_parsed_and_the_next_one_forwarded():
+    # the first segment carries two requests; the second must be parsed as
+    # a head of its own, not forwarded raw with the first one's body
+    agent = make_agent()
+    ck = client_key()
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    req3 = b"GET /api/z HTTP/1.1\r\nHost: h\r\n\r\n"
+    entry, out = establish(agent, ck, payload=GET + req2)
+    out += agent.handle_packet(from_client(entry, len(GET + req2), 0, req3), 0.0,
+                               worker_id=shard_of(ck.src_port))
+    assert len(entry.insertions) == 3
+    expected = b"".join(r[:-2] + XFF + r[-2:] for r in (GET, req2, req3))
+    to_server = [p for p in out if p.payload]
+    stream = bytearray(len(expected))
+    for (off, n), p in zip(spliced_payloads(entry, to_server), to_server):
+        stream[off:off + n] = p.payload
+    assert stream == expected
+
+
 def established_with_handler(ck=None):
     agent = make_agent()
     ck = ck or client_key()
