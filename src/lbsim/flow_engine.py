@@ -9,6 +9,14 @@ matched packet that carries SACK blocks, a FIN or an RST is diverted to the
 worker path (`diverts`): the worker rewrites SACK blocks, and it must see a
 connection end to tear its entry down.
 
+A rule may also match one exact TCP seq (`Rule.seq`, as mlx5 steering's
+`outer_tcp_seq_num`).  Such a rule hairpins only a payload-free packet that
+carries that seq; a packet with payload, or at any other seq, misses to the
+worker.  The client-ACK rule of an offloaded response uses it: the client's
+pure ACKs sit at the end of the request bytes the worker has forwarded, and
+anything else (the next request, an ACK past bytes held back) needs the
+worker.
+
 Rule updates cost time.  The latency model is calibrated from measured
 per-rule insert/delete costs at batch sizes 1, 2, 8 and 16, linearly
 interpolated in between and clamped beyond 16.  A batch inserted at time t
@@ -54,6 +62,7 @@ class Rule:
     match: FlowKey
     rewrite: Rewrite
     idle_timeout: Optional[float] = None
+    seq: Optional[int] = None        # when set, hit only payload-free packets at this seq
     ready_at: float = 0.0            # effective from this time on
     gone_at: Optional[float] = None  # set by a delete: unmatchable from then on
     last_hit: float = 0.0
@@ -178,20 +187,23 @@ class FlowEngine:
     # -- rule lifecycle -----------------------------------------------------------
 
     def make_rule(self, match: FlowKey, rewrite: Rewrite,
-                  idle_timeout: Optional[float] = None) -> Rule:
+                  idle_timeout: Optional[float] = None,
+                  seq: Optional[int] = None) -> Rule:
         rule = Rule(id=self._next_id, match=match, rewrite=rewrite,
-                    idle_timeout=idle_timeout)
+                    idle_timeout=idle_timeout, seq=seq)
         self._next_id += 1
         return rule
 
     def insert_rules(self, batch: Sequence[Rule], now: float) -> float:
         """Install a batch.  Every rule becomes matchable at the returned
-        completion time.  Duplicate live match -> RuleConflictError."""
+        completion time.  Duplicate live match -> RuleConflictError; no room
+        once the rules past their `gone_at` are dropped -> EngineCapacityError.
+        Either way nothing of the batch is installed."""
         if not batch:
             raise ValueError("empty batch")
+        self._expire_deleted(now)
         if len(self.rules) + len(batch) > self.capacity:
             raise EngineCapacityError(f"rule capacity {self.capacity} exceeded")
-        self._expire_deleted(now)
         for rule in batch:
             existing = self.rules.get(rule.match)
             if existing is not None and existing.gone_at is None:
@@ -232,13 +244,14 @@ class FlowEngine:
     def process(self, pkt: Packet, now: float) -> EngineResult:
         """Each ingress packet is exactly one of: hairpinned by the effective
         rule that matches it, or missed to the steered worker (no such rule,
-        or a packet that `diverts`)."""
+        a packet that `diverts`, or one a seq-matching rule does not take)."""
         rule = self.rules.get(pkt.key)
         if rule is not None:
             if rule.gone_at is not None and rule.gone_at <= now:
                 del self.rules[pkt.key]
             elif now >= rule.ready_at:
-                if not diverts(pkt):
+                if not diverts(pkt) and (rule.seq is None
+                                         or pkt.seq == rule.seq and not pkt.payload):
                     rule.last_hit = now
                     rw = rule.rewrite
                     self.stats.matched += 1

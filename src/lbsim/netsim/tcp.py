@@ -653,8 +653,11 @@ class MiniTcpEndpoint:
         return TcpOptions(sack_blocks=blocks)
 
     def _ack(self, now: float) -> None:
+        # once sent, the FIN occupies the sequence number after the data
+        # (RFC 9293 §3.4), and later segments carry the one past it
         self.transmit(Packet(key=self.key,
-                             seq=seq_add(seq_add(self.isn, 1), self.snd_nxt),
+                             seq=seq_add(seq_add(self.isn, 1),
+                                         self.snd_nxt + int(self.fin_sent)),
                              ack=self._ack_value(), flags=TcpFlags.ACK,
                              options=self._sack_option()), now)
         self.stats["acks_tx"] += 1

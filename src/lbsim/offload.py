@@ -1,16 +1,28 @@
 """Offload manager: decides which responses the flow engine rewrites.
 
 The economics: rewriting one packet on a worker costs T; installing plus
-deleting one engine rule costs P.  Offloading a response of B bytes saves
-(B / MSS) * T of worker time, so it pays off only when B >= (P / T) * MSS.
-Deployments usually set a higher override threshold on top of the formula.
+deleting the engine rules of one offload costs P.  Offloading a response of
+B bytes saves (B / MSS) * T of worker time, so it pays off only when
+B >= (P / T) * MSS.  The client rule also takes the client's ACKs, about
+one per data segment, which the formula leaves out, so it errs toward not
+offloading.  Deployments usually set a higher override threshold on top of
+the formula.
+
+An offload is a pair of rules, installed in one batch and deleted in one
+batch: the server rule rewrites the response's data toward the client, and
+the client rule rewrites the client's pure ACKs toward the server.  The
+client rule matches the seq at the end of the forwarded request bytes, so
+only ACKs the worker would map with the same constants hit it
+(`build_client_ack_rule`).
 
 Rule lifecycle: install when a response crosses the threshold, without
-waiting for it (workers keep rewriting identically until the rule turns
-ready); when the client has ACKed the whole response the rule id goes to a
-dedicated deleter that batches deletions; the connection's next request
-stays latched until its rule is really gone, so a stale rule can never
-rewrite fresh traffic.
+waiting for it (workers keep rewriting identically until the rules turn
+ready).  The client ACK that covers the whole response is hairpinned, so the
+worker sees completion on the next client packet the engine diverts to it:
+the next request, which carries that ACK, or the FIN; an idle rule ages out
+as the backstop.  The pair then goes to a dedicated deleter that batches
+deletions, and the connection's next request stays latched until both rules
+are really gone, so a stale rule can never rewrite fresh traffic.
 """
 
 from __future__ import annotations
@@ -18,8 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .flow_engine import FlowEngine, LatencyModel, Rewrite, Rule, RuleConflictError
-from .packet import Packet, seq_sub
+from .flow_engine import (
+    EngineCapacityError,
+    FlowEngine,
+    LatencyModel,
+    Rewrite,
+    Rule,
+    RuleConflictError,
+)
+from .packet import Packet, seq_add, seq_sub
 from .splice import ConnEntry, SpliceAgent
 
 T_PER_PACKET_DEFAULT = 1 / 3.0e6  # one worker sustains ~3 Mpps
@@ -36,10 +55,11 @@ class OffloadParams:
 
     @property
     def p_rule_update(self) -> float:
-        """Seconds to insert and delete one rule, at the delete batch size."""
+        """Seconds to insert and delete the two rules of one offload, at the
+        delete batch size."""
         model = LatencyModel()
-        return (model.insert_per_rule_us(self.delete_batch_max)
-                + model.delete_per_rule_us(self.delete_batch_max)) * 1e-6
+        return 2 * (model.insert_per_rule_us(self.delete_batch_max)
+                    + model.delete_per_rule_us(self.delete_batch_max)) * 1e-6
 
     @property
     def formula_threshold(self) -> float:
@@ -60,10 +80,14 @@ def should_offload(resp_len: Optional[int], params: OffloadParams) -> bool:
 
 def build_offload_rule(engine: FlowEngine, entry: ConnEntry,
                        idle_timeout: Optional[float]) -> Rule:
-    """Match server->LB packets of this connection; shift seq/ack by the
-    same constant deltas the worker path applies during the response phase
-    (the request is fully ACKed, so the insertion-aware ACK map collapses to
-    a constant), rewrite addresses to the client-facing flow, hairpin."""
+    """The server rule of an offload's pair; `build_client_ack_rule` builds
+    the client rule, which matches one seq as well as the 5-tuple.  Match
+    server->LB packets of this connection; shift seq/ack by the same
+    constant deltas the worker path applies during the response phase (the
+    request is fully ACKed, so the insertion-aware ACK map collapses to a
+    constant), rewrite addresses to the client-facing flow, hairpin.  While
+    the pair lives the worker sees the client's ACKs only when they divert,
+    so it sees the response complete on the next request or the FIN."""
     rewrite = Rewrite(
         key=entry.client_key.reverse(),
         seq_delta=seq_sub(entry.isn_lb_front, entry.isn_server),
@@ -71,6 +95,25 @@ def build_offload_rule(engine: FlowEngine, entry: ConnEntry,
                           entry.total_inserted))
     return engine.make_rule(match=entry.server_in_key, rewrite=rewrite,
                             idle_timeout=idle_timeout)
+
+
+def build_client_ack_rule(engine: FlowEngine, entry: ConnEntry,
+                          idle_timeout: Optional[float]) -> Rule:
+    """The client rule of an offload's pair: rewrite the client's pure ACKs
+    toward the server, as `SpliceAgent.on_client_ack` does in the response
+    phase.  Its deltas are the negatives of the server rule's ack and seq
+    deltas.  It matches only the seq at the end of the request bytes
+    forwarded so far: the latch holds `fwd_hi` there while the rule lives,
+    and an ACK at any other seq (sent after a request the latch holds) needs
+    the worker's mapping."""
+    rewrite = Rewrite(
+        key=entry.server_key,
+        seq_delta=seq_sub(seq_add(entry.isn_lb_back, entry.total_inserted),
+                          entry.isn_client),
+        ack_delta=seq_sub(entry.isn_server, entry.isn_lb_front))
+    return engine.make_rule(match=entry.client_key, rewrite=rewrite,
+                            idle_timeout=idle_timeout,
+                            seq=seq_add(entry.isn_client, 1 + entry.fwd_hi))
 
 
 class OffloadManager:
@@ -91,56 +134,66 @@ class OffloadManager:
         self.emit = emit
         agent.offload = self
         self.force = False  # bench knob: offload regardless of size
-        self.pending: list[tuple[int, ConnEntry]] = []
-        self._by_rule: dict[int, ConnEntry] = {}
+        self._batch_pairs = max(1, params.delete_batch_max // 2)
+        # rule pairs waiting for the deleter, in order; each counts 2 rules
+        self.pending: list[tuple[tuple[int, int], ConnEntry]] = []
+        self._by_rule: dict[int, ConnEntry] = {}  # ids of pairs not yet queued for deletion
         self._timer_gen = 0
         self.stats = {
-            "rules_installed": 0, "rule_conflicts": 0, "deletes_enqueued": 0,
-            "delete_batches": 0, "latch_waits": 0, "offloads_skipped_small": 0,
+            # rules_installed counts offloads: one per installed pair
+            "rules_installed": 0, "rule_conflicts": 0, "capacity_refusals": 0,
+            "deletes_enqueued": 0, "delete_batches": 0, "latch_waits": 0,
+            "offloads_skipped_small": 0,
         }
 
     # -- signals from the splice agent -----------------------------------------
 
     def on_resp_len_known(self, entry: ConnEntry, resp_len: int, now: float) -> None:
         if entry.offload_rule is not None or entry.latched:
-            return  # crossing already handled, or prior rule not yet clean
+            return  # crossing already handled, or prior rules not yet clean
         if not self.force and not should_offload(resp_len, self.params):
             self.stats["offloads_skipped_small"] += 1
             return
-        rule = build_offload_rule(self.engine, entry, self.params.rule_idle_timeout)
+        idle = self.params.rule_idle_timeout
+        pair = (build_offload_rule(self.engine, entry, idle),
+                build_client_ack_rule(self.engine, entry, idle))
         try:
-            self.engine.insert_rules([rule], now)
+            self.engine.insert_rules(pair, now)
         except RuleConflictError:
             self.stats["rule_conflicts"] += 1
+            return  # the response stays on the worker path
+        except EngineCapacityError:
+            self.stats["capacity_refusals"] += 1
             return
-        entry.offload_rule = rule.id
+        entry.offload_rule = (pair[0].id, pair[1].id)
         entry.latched = True
-        self._by_rule[rule.id] = entry
+        for rule in pair:
+            self._by_rule[rule.id] = entry
         self.stats["rules_installed"] += 1
 
     def on_response_complete(self, entry: ConnEntry, now: float) -> None:
-        if entry.offload_rule is None:
-            return
-        self._enqueue_delete(entry.offload_rule, now)
+        self._enqueue_delete(entry, now)
 
     def on_entry_removed(self, entry: ConnEntry, now: float) -> None:
-        if entry.offload_rule is not None:
-            self._enqueue_delete(entry.offload_rule, now)
+        self._enqueue_delete(entry, now)
 
     def on_rules_aged(self, rule_ids: list[int], now: float) -> None:
         for rid in rule_ids:
-            if rid in self._by_rule and all(rid != r for r, _ in self.pending):
-                self._enqueue_delete(rid, now)
+            entry = self._by_rule.get(rid)
+            if entry is not None:
+                self._enqueue_delete(entry, now)
 
     # -- the dedicated deleter ---------------------------------------------------
 
-    def _enqueue_delete(self, rule_id: int, now: float) -> None:
-        entry = self._by_rule.get(rule_id)
-        if entry is None:
+    def _enqueue_delete(self, entry: ConnEntry, now: float) -> None:
+        """Queue the entry's rule pair once; later signals for it are no-ops."""
+        pair = entry.offload_rule
+        if pair is None or self._by_rule.pop(pair[0], None) is None:
             return
-        self.pending.append((rule_id, entry))
+        self._by_rule.pop(pair[1], None)
+        self.pending.append((pair, entry))
         self.stats["deletes_enqueued"] += 1
-        if len(self.pending) >= self.params.delete_batch_max:
+        if len(self.pending) >= self._batch_pairs:
             self._flush(now)
         elif len(self.pending) == 1:
             self._arm_timer(now)
@@ -156,19 +209,21 @@ class OffloadManager:
             self._flush(now)
 
     def _flush(self, now: float) -> None:
+        """Delete up to `delete_batch_max` rules in one batch, whole pairs
+        only (at least one pair)."""
         self._timer_gen += 1  # cancel any armed timer
-        batch = self.pending[:self.params.delete_batch_max]
+        batch = self.pending[:self._batch_pairs]
         self.pending = self.pending[len(batch):]
-        done = self.engine.delete_rules([rid for rid, _ in batch], now)
+        done = self.engine.delete_rules([rid for pair, _ in batch for rid in pair], now)
         self.stats["delete_batches"] += 1
         self.schedule(done, lambda t, b=tuple(batch): self._deletion_done(b, t))
         if self.pending:
             self._arm_timer(now)
 
-    def _deletion_done(self, batch: tuple[tuple[int, ConnEntry], ...], now: float) -> None:
-        for rid, entry in batch:
-            self._by_rule.pop(rid, None)
-            if entry.offload_rule == rid:
+    def _deletion_done(self, batch: tuple[tuple[tuple[int, int], ConnEntry], ...],
+                       now: float) -> None:
+        for pair, entry in batch:
+            if entry.offload_rule == pair:
                 entry.offload_rule = None
                 entry.latched = False
                 if entry.deferred and not entry.closed:

@@ -368,8 +368,8 @@ class ConnEntry:
     resp_index: int = 0
 
     # offload rule lifecycle (driven by the offload manager)
-    offload_rule: Optional[int] = None
-    latched: bool = False              # next request held until rule removed
+    offload_rule: Optional[tuple[int, int]] = None  # ids of the server and client rules
+    latched: bool = False              # next request held until both rules removed
     deferred: list[Packet] = field(default_factory=list)
 
     client_fin: Optional[int] = None   # absolute client-space FIN seq
@@ -606,7 +606,7 @@ class SpliceAgent:
             return []
 
         if entry.latched and end > entry.fwd_hi:
-            # a prior offload rule is still being removed; hold the next
+            # prior offload rules are still being removed; hold the next
             # request (its piggybacked ACK effects already ran)
             entry.deferred.append(pkt)
             self.counters["deferred_pkts"] += 1
@@ -622,7 +622,7 @@ class SpliceAgent:
 
     def replay_deferred(self, entry: ConnEntry, now: float) -> list[Packet]:
         """Run packets held behind the offload-rule latch (called by the
-        offload manager once the rule is gone)."""
+        offload manager once both rules are gone)."""
         out: list[Packet] = []
         deferred, entry.deferred = entry.deferred, []
         for pkt in deferred:

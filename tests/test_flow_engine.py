@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -210,6 +211,19 @@ def test_capacity_cap():
         e.insert_rules(rules, now=0.0)
 
 
+def test_capacity_counts_no_rule_past_its_gone_at():
+    e = FlowEngine(n_workers=1, capacity=1)
+    first = e.make_rule(S2C, shift())
+    e.insert_rules([first], now=0.0)
+    e.delete_rules([first.id], now=1.0)  # gone at 1.0 + 57.49 us
+    second = e.make_rule(S2C.reverse(), shift())
+    e.insert_rules([second], now=2.0)
+    assert list(e.rules.values()) == [second]
+    with pytest.raises(EngineCapacityError):  # a refused batch installs nothing
+        e.insert_rules([e.make_rule(FlowKey(1, 2, 3, 4), shift())], now=3.0)
+    assert list(e.rules.values()) == [second]
+
+
 _u32 = st.integers(0, (1 << 32) - 1)
 _u16 = st.integers(0, (1 << 16) - 1)
 _deltas = st.one_of(_u32, st.integers(-(1 << 33), 1 << 33))
@@ -261,4 +275,38 @@ def test_rule_hairpins_exactly_its_rewrite(out_key, seq_delta, ack_delta, delete
             sack_diverted += effective and bool(pkt.options.sack_blocks)
         assert rule.last_hit == last_hit
     assert (e.stats.matched, e.stats.sack_diverted) == (hairpins, sack_diverted)
+    assert e.stats.matched + e.stats.missed == len(arrivals)
+
+
+C2S = FlowKey(0x0A000001, VIP[0], 40000, VIP[1])  # client -> VIP
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_seq=_u32, seq_delta=_deltas, ack_delta=_deltas,
+       arrivals=st.lists(st.tuples(st.one_of(st.just(0), st.integers(-2, 2), _u32),
+                                   _packets), min_size=1, max_size=12))
+def test_seq_rule_hairpins_only_payload_free_packets_at_its_seq(rule_seq, seq_delta,
+                                                                ack_delta, arrivals):
+    """A rule with a seq hairpins exactly its rewrite on a packet with no
+    payload at that seq that does not divert; a packet with payload at that
+    seq, a pure ACK at any other seq, and FIN, RST or SACK-bearing packets
+    go to the worker unchanged."""
+    e = make_engine()
+    rule = e.make_rule(C2S, Rewrite(S2C.reverse(), seq_delta, ack_delta), seq=rule_seq)
+    now = e.insert_rules([rule], now=0.0)
+    hairpins = 0
+    for off, drawn in arrivals:
+        pkt = dataclasses.replace(drawn, key=C2S, seq=(rule_seq + off) % (1 << 32))
+        r = e.process(pkt, now)
+        if (pkt.seq == rule_seq and not pkt.payload and not pkt.options.sack_blocks
+                and not pkt.flags & (TcpFlags.FIN | TcpFlags.RST)):
+            assert r.kind is ResultKind.HAIRPIN
+            assert r.packet == Packet(
+                key=S2C.reverse(), seq=(pkt.seq + seq_delta) % (1 << 32),
+                ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
+                window=pkt.window, options=pkt.options, payload=pkt.payload)
+            hairpins += 1
+        else:
+            assert (r.kind, r.packet, r.worker) == (ResultKind.MISSED, pkt, e._steer(pkt))
+    assert e.stats.matched == hairpins
     assert e.stats.matched + e.stats.missed == len(arrivals)

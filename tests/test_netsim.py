@@ -6,9 +6,12 @@ import struct
 
 import pytest
 
+from lbsim.flow_engine import ResultKind
 from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, WorkloadParams
 from lbsim.netsim.apps import request_bytes
-from lbsim.packet import addr_str
+from lbsim.netsim.events import EventQueue
+from lbsim.netsim.tcp import MiniTcpEndpoint
+from lbsim.packet import FlowKey, Packet, TcpFlags, addr_str
 
 
 def run_sim(connections=1, sizes=((1024, 1.0),), reqs=(1, 1), loss=0.0,
@@ -92,7 +95,7 @@ def test_loss_2pct_4mb_stream_equal_lb_retransmits_only_inserted():
 
 def test_loss_5pct_offloaded_response_stream_equal():
     sim = run_sim(sizes=((2 << 20, 1.0),), loss=0.05, seed=13, mss=8960,
-                  offload_mode="auto")
+                  offload_mode="always")
     assert_streams_equal(sim)
     assert sim.engine.stats.matched > 0  # the offload path really engaged
 
@@ -107,6 +110,38 @@ def test_same_seed_identical_event_count_and_bytes():
     c = run_sim(connections=5, sizes=((65536, 1.0),), loss=0.01, seed=22)
     assert (a.queue.processed, a.link_lb2c.tx_bytes) != \
            (c.queue.processed, c.link_lb2c.tx_bytes)
+
+
+def test_pure_acks_after_own_fin_carry_fin_seq_plus_one():
+    """The FIN occupies one sequence number (RFC 9293), so every pure ACK
+    the endpoint sends after its FIN carries the FIN's seq + 1."""
+    key, isn, peer_isn = FlowKey(1, 2, 3, 4), 500, 9000
+    sent = []
+    ep = MiniTcpEndpoint(EventQueue(), key, mss=1460, isn=isn,
+                         transmit=lambda pkt, now: sent.append(pkt))
+    ep.connect(0.0)
+
+    def peer(seq_off, ack_off, flags=TcpFlags.ACK, payload=b""):
+        ep.on_segment(Packet(key=key.reverse(), seq=peer_isn + 1 + seq_off,
+                             ack=isn + 1 + ack_off, flags=flags, payload=payload), 0.0)
+
+    ep.on_segment(Packet(key=key.reverse(), seq=peer_isn, ack=isn + 1,
+                         flags=TcpFlags.SYN | TcpFlags.ACK), 0.0)
+    ep.send_bytes(b"hello", 0.0)
+    peer(0, 5)
+    ep.close(0.0)
+    fin = sent[-1]
+    assert fin.fin and fin.seq == isn + 1 + 5
+    del sent[:]
+    peer(0, 6, payload=b"abc")                         # in order; ACKs the FIN
+    peer(5, 6, payload=b"xy")                          # out of order
+    peer(3, 6, payload=b"de")                          # fills the hole
+    peer(7, 6, flags=TcpFlags.ACK | TcpFlags.FIN)      # the peer's FIN
+    peer(7, 6, flags=TcpFlags.ACK | TcpFlags.FIN)      # and again
+    assert len(sent) == 5
+    assert all(not p.payload and p.flags == TcpFlags.ACK and p.seq == fin.seq + 1
+               for p in sent)
+    assert ep.closed_cleanly
 
 
 def test_statelessness_no_entries_without_payload():
@@ -124,7 +159,7 @@ def test_multiple_connections_shard_confinement():
 
 
 def test_offload_never_vs_auto_worker_packet_counts():
-    kwargs = dict(connections=1, sizes=((2 << 20, 1.0),), seed=5, mss=8960)
+    kwargs = dict(connections=1, sizes=((4 << 20, 1.0),), seed=5, mss=8960)
     no_off = run_sim(offload_mode="never", **kwargs)
     auto = run_sim(offload_mode="auto", **kwargs)
     assert auto.agent.counters["s2c_data_pkts"] < no_off.agent.counters["s2c_data_pkts"]
@@ -204,7 +239,7 @@ def test_seeded_lossy_offload_run_is_pinned():
     sim.run()
     assert_streams_equal(sim)
     assert sim.queue.processed == 18295
-    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (2848, 3659)
+    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (5103, 1404)
     endpoint_stats = {}
     for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
         for name, n in ep.stats.items():
@@ -214,8 +249,80 @@ def test_seeded_lossy_offload_run_is_pinned():
         "segments_tx": 3306, "acks_tx": 3259, "bytes_delivered": 4719125}
     assert sim.agent.counters == {
         "syn_rx": 3, "synack_tx": 3, "entries_created": 3, "resets_tx": 0,
-        "c2s_data_pkts": 4, "s2c_data_pkts": 420, "acks_suppressed": 4,
+        "c2s_data_pkts": 4, "s2c_data_pkts": 385, "acks_suppressed": 4,
         "inserted_bytes_tx": 108, "inserted_bytes_retx": 0,
-        "forwarded_payload_bytes": 606473, "entries_removed": 3,
+        "forwarded_payload_bytes": 555373, "entries_removed": 3,
         "cookie_failures": 0, "deferred_pkts": 0, "ttl_sweeps": 1}
     assert h.hexdigest() == "4789cd8164444976036a2a3a86bd54ab"
+
+
+def _client_ack_hairpins_checked(sim) -> int:
+    """Run `sim`, checking every client-direction hairpin against what the
+    worker (`on_client_ack`) would emit from the live entry at that moment.
+    Returns the number checked."""
+    entries = {}
+    on_len = sim.offload_mgr.on_resp_len_known
+
+    def record(entry, resp_len, now):
+        entries[entry.client_key] = entry
+        on_len(entry, resp_len, now)
+
+    sim.offload_mgr.on_resp_len_known = record
+    process = sim.engine.process
+    checked = 0
+
+    def shadowed(pkt, now):
+        nonlocal checked
+        res = process(pkt, now)
+        if res.kind is ResultKind.HAIRPIN and pkt.key in entries:
+            want = sim.agent.on_client_ack(pkt, entries[pkt.key], now)
+            got = res.packet
+            assert [(w.key, w.seq, w.ack, w.flags, w.window) for w in want] == \
+                [(got.key, got.seq, got.ack, got.flags, got.window)]
+            checked += 1
+        return res
+
+    sim.engine.process = shadowed
+    sim.run()
+    assert_streams_equal(sim)
+    return checked
+
+
+@pytest.mark.parametrize("loss, sizes, mode", [
+    (0.0, ((2 << 20, 1.0), (4 << 20, 3.0)), "auto"),             # bulk-like
+    (0.01, ((16 << 10, 1.0), (256 << 10, 1.0), (2 << 20, 1.0)), "always"),
+])
+def test_client_ack_hairpins_equal_the_worker_rewrite(loss, sizes, mode):
+    params = SimParams(
+        topology=TopologyParams(client_link=LinkParams(loss=loss),
+                                server_link=LinkParams(loss=loss)),
+        workload=WorkloadParams(connections=3, sizes=sizes,
+                                requests_per_connection=(1, 3)),
+        offload_mode=mode, drain=30.0)
+    sim = Simulation(params, seed=4)
+    assert _client_ack_hairpins_checked(sim) > 1000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["never", "auto", "always"])
+@pytest.mark.parametrize("loss", [0.0, 0.01])
+def test_teardown_leaves_nothing_in_any_offload_mode(loss, mode, seed):
+    """Keep-alive connections close cleanly in every offload mode, and after
+    the drain the table, the engine's rules, the deleter queue and the
+    backend ports are empty.  5% loss is left out: the server endpoint
+    never resends its SYNACK, so a lost one strands a session there in
+    every offload mode."""
+    params = SimParams(
+        topology=TopologyParams(client_link=LinkParams(loss=loss),
+                                server_link=LinkParams(loss=loss)),
+        workload=WorkloadParams(connections=50,
+                                sizes=((1 << 10, 1.0), (16 << 10, 1.0), (256 << 10, 1.0)),
+                                requests_per_connection=(1, 3)),
+        offload_mode=mode, drain=30.0)
+    sim = Simulation(params, seed=seed).run()
+    assert all(s.clean for s in sim.sessions)
+    now = sim.queue.now
+    assert len(sim.table) == 0
+    assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
+    assert sim.offload_mgr is None or not sim.offload_mgr.pending
+    assert not sim.agent._used_ports

@@ -5,6 +5,7 @@ import pytest
 
 from lbsim.conntable import CuckooTable, TableConfig
 from lbsim.flow_engine import FlowEngine, ResultKind
+from lbsim.netsim import Simulation, SimParams, WorkloadParams
 from lbsim.offload import (
     OffloadManager,
     OffloadParams,
@@ -25,12 +26,13 @@ from test_splice_agent import (
 
 
 def test_formula_threshold_from_measured_latencies():
-    # P at batch 16: 25.39 + 18.08 us; T = 0.333 us; MSS = 1460
+    # P at batch 16, two rules per offload: 2 * (25.39 + 18.08) us;
+    # T = 0.333 us; MSS = 1460
     params = OffloadParams(delete_batch_max=16, t_per_packet=0.333e-6,
                            b_override=None)
-    p_us = 25.39 + 18.08
+    p_us = 2 * (25.39 + 18.08)
     expected = (p_us / 0.333) * 1460
-    assert expected == pytest.approx(190_589.2, abs=1.0)
+    assert expected == pytest.approx(381_178.4, abs=1.0)
     assert abs(params.formula_threshold - expected) <= 1460
 
 
@@ -128,7 +130,7 @@ def test_threshold_crossing_installs_hairpin_rule():
     assert entry.latched
     rule = live_rule(engine, entry.server_in_key, 1.0)
     assert rule is not None
-    assert rule.ready_at == pytest.approx(1.0 + 305.40e-6)
+    assert rule.ready_at == pytest.approx(1.0 + 2 * 100.48e-6)  # a batch of two
     assert mgr.stats["rules_installed"] == 1
 
 
@@ -170,6 +172,52 @@ def test_engine_rewrite_matches_worker_rewrite_bit_for_bit():
         assert got.packet == want
 
 
+def test_rule_pair_installs_and_deletes_as_one_batch():
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
+                        worker_id=shard_of(ck.src_port))
+    server, client = (engine.rules[k] for k in (entry.server_in_key, ck))
+    assert entry.offload_rule == (server.id, client.id)
+    assert server.seq is None and client.seq is not None
+    assert server.ready_at == client.ready_at
+    mgr.on_response_complete(entry, 2.0)
+    mgr.on_entry_removed(entry, 2.0)  # a second signal queues nothing more
+    assert len(mgr.pending) == 1
+    sim.run_until(2.0 + 100e-6)
+    assert server.gone_at == client.gone_at == pytest.approx(2.0 + 100e-6 + 2 * 24.48e-6)
+    assert engine.stats.rules_deleted == 2
+
+
+def test_deleter_never_splits_a_pair():
+    agent = make_agent()
+    engine = FlowEngine(n_workers=4, vips=[(0x0A0000FE, 80)])
+    sim = Sim()
+    mgr = OffloadManager(engine, agent, OffloadParams(delete_batch_max=5),
+                         sim.schedule, sim.emit)
+    batches = []
+    delete = engine.delete_rules
+
+    def recording_delete(ids, now):
+        batches.append(list(ids))
+        return delete(ids, now)
+
+    engine.delete_rules = recording_delete
+    entries = []
+    for i in range(3):
+        ck, entry = established_entry(agent, port=41000 + i * 4)
+        agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
+                            worker_id=shard_of(ck.src_port))
+        entries.append(entry)
+    pairs = [list(e.offload_rule) for e in entries]
+    for entry in entries:
+        mgr.on_response_complete(entry, 2.0)
+    sim.run_until(3.0)
+    # at most 5 rules a batch: two pairs, then the third on the flush timer
+    assert batches == [pairs[0] + pairs[1], pairs[2]]
+    assert all(e.offload_rule is None and not e.latched for e in entries)
+
+
 def test_response_completion_flushes_batch_of_16():
     agent, engine, sim, mgr = offload_setup()
     entries = []
@@ -181,7 +229,7 @@ def test_response_completion_flushes_batch_of_16():
     assert mgr.stats["rules_installed"] == 16
     for entry in entries:
         mgr.on_response_complete(entry, 2.0)
-    assert mgr.stats["delete_batches"] == 1
+    assert mgr.stats["delete_batches"] == 2  # 32 rules: two batches of 16
     sim.run_until(2.0 + 16 * 18.08e-6 - 1e-9)  # batch-16 cost not yet elapsed
     assert all(e.latched for e in entries)
     sim.run_until(2.0 + 16 * 18.08e-6 + 1e-9)
@@ -197,9 +245,9 @@ def test_single_completion_flushes_on_timeout_at_batch1_cost():
     assert mgr.stats["delete_batches"] == 0  # waiting for the flush timer
     sim.run_until(2.0 + 100e-6)
     assert mgr.stats["delete_batches"] == 1
-    sim.run_until(2.0 + 100e-6 + 57.49e-6 - 1e-9)  # batch-1 cost not yet elapsed
+    sim.run_until(2.0 + 100e-6 + 2 * 24.48e-6 - 1e-9)  # batch-2 cost not yet elapsed
     assert entry.latched
-    sim.run_until(2.0 + 100e-6 + 57.49e-6)
+    sim.run_until(2.0 + 100e-6 + 2 * 24.48e-6)
     assert entry.offload_rule is None and not entry.latched
 
 
@@ -257,7 +305,7 @@ def test_entry_teardown_enqueues_rule_delete():
     agent.remove_entry(entry, 3.0)
     sim.run_until(4.0)
     assert live_rule(engine, entry.server_in_key, 4.0) is None
-    assert rid not in mgr._by_rule
+    assert not mgr._by_rule.keys() & set(rid)  # neither rule of the pair
 
 
 def test_aged_rule_reported_and_deletable():
@@ -266,7 +314,22 @@ def test_aged_rule_reported_and_deletable():
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
     aged = engine.poll_aged(now=1.0 + mgr.params.rule_idle_timeout * 2)
-    assert aged == [entry.offload_rule]
+    assert aged == list(entry.offload_rule)  # both rules of the pair
     mgr.on_rules_aged(aged, now=30.0)
     sim.run_until(31.0)
     assert entry.offload_rule is None
+
+
+def test_capacity_refusal_leaves_the_response_on_the_worker_path():
+    """An engine with room for one rule refuses every pair: nothing is
+    installed, and the response still arrives byte-exact."""
+    sim = Simulation(SimParams(workload=WorkloadParams(sizes=((256 << 10, 1.0),)),
+                               offload_mode="always"), seed=3)
+    sim.engine.capacity = 1
+    sim.run()
+    assert sim.offload_mgr.stats["capacity_refusals"] == 1
+    assert sim.offload_mgr.stats["rules_installed"] == 0
+    assert sim.engine.stats.rules_inserted == 0 and not sim.engine.rules
+    assert sim.engine.stats.matched == 0
+    assert all(s.clean for s in sim.sessions)
+    assert sum(r.bytes_ok for s in sim.sessions for r in s.records) == 256 << 10
