@@ -63,6 +63,10 @@ class SimParams:
 
 @dataclass
 class ResponseEvent:
+    """A response the worker saw complete, at `t`: on the client's ACK of
+    its last byte or, when the engine hairpinned that ACK (an offloaded
+    response), on the client's next request or FIN.  An offloaded response
+    on a connection that then stays idle is not logged."""
     conn: int
     index: int
     resp_len: int

@@ -2,11 +2,10 @@
 
 The economics: rewriting one packet on a worker costs T; installing plus
 deleting the engine rules of one offload costs P.  Offloading a response of
-B bytes saves (B / MSS) * T of worker time, so it pays off only when
-B >= (P / T) * MSS.  The client rule also takes the client's ACKs, about
-one per data segment, which the formula leaves out, so it errs toward not
-offloading.  Deployments usually set a higher override threshold on top of
-the formula.
+B bytes takes its B / MSS data segments off the worker, and the client's
+ACKs of them, about one per segment, so it saves 2 * (B / MSS) * T of
+worker time and pays off only when B >= (P / 2T) * MSS.  Deployments
+usually set a higher override threshold on top of the formula.
 
 An offload is a pair of rules, installed in one batch and deleted in one
 batch: the server rule rewrites the response's data toward the client, and
@@ -63,7 +62,9 @@ class OffloadParams:
 
     @property
     def formula_threshold(self) -> float:
-        return (self.p_rule_update / self.t_per_packet) * self.mss
+        # each offloaded data segment saves two worker packets: the segment
+        # and the client's ACK of it
+        return (self.p_rule_update / (2 * self.t_per_packet)) * self.mss
 
     @property
     def effective_threshold(self) -> float:
@@ -141,9 +142,8 @@ class OffloadManager:
         self._timer_gen = 0
         self.stats = {
             # rules_installed counts offloads: one per installed pair
-            "rules_installed": 0, "rule_conflicts": 0, "capacity_refusals": 0,
-            "deletes_enqueued": 0, "delete_batches": 0, "latch_waits": 0,
-            "offloads_skipped_small": 0,
+            "rules_installed": 0, "install_refusals": 0, "deletes_enqueued": 0,
+            "delete_batches": 0, "latch_waits": 0, "offloads_skipped_small": 0,
         }
 
     # -- signals from the splice agent -----------------------------------------
@@ -159,12 +159,9 @@ class OffloadManager:
                 build_client_ack_rule(self.engine, entry, idle))
         try:
             self.engine.insert_rules(pair, now)
-        except RuleConflictError:
-            self.stats["rule_conflicts"] += 1
+        except (RuleConflictError, EngineCapacityError):
+            self.stats["install_refusals"] += 1
             return  # the response stays on the worker path
-        except EngineCapacityError:
-            self.stats["capacity_refusals"] += 1
-            return
         entry.offload_rule = (pair[0].id, pair[1].id)
         entry.latched = True
         for rule in pair:

@@ -95,7 +95,7 @@ def test_loss_2pct_4mb_stream_equal_lb_retransmits_only_inserted():
 
 def test_loss_5pct_offloaded_response_stream_equal():
     sim = run_sim(sizes=((2 << 20, 1.0),), loss=0.05, seed=13, mss=8960,
-                  offload_mode="always")
+                  offload_mode="auto")
     assert_streams_equal(sim)
     assert sim.engine.stats.matched > 0  # the offload path really engaged
 
@@ -159,7 +159,7 @@ def test_multiple_connections_shard_confinement():
 
 
 def test_offload_never_vs_auto_worker_packet_counts():
-    kwargs = dict(connections=1, sizes=((4 << 20, 1.0),), seed=5, mss=8960)
+    kwargs = dict(connections=1, sizes=((2 << 20, 1.0),), seed=5, mss=8960)
     no_off = run_sim(offload_mode="never", **kwargs)
     auto = run_sim(offload_mode="auto", **kwargs)
     assert auto.agent.counters["s2c_data_pkts"] < no_off.agent.counters["s2c_data_pkts"]
@@ -326,3 +326,32 @@ def test_teardown_leaves_nothing_in_any_offload_mode(loss, mode, seed):
     assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
     assert sim.offload_mgr is None or not sim.offload_mgr.pending
     assert not sim.agent._used_ports
+
+
+def test_idle_keepalive_connection_frees_its_rule_pair_by_aging():
+    """A keep-alive client that goes idle after an offloaded response sends
+    nothing the engine diverts: its ACK of the last byte is hairpinned, so
+    the worker never sees the response complete.  The pair's idle timeout
+    is the backstop: it ages out, the deleter frees both rules and the
+    latch, and nothing is left in the engine."""
+    params = SimParams(workload=WorkloadParams(connections=4, sizes=((2 << 20, 1.0),)),
+                       until=13.0)
+    sim = Simulation(params, seed=41)
+    for session in sim.sessions:
+        session.close_when_done = False
+    entries = []
+    on_len = sim.offload_mgr.on_resp_len_known
+
+    def record(entry, resp_len, now):
+        entries.append(entry)
+        on_len(entry, resp_len, now)
+
+    sim.offload_mgr.on_resp_len_known = record
+    sim.run()
+    assert all(s.clean for s in sim.sessions)
+    assert sim.offload_mgr.stats["rules_installed"] == 4 == len(entries)
+    now = sim.queue.now
+    assert now > sim.offload_mgr.params.rule_idle_timeout
+    assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
+    assert not sim.offload_mgr.pending
+    assert all(e.offload_rule is None and not e.latched for e in entries)

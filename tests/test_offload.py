@@ -27,12 +27,12 @@ from test_splice_agent import (
 
 def test_formula_threshold_from_measured_latencies():
     # P at batch 16, two rules per offload: 2 * (25.39 + 18.08) us;
-    # T = 0.333 us; MSS = 1460
+    # each segment saves 2T (itself and its ACK), T = 0.333 us; MSS = 1460
     params = OffloadParams(delete_batch_max=16, t_per_packet=0.333e-6,
                            b_override=None)
     p_us = 2 * (25.39 + 18.08)
-    expected = (p_us / 0.333) * 1460
-    assert expected == pytest.approx(381_178.4, abs=1.0)
+    expected = (p_us / (2 * 0.333)) * 1460
+    assert expected == pytest.approx(190_589.2, abs=1.0)
     assert abs(params.formula_threshold - expected) <= 1460
 
 
@@ -327,7 +327,7 @@ def test_capacity_refusal_leaves_the_response_on_the_worker_path():
                                offload_mode="always"), seed=3)
     sim.engine.capacity = 1
     sim.run()
-    assert sim.offload_mgr.stats["capacity_refusals"] == 1
+    assert sim.offload_mgr.stats["install_refusals"] == 1
     assert sim.offload_mgr.stats["rules_installed"] == 0
     assert sim.engine.stats.rules_inserted == 0 and not sim.engine.rules
     assert sim.engine.stats.matched == 0
