@@ -149,8 +149,8 @@ class OffloadManager:
     # -- signals from the splice agent -----------------------------------------
 
     def on_resp_len_known(self, entry: ConnEntry, resp_len: int, now: float) -> None:
-        if entry.offload_rule is not None or entry.latched:
-            return  # crossing already handled, or prior rules not yet clean
+        if entry.offload_rule is not None:
+            return  # crossing already handled, or prior rules not yet gone
         if not self.force and not should_offload(resp_len, self.params):
             self.stats["offloads_skipped_small"] += 1
             return
@@ -163,7 +163,6 @@ class OffloadManager:
             self.stats["install_refusals"] += 1
             return  # the response stays on the worker path
         entry.offload_rule = (pair[0].id, pair[1].id)
-        entry.latched = True
         for rule in pair:
             self._by_rule[rule.id] = entry
         self.stats["rules_installed"] += 1
@@ -222,7 +221,6 @@ class OffloadManager:
         for pair, entry in batch:
             if entry.offload_rule == pair:
                 entry.offload_rule = None
-                entry.latched = False
                 if entry.deferred and not entry.closed:
                     self.stats["latch_waits"] += 1
                     out = self.agent.replay_deferred(entry, now)

@@ -10,10 +10,17 @@ into the base once no packet can still fall below its end (see
 InsertionPoint), so a keep-alive connection holds at most the point of the
 request in flight, however many requests it carries.
 
-The agent buffers only what it must: the request head until a backend is
-chosen, and the inserted bytes until the server ACKs them.  Everything else
-is forwarded as it arrives, and endpoint TCP recovers it.  The only payload
-this agent ever retransmits is inserted bytes.
+The agent buffers only what it must: a request head until it is complete
+(the first one until the backend answers), and the inserted bytes until the
+server ACKs them.  Everything else is forwarded as it arrives, and endpoint
+TCP recovers it.  The only payload this agent ever retransmits is inserted
+bytes.
+
+The request parser's state is the entry's `head_buf`: while it is set, a
+head is open and its bytes collect there; once the head is complete, it
+leaves with the bytes buffered after it, and with no `head_buf` the agent
+passes a body through up to `body_end`.  Every head, the first included,
+takes that one path.
 """
 
 from __future__ import annotations
@@ -277,15 +284,16 @@ class RouteTable:
 # into the ISN, validated against the current and previous epoch.
 
 COOKIE_MSS_TABLE = (536, 1220, 1460, 4380, 8960, 16384, 32768, 65000)
+COOKIE_EPOCH_SECONDS = 64.0
 
 
 class SynCookie:
-    def __init__(self, secret: bytes, epoch_seconds: float = 64.0):
+    def __init__(self, secret: bytes):
         self.secret = secret
-        self.epoch_seconds = epoch_seconds
 
-    def _epoch(self, now: float) -> int:
-        return int(now // self.epoch_seconds)
+    @staticmethod
+    def _epoch(now: float) -> int:
+        return int(now // COOKIE_EPOCH_SECONDS)
 
     def _digest(self, key: FlowKey, epoch: int) -> int:
         h = hashlib.blake2b(
@@ -325,11 +333,6 @@ class SynCookie:
 # Connection entry and the agent.
 
 
-class _ParseMode(Enum):
-    HEAD = auto()
-    BODY = auto()
-
-
 @dataclass
 class ConnEntry:
     state: SpliceState
@@ -345,31 +348,26 @@ class ConnEntry:
 
     insertions: list[InsertionPoint] = field(default_factory=list)  # live only
     total_inserted: int = 0
-    pending_request: Optional[StreamBuf] = None  # pre-backend client bytes
 
     # c2s request parsing (offsets in the client stream)
-    parse_mode: _ParseMode = _ParseMode.HEAD
-    parse_off: int = 0                 # where the current request head starts
-    head_buf: Optional[StreamBuf] = None
-    body_end: int = 0
-    route: Optional[RouteRule] = None
+    head_buf: Optional[StreamBuf] = None  # the open head from its base; None: in a body
+    body_end: int = 0                  # where the body being passed ends
     fwd_hi: int = 0                    # highest client offset forwarded
     client_ack_front: int = 0          # latest cumulative ack from the client
     relayed_hi: int = 0                # client-facing seq past the server bytes relayed
     client_window: int = 65535
 
     # s2c response tracking (offsets in the server stream)
-    resp_head_at: int = 0
-    resp_head_buf: Optional[StreamBuf] = None
+    resp_head_buf: Optional[StreamBuf] = None  # the next response head from its base
     resp_end: Optional[int] = None     # stream offset where current response ends
     resp_len: Optional[int] = None     # Content-Length of the current response
     resp_tracker_dead: bool = False    # unparseable/chunked: never offload again
-    resp_signaled: bool = False
     resp_index: int = 0
 
-    # offload rule lifecycle (driven by the offload manager)
+    # offload rule lifecycle (driven by the offload manager).  The pair's ids
+    # are set from install until both rules are gone, and while they are set
+    # the connection is latched: its next request is held in `deferred`.
     offload_rule: Optional[tuple[int, int]] = None  # ids of the server and client rules
-    latched: bool = False              # next request held until both rules removed
     deferred: list[Packet] = field(default_factory=list)
 
     client_fin: Optional[int] = None   # absolute client-space FIN seq
@@ -517,8 +515,7 @@ class SpliceAgent:
             eff_mss=min(cookie_mss, self.mss),
             owner_worker=self.shard_of(pkt.key.src_port),
         )
-        entry.pending_request = StreamBuf(base=0, cap=self.head_cap)
-        entry.head_buf = entry.pending_request
+        entry.head_buf = StreamBuf(base=0, cap=self.head_cap)
         entry.resp_head_buf = StreamBuf(base=0, cap=self.head_cap)
         entry.client_ack_front = entry.relayed_hi = pkt.ack
         self.table.insert(pkt.key, entry, now)
@@ -536,13 +533,9 @@ class SpliceAgent:
         out = [Packet(key=entry.server_key, seq=seq_add(entry.isn_lb_back, 1),
                       ack=seq_add(entry.isn_server, 1), flags=TcpFlags.ACK,
                       window=entry.client_window)]
-        flushed = bytes(entry.pending_request.data)
-        # pending buffers released; inserted bytes live on in their points
-        entry.pending_request = None
-        entry.head_buf = None
-        # _try_route parsed the first head; the parser takes the flushed
-        # bytes from its body on, so a pipelined request gets its insertion
-        return out + self._ingest_new_data(flushed, 0, entry, now)
+        # the parser takes the first head from the buffer it waited in
+        buf = entry.head_buf
+        return out + self._ingest_new_data(bytes(buf.data), buf.base, entry, now)
 
     def _pure_ack_to_server(self, entry: ConnEntry) -> Packet:
         spliced_next = map_pos_c2s(entry.insertions, entry.fwd_hi, entry.folded)
@@ -596,16 +589,16 @@ class SpliceAgent:
         off = seq_sub(pkt.seq, seq_add(entry.isn_client, 1))
         end = off + len(pkt.payload)
 
-        if entry.state in (SpliceState.FRONT_ESTABLISHED, SpliceState.SYN_SENT):
+        if entry.state is not SpliceState.ESTABLISHED:
             try:
-                entry.pending_request.add(off, pkt.payload)
+                entry.head_buf.add(off, pkt.payload)
             except BufferCapExceeded:
                 return self._abort(pkt, entry, now)
             if entry.state is SpliceState.FRONT_ESTABLISHED:
                 return self._try_route(entry, now)
             return []
 
-        if entry.latched and end > entry.fwd_hi:
+        if entry.offload_rule is not None and end > entry.fwd_hi:
             # prior offload rules are still being removed; hold the next
             # request (its piggybacked ACK effects already ran)
             entry.deferred.append(pkt)
@@ -631,43 +624,43 @@ class SpliceAgent:
         return out
 
     def _try_route(self, entry: ConnEntry, now: float) -> list[Packet]:
-        head_end = self._head_complete(entry.head_buf, entry.parse_off)
+        """Once the first head is complete, its path picks the backend: open
+        the server side with a SYN.  The head stays buffered until the
+        SYNACK, which hands it to the parser."""
+        buf = entry.head_buf
+        head_end = self._head_complete(buf)
         if head_end is None:
             return []
-        self._finish_head(entry, head_end)
-        backend = self.routes.pick_backend(entry.route.pool)
+        path = _request_path(bytes(buf.data[:head_end - buf.base]))
+        backend = self.routes.pick_backend(self.routes.match(path).pool)
         entry.backend = backend
         port = self._alloc_port(entry.client_key.src_port, backend)
         entry.server_key = FlowKey(self.lb_addr, backend.addr, port, backend.port)
         entry.isn_lb_back = self._backend_isn(entry)
         entry.state = SpliceState.SYN_SENT
         self.table.insert(entry.server_in_key, entry, now)
-        return [Packet(key=entry.server_key, seq=entry.isn_lb_back,
-                       flags=TcpFlags.SYN,
-                       options=TcpOptions(mss=self.mss, sack_permitted=True))]
+        return [self._backend_syn(entry)]
+
+    def _backend_syn(self, entry: ConnEntry) -> Packet:
+        return Packet(key=entry.server_key, seq=entry.isn_lb_back, flags=TcpFlags.SYN,
+                      options=TcpOptions(mss=self.mss, sack_permitted=True))
 
     @staticmethod
-    def _head_complete(buf: StreamBuf, head_start: int) -> Optional[int]:
+    def _head_complete(buf: StreamBuf) -> Optional[int]:
         """Stream offset one past the CRLFCRLF terminator, or None."""
-        i = bytes(buf.data[head_start - buf.base:]).find(HEAD_TERMINATOR)
+        i = buf.data.find(HEAD_TERMINATOR)
         if i < 0:
             return None
-        return head_start + i + len(HEAD_TERMINATOR)
+        return buf.base + i + len(HEAD_TERMINATOR)
 
     def _finish_head(self, entry: ConnEntry, head_end: int) -> None:
-        """A request head is contiguous and complete: pick the route, build
-        this request's insertion, switch to body passing."""
-        base = entry.head_buf.base
-        head = bytes(entry.head_buf.data[entry.parse_off - base:head_end - base])
-        parts = head.split(b"\r\n", 1)[0].split(b" ")
-        path = parts[1] if len(parts) >= 2 else b"/"
-        entry.route = self.routes.match(path)
-        body_len = _content_length(head) or 0
-        entry.body_end = head_end + body_len
-        entry.parse_mode = _ParseMode.BODY
-
+        """The open request head is complete: set where its body ends, and
+        build this request's insertion from its route's edits."""
+        buf = entry.head_buf
+        head = bytes(buf.data[:head_end - buf.base])
+        entry.body_end = head_end + (_content_length(head) or 0)
         inserted = b"".join(e.render(entry.client_key.src_addr)
-                            for e in entry.route.edits)
+                            for e in self.routes.match(_request_path(head)).edits)
         if inserted:
             sender_off = head_end - 2  # just before the final CRLF
             assert not entry.insertions or sender_off > entry.insertions[-1].sender_off
@@ -678,40 +671,28 @@ class SpliceAgent:
 
     def _ingest_new_data(self, data: bytes, off: int, entry: ConnEntry,
                          now: float) -> list[Packet]:
-        """Walk fresh client bytes through the per-request parse state:
-        heads are buffered until complete (insertions land inside them),
-        bodies are forwarded as they arrive."""
+        """Walk fresh client bytes through the parse state (see the module
+        docstring): an open head buffers them; a complete head leaves with
+        the bytes buffered after it, its insertion inside it; a body is
+        forwarded as it arrives."""
         out: list[Packet] = []
-        base = off
-        end = off + len(data)
+        base, end = off, off + len(data)
         while off < end:
-            if entry.parse_mode is _ParseMode.BODY:
-                if off < entry.body_end:
-                    take = min(end, entry.body_end)
-                    out += self._emit_spliced(entry, data[off - base:take - base],
-                                              off, now)
-                    off = take
-                    continue
-                entry.parse_mode = _ParseMode.HEAD
-                entry.parse_off = entry.body_end
-                entry.head_buf = StreamBuf(base=entry.body_end, cap=self.head_cap)
-                continue
-            # HEAD mode: everything from here lands in the head buffer; if the
-            # head completes, its range (and any buffered tail) is processed
-            entry.head_buf.add(off, data[off - base:])
-            head_end = self._head_complete(entry.head_buf, entry.parse_off)
-            if head_end is None:
-                return out
             buf = entry.head_buf
-            head = bytes(buf.data[entry.parse_off - buf.base:head_end - buf.base])
-            tail = bytes(buf.data[head_end - buf.base:])
-            head_start = entry.parse_off
-            self._finish_head(entry, head_end)
-            out += self._emit_spliced(entry, head, head_start, now)
-            entry.head_buf = None
-            if tail:
-                out += self._ingest_new_data(tail, head_end, entry, now)
-            return out
+            if buf is not None:
+                buf.add(off, data[off - base:])
+                head_end = self._head_complete(buf)
+                if head_end is None:
+                    return out
+                self._finish_head(entry, head_end)
+                entry.head_buf = None
+                data, base, off, end = bytes(buf.data), buf.base, buf.base, buf.end
+            elif off < entry.body_end:
+                take = min(end, entry.body_end)
+                out += self._emit_spliced(entry, data[off - base:take - base], off, now)
+                off = take
+            else:
+                entry.head_buf = StreamBuf(base=entry.body_end, cap=self.head_cap)
         return out
 
     def _emit_spliced(self, entry: ConnEntry, data: bytes, data_off: int,
@@ -728,52 +709,31 @@ class SpliceAgent:
             if o < lo or o >= hi:
                 continue
             if o > cursor:
-                out += self._data_packets(entry, data, lo, cursor, o)
+                out += self._segments(entry, data[cursor - lo:o - lo],
+                                      map_pos_c2s(entry.insertions, cursor, entry.folded))
                 cursor = o
             if not pt.sent or (not pt.acked and o < retx_below):
-                out += self._insertion_packets(entry, pt, retransmit=pt.sent)
+                out += self._segments(entry, pt.data, pt.recv_start)
+                self.counters["inserted_bytes_retx" if pt.sent else "inserted_bytes_tx"] \
+                    += pt.length
                 pt.sent = True
         if cursor < hi:
-            out += self._data_packets(entry, data, lo, cursor, hi)
+            out += self._segments(entry, data[cursor - lo:],
+                                  map_pos_c2s(entry.insertions, cursor, entry.folded))
+        self.counters["forwarded_payload_bytes"] += hi - lo
         entry.fwd_hi = max(entry.fwd_hi, hi)
         return out
 
-    def _data_packets(self, entry: ConnEntry, data: bytes, data_base: int,
-                      lo: int, hi: int) -> list[Packet]:
-        out = []
+    def _segments(self, entry: ConnEntry, data: bytes, recv_off: int) -> list[Packet]:
+        """Bytes that start at receiver offset recv_off, cut into segments of
+        at most eff_mss toward the server."""
         mss = entry.eff_mss
+        seq = seq_add(entry.isn_lb_back, 1 + recv_off)
         ack = self._front_to_back_ack(entry)
-        base = entry.folded
-        pos = lo
-        while pos < hi:
-            n = min(mss, hi - pos)
-            payload = bytes(data[pos - data_base:pos - data_base + n])
-            out.append(Packet(
-                key=entry.server_key,
-                seq=seq_add(seq_add(entry.isn_lb_back, 1),
-                            map_pos_c2s(entry.insertions, pos, base)),
-                ack=ack, flags=TcpFlags.ACK | TcpFlags.PSH,
-                window=entry.client_window, payload=payload))
-            self.counters["forwarded_payload_bytes"] += n
-            pos += n
-        return out
-
-    def _insertion_packets(self, entry: ConnEntry, pt: InsertionPoint,
-                           retransmit: bool) -> list[Packet]:
-        assert pt.data is not None
-        out = []
-        mss = entry.eff_mss
-        ack = self._front_to_back_ack(entry)
-        for i in range(0, pt.length, mss):
-            chunk = pt.data[i:i + mss]
-            out.append(Packet(
-                key=entry.server_key,
-                seq=seq_add(seq_add(entry.isn_lb_back, 1), pt.recv_start + i),
-                ack=ack, flags=TcpFlags.ACK | TcpFlags.PSH,
-                window=entry.client_window, payload=chunk))
-        self.counters["inserted_bytes_retx" if retransmit else "inserted_bytes_tx"] \
-            += pt.length
-        return out
+        return [Packet(key=entry.server_key, seq=seq_add(seq, i), ack=ack,
+                       flags=TcpFlags.ACK | TcpFlags.PSH, window=entry.client_window,
+                       payload=data[i:i + mss])
+                for i in range(0, len(data), mss)]
 
     def on_client_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         """Pure ACK from the client: constant-delta rewrite (it acknowledges
@@ -832,14 +792,10 @@ class SpliceAgent:
         seq_out = seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server))
         entry.relayed_hi = seq_max(entry.relayed_hi, seq_add(seq_out, len(pkt.payload)))
         ack_out = clamped_ack_s2c(entry, pkt.ack)
-        if pkt.options.sack_blocks:
-            options = TcpOptions(
-                sack_blocks=self._sack_blocks_to_client(entry, pkt.options.sack_blocks))
-        else:
-            options = pkt.options
         self.counters["forwarded_payload_bytes"] += len(pkt.payload)
         return [Packet(key=entry.client_key.reverse(), seq=seq_out, ack=ack_out,
-                       flags=pkt.flags, window=pkt.window, options=options,
+                       flags=pkt.flags, window=pkt.window,
+                       options=self._options_to_client(entry, pkt.options),
                        payload=pkt.payload)]
 
     def on_server_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
@@ -857,32 +813,29 @@ class SpliceAgent:
                 pt.dup_ack_count += 1
                 if pt.dup_ack_count >= DUP_ACK_RETRANSMIT_THRESHOLD:
                     pt.dup_ack_count = 0
-                    return self._insertion_packets(entry, pt, retransmit=True)
-        if pkt.options.sack_blocks:
-            options = TcpOptions(
-                sack_blocks=self._sack_blocks_to_client(entry, pkt.options.sack_blocks))
-        else:
-            options = pkt.options
+                    self.counters["inserted_bytes_retx"] += pt.length
+                    return self._segments(entry, pt.data, pt.recv_start)
         return [Packet(key=entry.client_key.reverse(),
                        seq=seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
                        ack=ack_out, flags=TcpFlags.ACK, window=pkt.window,
-                       options=options)]
+                       options=self._options_to_client(entry, pkt.options))]
 
-    def _sack_blocks_to_client(self, entry: ConnEntry,
-                               blocks: tuple[tuple[int, int], ...]
-                               ) -> tuple[tuple[int, int], ...]:
-        if not blocks:
-            return ()
+    @staticmethod
+    def _options_to_client(entry: ConnEntry, options: TcpOptions) -> TcpOptions:
+        """A server packet's options toward the client: SACK blocks mapped to
+        client space, or the options themselves when they carry none."""
+        if not options.sack_blocks:
+            return options
         base = seq_add(entry.isn_lb_back, 1)
         cbase = seq_add(entry.isn_client, 1)
         folded = entry.folded
         out = []
-        for l, r in blocks:
+        for l, r in options.sack_blocks:
             mapped = map_sack_block_s2c(entry.insertions,
                                         seq_sub(l, base), seq_sub(r, base), folded)
             if mapped is not None:
                 out.append((seq_add(cbase, mapped[0]), seq_add(cbase, mapped[1])))
-        return tuple(out)
+        return TcpOptions(sack_blocks=tuple(out))
 
     def _track_response(self, pkt: Packet, entry: ConnEntry, now: float) -> None:
         if entry.resp_tracker_dead or entry.resp_end is not None:
@@ -891,38 +844,34 @@ class SpliceAgent:
         buf = entry.resp_head_buf
         # The head must end within head_cap bytes, so only that window is
         # kept: out-of-order body segments past it never reach the buffer.
-        limit = entry.resp_head_at + self.head_cap
-        if off + len(pkt.payload) <= entry.resp_head_at or off >= limit:
+        limit = buf.base + self.head_cap
+        if off + len(pkt.payload) <= buf.base or off >= limit:
             return
         buf.add(off, pkt.payload[:limit - off])
-        head_end = self._head_complete(buf, entry.resp_head_at)
+        head_end = self._head_complete(buf)
         if head_end is None:
             if buf.end >= limit:
                 entry.resp_tracker_dead = True  # a full window and no head end
             return
-        head = bytes(buf.data[entry.resp_head_at - buf.base:head_end - buf.base])
-        length = _content_length(head)
+        length = _content_length(bytes(buf.data[:head_end - buf.base]))
         if length is None:
             entry.resp_tracker_dead = True  # chunked or lengthless: never offload
             return
         entry.resp_len = length
         entry.resp_end = head_end + length
-        entry.resp_signaled = False
         if self.offload is not None:
             self.offload.on_resp_len_known(entry, length, now)
 
     def _check_response_complete(self, entry: ConnEntry, now: float) -> None:
-        if entry.resp_end is None or entry.resp_signaled:
+        if entry.resp_end is None:
             return
         acked = seq_sub(entry.client_ack_front, seq_add(entry.isn_lb_front, 1))
         if acked >= entry.resp_end:
-            entry.resp_signaled = True
             if self.response_observer is not None:
                 self.response_observer(entry, now)
             if self.offload is not None:
                 self.offload.on_response_complete(entry, now)
             # re-arm for the next response on this connection
-            entry.resp_head_at = entry.resp_end
             entry.resp_head_buf = StreamBuf(base=entry.resp_end, cap=self.head_cap)
             entry.resp_end = None
             entry.resp_len = None
@@ -1012,6 +961,11 @@ class SpliceAgent:
                                         entry.backend.addr, entry.backend.port),
                             key=self.cookie.secret, digest_size=4)
         return int.from_bytes(h.digest(), "big")
+
+
+def _request_path(head: bytes) -> bytes:
+    parts = head.split(b"\r\n", 1)[0].split(b" ")
+    return parts[1] if len(parts) >= 2 else b"/"
 
 
 def _content_length(head: bytes) -> Optional[int]:

@@ -127,7 +127,7 @@ def test_threshold_crossing_installs_hairpin_rule():
     pkt = first_response_pkt(entry, 4 << 20)
     agent.handle_packet(pkt, 1.0, worker_id=shard_of(ck.src_port))
     assert entry.offload_rule is not None
-    assert entry.latched
+    assert entry.offload_rule is not None
     rule = live_rule(engine, entry.server_in_key, 1.0)
     assert rule is not None
     assert rule.ready_at == pytest.approx(1.0 + 2 * 100.48e-6)  # a batch of two
@@ -215,7 +215,7 @@ def test_deleter_never_splits_a_pair():
     sim.run_until(3.0)
     # at most 5 rules a batch: two pairs, then the third on the flush timer
     assert batches == [pairs[0] + pairs[1], pairs[2]]
-    assert all(e.offload_rule is None and not e.latched for e in entries)
+    assert all(e.offload_rule is None for e in entries)
 
 
 def test_response_completion_flushes_batch_of_16():
@@ -231,9 +231,9 @@ def test_response_completion_flushes_batch_of_16():
         mgr.on_response_complete(entry, 2.0)
     assert mgr.stats["delete_batches"] == 2  # 32 rules: two batches of 16
     sim.run_until(2.0 + 16 * 18.08e-6 - 1e-9)  # batch-16 cost not yet elapsed
-    assert all(e.latched for e in entries)
+    assert all(e.offload_rule is not None for e in entries)
     sim.run_until(2.0 + 16 * 18.08e-6 + 1e-9)
-    assert all(e.offload_rule is None and not e.latched for e in entries)
+    assert all(e.offload_rule is None for e in entries)
 
 
 def test_single_completion_flushes_on_timeout_at_batch1_cost():
@@ -246,9 +246,9 @@ def test_single_completion_flushes_on_timeout_at_batch1_cost():
     sim.run_until(2.0 + 100e-6)
     assert mgr.stats["delete_batches"] == 1
     sim.run_until(2.0 + 100e-6 + 2 * 24.48e-6 - 1e-9)  # batch-2 cost not yet elapsed
-    assert entry.latched
+    assert entry.offload_rule is not None
     sim.run_until(2.0 + 100e-6 + 2 * 24.48e-6)
-    assert entry.offload_rule is None and not entry.latched
+    assert entry.offload_rule is None
 
 
 def test_next_request_held_until_rule_clean_then_replayed():
@@ -256,7 +256,7 @@ def test_next_request_held_until_rule_clean_then_replayed():
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
-    assert entry.latched
+    assert entry.offload_rule is not None
     req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
     pkt2 = Packet(key=ck, seq=seq_add(1000, len(GET)),
                   ack=seq_add(entry.isn_lb_front, 1),
@@ -266,7 +266,7 @@ def test_next_request_held_until_rule_clean_then_replayed():
     assert entry.deferred
     mgr.on_response_complete(entry, 2.0)
     sim.run_until(3.0)
-    assert not entry.latched
+    assert entry.offload_rule is None
     assert not entry.deferred
     data = b"".join(p.payload for p in sim.emitted if p.payload)
     assert b"GET /api/y" in data
@@ -279,7 +279,7 @@ def test_held_resend_replayed_with_its_insertion_still_live():
     w = shard_of(ck.src_port)
     head = first_response_pkt(entry, 4 << 20)  # its ACK passes the insertion
     agent.handle_packet(head, 1.0, worker_id=w)
-    assert entry.latched
+    assert entry.offload_rule is not None
     # the client saw no ACK: it resends its request with the next one, and
     # the latch holds the segment
     req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"

@@ -166,7 +166,7 @@ def test_backend_synack_flushes_spliced_request():
     joined = b"".join(stream[o] for o in sorted(stream))
     expected = GET[:-2] + b"x-forwarded-for: 10.0.0.1\r\n" + GET[-2:]
     assert joined == expected
-    assert entry.pending_request is None
+    assert entry.head_buf is None
     # inserted bytes held until server ACK
     assert entry.insertions[0].data is not None
     assert entry.total_inserted == len(b"x-forwarded-for: 10.0.0.1\r\n")
@@ -191,7 +191,7 @@ def test_zero_insertions_releases_buffers_immediately():
     agent = make_agent(edits=())
     ck = client_key()
     entry, out = establish(agent, ck)
-    assert entry.pending_request is None
+    assert entry.head_buf is None
     assert entry.insertions == []
     data = b"".join(p.payload for p in out if p.payload)
     assert data == GET
