@@ -590,6 +590,10 @@ class SpliceAgent:
         end = off + len(pkt.payload)
 
         if entry.state is not SpliceState.ESTABLISHED:
+            if entry.state is SpliceState.SYN_SENT and end <= entry.head_buf.end:
+                # the client resends: the backend SYN or its SYNACK may be
+                # lost, and the agent keeps no timer of its own to resend it
+                return [self._backend_syn(entry)]
             try:
                 entry.head_buf.add(off, pkt.payload)
             except BufferCapExceeded:

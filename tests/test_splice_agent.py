@@ -2,6 +2,8 @@
 flush with insertions, keep-alive, teardown."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbsim.conntable import CuckooTable, TableConfig
 from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, seq_add, seq_sub
@@ -109,6 +111,22 @@ def test_split_head_buffers_then_routes():
     assert entry.state is SpliceState.FRONT_ESTABLISHED
     second = send_request(agent, ck, synack, GET[10:], seq_off=10)
     assert len(second) == 1 and second[0].syn
+
+
+def test_client_resend_in_syn_sent_resends_the_backend_syn():
+    # the agent keeps no timer: a client resend is what recovers a lost
+    # backend SYN or SYNACK
+    agent = make_agent()
+    ck = client_key()
+    synack = do_syn(agent, ck)
+    first = send_request(agent, ck, synack, GET)
+    assert send_request(agent, ck, synack, GET) == first
+    assert send_request(agent, ck, synack, GET[5:20], seq_off=5) == first
+    # bytes past the buffered ones are buffered, and send nothing
+    assert send_request(agent, ck, synack, b"GET /api/y", seq_off=len(GET)) == []
+    entry = agent.table.lookup(ck, 0.0)
+    assert entry.state is SpliceState.SYN_SENT
+    assert entry.head_buf.end == len(GET) + len(b"GET /api/y")
 
 
 def test_unmatched_prefix_falls_to_default_pool():
@@ -515,3 +533,78 @@ def test_response_head_must_end_within_head_cap(extra, parsed):
         handle(from_server(entry, lo, len(GET) + len(XFF), stream[lo:hi]))
     assert entry.resp_tracker_dead is not parsed
     assert entry.resp_len == (2 if parsed else None)
+
+
+def post(path: bytes, body: bytes) -> bytes:
+    return b"POST %s HTTP/1.1\r\nHost: h\r\nContent-Length: %d\r\n\r\n%s" % (
+        path, len(body), body)
+
+
+def test_later_request_with_its_body_leaves_without_a_crlf_segment():
+    # a later head whose body arrives with it leaves as the first one does:
+    # the head to its final CRLF, the insertion, then the CRLF and the body
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, len(GET) + len(XFF)))
+    req2 = post(b"/api/p", bytes(1405))
+    assert len(req2) == 1460
+    out = handle(from_client(entry, len(GET), 0, req2))
+    recv = len(GET) + len(XFF)
+    assert spliced_payloads(entry, out) == [(recv, 53), (recv + 53, 27), (recv + 80, 1407)]
+
+
+@st.composite
+def pipelined_streams(draw):
+    """1-4 pipelined GETs or POSTs with bodies of 0-3,000 bytes, cut into
+    in-order segments of 1-1,460 bytes, and the segment after which the
+    backend SYNACK arrives (at or after the one completing the first head)."""
+    reqs = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 3000))
+        if draw(st.booleans()):
+            reqs.append(post(b"/api/%d" % i, bytes((i + k) % 251 for k in range(n))))
+        else:
+            reqs.append(b"GET /api/%d HTTP/1.1\r\nHost: h\r\n\r\n" % i)
+    stream = b"".join(reqs)
+    cuts = set(draw(st.lists(st.integers(1, len(stream) - 1), max_size=30)))
+    cuts.update(range(1460, len(stream), 1460))
+    bounds = sorted({0, len(stream), *cuts})
+    segments = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        while hi - lo > 1460:  # a long gap between random cuts
+            segments.append((lo, lo + 1460))
+            lo += 1460
+        segments.append((lo, hi))
+    first_head_end = reqs[0].index(b"\r\n\r\n") + 4
+    first = next(k for k, (_, hi) in enumerate(segments) if hi >= first_head_end)
+    return reqs, stream, segments, draw(st.integers(first, len(segments) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipelined_streams())
+def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case):
+    reqs, stream, segments, synack_after = case
+    agent = make_agent()
+    ck = client_key()
+    worker = shard_of(ck.src_port)
+    synack = do_syn(agent, ck)
+    out = []
+    for k, (lo, hi) in enumerate(segments):
+        out += send_request(agent, ck, synack, stream[lo:hi], seq_off=lo)
+        if k == synack_after:
+            backend_syn = out[0]
+            out += agent.handle_packet(Packet(
+                key=backend_syn.key.reverse(), seq=7_000_000,
+                ack=seq_add(backend_syn.seq, 1), flags=TcpFlags.SYN | TcpFlags.ACK),
+                0.0, worker_id=worker)
+    entry = agent.table.lookup(ck, 0.0)
+    expected = b"".join(r[:r.index(b"\r\n\r\n") + 2] + XFF + r[r.index(b"\r\n\r\n") + 2:]
+                        for r in reqs)
+    to_server = [p for p in out if p.payload]
+    assert all(len(p.payload) <= entry.eff_mss for p in to_server)
+    sent = bytearray(len(expected))
+    covered = bytearray(len(expected))
+    for (off, n), p in zip(spliced_payloads(entry, to_server), to_server):
+        assert not any(covered[off:off + n]), "a receiver byte was sent twice"
+        covered[off:off + n] = b"\x01" * n
+        sent[off:off + n] = p.payload
+    assert all(covered) and sent == expected
