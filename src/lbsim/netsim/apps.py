@@ -164,16 +164,13 @@ class HttpServerSession(AppCallbacks):
     """Static-file-style backend: parses `/.../s/<size>/<seed>/<i>` paths and
     responds with a generated body of exactly <size> bytes."""
 
-    def __init__(self, record_transcript: bool = True):
+    def __init__(self):
         self.endpoint: Optional[MiniTcpEndpoint] = None
-        self.transcript = bytearray() if record_transcript else None
+        self.transcript = bytearray()
         self._buf = bytearray()
-        self.requests_served = 0
-        self.bad_requests = 0
 
     def on_data(self, chunk: bytes, now: float) -> None:
-        if self.transcript is not None:
-            self.transcript += chunk
+        self.transcript += chunk
         self._buf += chunk
         while True:
             i = self._buf.find(HEAD_END)
@@ -191,11 +188,9 @@ class HttpServerSession(AppCallbacks):
             size = int(parts[k + 1])
             seed = int(parts[k + 2])
         except (IndexError, ValueError):
-            self.bad_requests += 1
             self.endpoint.send_bytes(
                 b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", now)
             return
-        self.requests_served += 1
         self.endpoint.send_bytes(response_head(size), now)
         if size:
             self.endpoint.send_generated(make_body(seed), size, now)

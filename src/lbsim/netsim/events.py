@@ -20,9 +20,6 @@ class EventQueue:
         heapq.heappush(self._q, (at, self._seq, fn, args))
         self._seq += 1
 
-    def __len__(self) -> int:
-        return len(self._q)
-
     def run(self, until: float = float("inf"),
             stop: Callable[[], bool] | None = None) -> int:
         """Pop events in order until the queue drains, `until` passes, or

@@ -26,11 +26,10 @@ class Link:
     count the packets and payload bytes the loss draw took out of them."""
 
     def __init__(self, queue: EventQueue, params: LinkParams, seed: int,
-                 deliver: Callable[[float, Packet], None], name: str = ""):
+                 deliver: Callable[[float, Packet], None]):
         self.queue = queue
         self.params = params
         self.deliver = deliver
-        self.name = name
         self._rng = random.Random(seed)
         self._bytes_per_sec = params.gbps * 1e9 / 8
         self._free_at = 0.0

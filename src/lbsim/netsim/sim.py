@@ -140,13 +140,13 @@ class Simulation:
         self.client_host = _ClientHost(self)
         self.server_host = _ServerHost(self)
         self.link_c2lb = Link(self.queue, topo.client_link, mix64(seed ^ 1),
-                              self._lb_ingress, "c2lb")
+                              self._lb_ingress)
         self.link_lb2c = Link(self.queue, topo.client_link, mix64(seed ^ 2),
-                              self.client_host.deliver, "lb2c")
+                              self.client_host.deliver)
         self.link_s2lb = Link(self.queue, topo.server_link, mix64(seed ^ 3),
-                              self._lb_ingress, "s2lb")
+                              self._lb_ingress)
         self.link_lb2s = Link(self.queue, topo.server_link, mix64(seed ^ 4),
-                              self.server_host.deliver, "lb2s")
+                              self.server_host.deliver)
 
         self.sessions: list[HttpClientSession] = []
         self._live_endpoints = 0   # endpoints, both sides, not yet terminal
@@ -273,6 +273,4 @@ class Simulation:
     # -- results -----------------------------------------------------------------
 
     def server_received_streams(self) -> dict[FlowKey, bytes]:
-        return {k: bytes(s.transcript)
-                for k, s in self.server_host.sessions.items()
-                if s.transcript is not None}
+        return {k: bytes(s.transcript) for k, s in self.server_host.sessions.items()}
