@@ -597,8 +597,7 @@ def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case):
                 ack=seq_add(backend_syn.seq, 1), flags=TcpFlags.SYN | TcpFlags.ACK),
                 0.0, worker_id=worker)
     entry = agent.table.lookup(ck, 0.0)
-    expected = b"".join(r[:r.index(b"\r\n\r\n") + 2] + XFF + r[r.index(b"\r\n\r\n") + 2:]
-                        for r in reqs)
+    expected = b"".join(r.replace(b"\r\n\r\n", b"\r\n" + XFF + b"\r\n", 1) for r in reqs)
     to_server = [p for p in out if p.payload]
     assert all(len(p.payload) <= entry.eff_mss for p in to_server)
     sent = bytearray(len(expected))
