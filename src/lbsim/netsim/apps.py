@@ -48,6 +48,20 @@ def make_body(seed: int) -> Callable[[int, int], bytes]:
     return gen
 
 
+def with_head(head: bytes, body: Callable[[int, int], bytes]) -> Callable[[int, int], bytes]:
+    """The generator of `head` followed by `body`: a response is one span
+    of the endpoint's stream, so its head leaves in its body's first
+    segment."""
+    h = len(head)
+
+    def gen(off: int, n: int) -> bytes:
+        if off >= h:
+            return body(off - h, n)
+        return head[off:off + n] + body(0, max(0, off + n - h))
+
+    return gen
+
+
 def response_head(body_len: int) -> bytes:
     return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % body_len
 
@@ -191,9 +205,8 @@ class HttpServerSession(AppCallbacks):
             self.endpoint.send_bytes(
                 b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", now)
             return
-        self.endpoint.send_bytes(response_head(size), now)
-        if size:
-            self.endpoint.send_generated(make_body(seed), size, now)
+        head = response_head(size)
+        self.endpoint.send_generated(with_head(head, make_body(seed)), len(head) + size, now)
 
     def on_peer_fin(self, now: float) -> None:
         self.endpoint.close(now)

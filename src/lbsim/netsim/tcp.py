@@ -188,12 +188,12 @@ class MiniTcpEndpoint:
         self.fin_acked = False
         self.fin_retries = 0
         self.syn_retries = 0
+        self.synack_unacked = False       # server side: no peer ACK of the SYNACK yet
         self.dead = False
         self.terminal = False
 
         self.rto = self.RTO_BASE
         self._rto_gen = 0
-        self._rto_armed = False
 
         self.stats = {"retransmits": 0, "rto_fires": 0, "fast_retransmits": 0,
                       "segments_tx": 0, "acks_tx": 0, "bytes_delivered": 0}
@@ -211,12 +211,16 @@ class MiniTcpEndpoint:
                       now)
 
     def accept(self, syn: Packet, now: float) -> None:
-        """Server side: adopt the peer ISN from its SYN and answer."""
+        """Server side: adopt the peer ISN from its SYN and answer.  The
+        SYNACK is resent on the RTO timer, with backoff, until a peer
+        segment ACKs it; after MAX_HANDSHAKE_RETRIES the endpoint is dead."""
         self.rcv_isn = syn.seq
         if syn.options.mss:
             self.seg = min(self.mss, syn.options.mss)
         self.established = True
+        self.synack_unacked = True
         self._send_synack(now)
+        self._arm_rto(now)
 
     def _send_synack(self, now: float) -> None:
         self.transmit(Packet(key=self.key, seq=self.isn,
@@ -265,6 +269,8 @@ class MiniTcpEndpoint:
         if flags & TcpFlags.SYN:
             if not flags & TcpFlags.ACK:
                 self._send_synack(now)  # duplicate SYN of an accepted connection
+                if self.synack_unacked:
+                    self._arm_rto(now)  # a resend restarts the timer
             elif self.syn_sent and not self.established:
                 self.rcv_isn = pkt.seq
                 if pkt.options.mss:
@@ -279,6 +285,11 @@ class MiniTcpEndpoint:
             return
 
         if flags & TcpFlags.ACK:
+            if self.synack_unacked and \
+                    seq_sub(pkt.ack, seq_add(self.isn, 1)) <= _STALE_WINDOW:
+                self.synack_unacked = False
+                self.syn_retries = 0
+                self._reset_rto(now)
             self._process_ack(pkt, now)
         if pkt.payload:
             self._process_data(pkt, now)
@@ -533,20 +544,17 @@ class MiniTcpEndpoint:
 
     def _arm_rto(self, now: float) -> None:
         self._rto_gen += 1
-        self._rto_armed = True
         gen = self._rto_gen
         self.queue.schedule(now + self.rto, self._on_rto, gen)
 
     def _reset_rto(self, now: float) -> None:
         self.rto = self.RTO_BASE
         self._rto_gen += 1
-        self._rto_armed = False
 
     def _on_rto(self, now: float, gen: int) -> None:
         if gen != self._rto_gen or self.dead:
             return
-        self._rto_armed = False
-        if self.syn_sent and not self.established:
+        if (self.syn_sent and not self.established) or self.synack_unacked:
             self.syn_retries += 1
             if self.syn_retries > self.MAX_HANDSHAKE_RETRIES:
                 self.dead = True
@@ -554,7 +562,10 @@ class MiniTcpEndpoint:
                 self._check_terminal()
                 return
             self.rto = min(self.rto * 2, self.RTO_MAX)
-            self._send_syn(now)
+            if self.synack_unacked:
+                self._send_synack(now)
+            else:
+                self._send_syn(now)
             self._arm_rto(now)
             return
         data_outstanding = self.snd_una < self.snd_nxt

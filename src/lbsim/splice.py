@@ -20,7 +20,14 @@ The request parser's state is the entry's `head_buf`: while it is set, a
 head is open and its bytes collect there; once the head is complete, it
 leaves with the bytes buffered after it, and with no `head_buf` the agent
 passes a body through up to `body_end`.  Every head, the first included,
-takes that one path.
+takes that one path.  A head's body length follows RFC 9112 section 6.3:
+a request with any Transfer-Encoding or an invalid Content-Length resets
+the connection, and a response framed so is never offloaded.
+
+The client bytes one packet releases leave as one run of segments that is
+contiguous at the server: the client bytes with each insertion woven in
+before its head's final CRLF, cut only at eff_mss.  A short request and
+its insertion are one segment, and the server ACKs it once.
 """
 
 from __future__ import annotations
@@ -169,6 +176,11 @@ class BufferCapExceeded(RuntimeError):
     pass
 
 
+class FramingError(ValueError):
+    """A message head whose body length RFC 9112 section 6.3 does not give
+    by a valid Content-Length."""
+
+
 class ShardViolation(RuntimeError):
     """A packet of a flow reached a worker other than the entry's owner:
     the port-shard steering and the agent disagree."""
@@ -177,7 +189,8 @@ class ShardViolation(RuntimeError):
 class StreamBuf:
     """Byte reassembly at a fixed base offset: a contiguous prefix plus
     out-of-order fragments.  Duplicates and overlaps are tolerated; bytes
-    below base are clipped."""
+    below base are clipped, and so are fragment bytes at or past base + cap.
+    The prefix growing past cap raises BufferCapExceeded."""
 
     def __init__(self, base: int = 0, cap: Optional[int] = None):
         self.base = base
@@ -198,10 +211,13 @@ class StreamBuf:
         if off <= self.end:
             self.data += chunk[self.end - off:]
             self._fold_fragments()
-        elif len(chunk) > len(self.fragments.get(off, b"")):
+            if self.cap is not None and len(self.data) > self.cap:
+                raise BufferCapExceeded(f"reassembly buffer over {self.cap} bytes")
+            return
+        if self.cap is not None:
+            chunk = chunk[:max(0, self.base + self.cap - off)]
+        if len(chunk) > len(self.fragments.get(off, b"")):
             self.fragments[off] = chunk  # keep the longer of two at one offset
-        if self.cap is not None and len(self.data) > self.cap:
-            raise BufferCapExceeded(f"reassembly buffer over {self.cap} bytes")
 
     def _fold_fragments(self) -> None:
         # Folding only moves `end` forward, so one ascending pass folds every
@@ -597,7 +613,7 @@ class SpliceAgent:
             try:
                 entry.head_buf.add(off, pkt.payload)
             except BufferCapExceeded:
-                return self._abort(pkt, entry, now)
+                return self._abort(entry, now)
             if entry.state is SpliceState.FRONT_ESTABLISHED:
                 return self._try_route(entry, now)
             return []
@@ -612,10 +628,7 @@ class SpliceAgent:
             # pure retransmission: re-fragment; unACKed insertions inside the
             # covered range ride along again
             return self._emit_spliced(entry, pkt.payload, off, now)
-        try:
-            return self._ingest_new_data(pkt.payload, off, entry, now)
-        except BufferCapExceeded:
-            return self._abort(pkt, entry, now)
+        return self._ingest_new_data(pkt.payload, off, entry, now)
 
     def replay_deferred(self, entry: ConnEntry, now: float) -> list[Packet]:
         """Run packets held behind the offload-rule latch (called by the
@@ -630,12 +643,18 @@ class SpliceAgent:
     def _try_route(self, entry: ConnEntry, now: float) -> list[Packet]:
         """Once the first head is complete, its path picks the backend: open
         the server side with a SYN.  The head stays buffered until the
-        SYNACK, which hands it to the parser."""
+        SYNACK, which hands it to the parser.  A head whose framing is
+        invalid resets the client and opens no backend connection."""
         buf = entry.head_buf
         head_end = self._head_complete(buf)
         if head_end is None:
             return []
-        path = _request_path(bytes(buf.data[:head_end - buf.base]))
+        head = bytes(buf.data[:head_end - buf.base])
+        try:
+            _content_length(head)
+        except FramingError:
+            return self._abort(entry, now)
+        path = _request_path(head)
         backend = self.routes.pick_backend(self.routes.match(path).pool)
         entry.backend = backend
         port = self._alloc_port(entry.client_key.src_port, backend)
@@ -659,7 +678,8 @@ class SpliceAgent:
 
     def _finish_head(self, entry: ConnEntry, head_end: int) -> None:
         """The open request head is complete: set where its body ends, and
-        build this request's insertion from its route's edits."""
+        build this request's insertion from its route's edits.  Raises
+        FramingError for a Transfer-Encoding or an invalid Content-Length."""
         buf = entry.head_buf
         head = bytes(buf.data[:head_end - buf.base])
         entry.body_end = head_end + (_content_length(head) or 0)
@@ -678,52 +698,71 @@ class SpliceAgent:
         """Walk fresh client bytes through the parse state (see the module
         docstring): an open head buffers them; a complete head leaves with
         the bytes buffered after it, its insertion inside it; a body is
-        forwarded as it arrives."""
-        out: list[Packet] = []
-        base, end = off, off + len(data)
-        while off < end:
-            buf = entry.head_buf
-            if buf is not None:
-                buf.add(off, data[off - base:])
-                head_end = self._head_complete(buf)
-                if head_end is None:
-                    return out
-                self._finish_head(entry, head_end)
-                entry.head_buf = None
-                data, base, off, end = bytes(buf.data), buf.base, buf.base, buf.end
-            elif off < entry.body_end:
-                take = min(end, entry.body_end)
-                out += self._emit_spliced(entry, data[off - base:take - base], off, now)
-                off = take
-            else:
-                entry.head_buf = StreamBuf(base=entry.body_end, cap=self.head_cap)
-        return out
+        forwarded as it arrives.  The bytes that leave are contiguous in
+        the client stream, each head's buffer starting where the body
+        before it ends, so they leave in one `_emit_spliced` run.  A head
+        over head_cap or with invalid framing resets the connection."""
+        pieces: list[bytes] = []
+        start, base, end = off, off, off + len(data)
+        try:
+            while off < end:
+                buf = entry.head_buf
+                if buf is not None:
+                    buf.add(off, data[off - base:])
+                    head_end = self._head_complete(buf)
+                    if head_end is None:
+                        break
+                    self._finish_head(entry, head_end)
+                    entry.head_buf = None
+                    data, base, off, end = bytes(buf.data), buf.base, buf.base, buf.end
+                    if not pieces:
+                        start = off
+                elif off < entry.body_end:
+                    take = min(end, entry.body_end)
+                    pieces.append(data[off - base:take - base])
+                    off = take
+                else:
+                    entry.head_buf = StreamBuf(base=entry.body_end, cap=self.head_cap)
+        except (BufferCapExceeded, FramingError):
+            return self._abort(entry, now)
+        if not pieces:
+            return []
+        return self._emit_spliced(entry, b"".join(pieces), start, now)
 
     def _emit_spliced(self, entry: ConnEntry, data: bytes, data_off: int,
                       now: float) -> list[Packet]:
-        """Forward client bytes [data_off, data_off+len) toward the server,
-        splitting at insertion points and weaving in insertion bytes that
-        are unsent, or unACKed and re-covered by a retransmission."""
+        """Forward client bytes [data_off, data_off+len) toward the server
+        as one run of eff_mss segments, contiguous at the receiver: the
+        client bytes with the insertion bytes woven in at their points
+        when they are unsent, or unACKed and re-covered by a
+        retransmission.  The run breaks only around an insertion that is
+        sent and not re-sent, whose receiver bytes it skips."""
         out: list[Packet] = []
         lo, hi = data_off, data_off + len(data)
         retx_below = entry.fwd_hi  # positions below this were forwarded before
+        run: list[bytes] = []
+        run_off = None  # receiver offset where the run starts
         cursor = lo
         for pt in entry.insertions:
             o = pt.sender_off
             if o < lo or o >= hi:
                 continue
-            if o > cursor:
-                out += self._segments(entry, data[cursor - lo:o - lo],
-                                      map_pos_c2s(entry.insertions, cursor, entry.folded))
-                cursor = o
+            if run_off is None:
+                run_off = pt.recv_start - (o - lo)
+            run.append(data[cursor - lo:o - lo])
+            cursor = o
             if not pt.sent or (not pt.acked and o < retx_below):
-                out += self._segments(entry, pt.data, pt.recv_start)
+                run.append(pt.data)
                 self.counters["inserted_bytes_retx" if pt.sent else "inserted_bytes_tx"] \
                     += pt.length
                 pt.sent = True
-        if cursor < hi:
-            out += self._segments(entry, data[cursor - lo:],
-                                  map_pos_c2s(entry.insertions, cursor, entry.folded))
+            else:
+                out += self._segments(entry, b"".join(run), run_off)
+                run, run_off = [], pt.recv_end
+        run.append(data[cursor - lo:])
+        if run_off is None:
+            run_off = map_pos_c2s(entry.insertions, lo, entry.folded)
+        out += self._segments(entry, b"".join(run), run_off)
         self.counters["forwarded_payload_bytes"] += hi - lo
         entry.fwd_hi = max(entry.fwd_hi, hi)
         return out
@@ -857,9 +896,12 @@ class SpliceAgent:
             if buf.end >= limit:
                 entry.resp_tracker_dead = True  # a full window and no head end
             return
-        length = _content_length(bytes(buf.data[:head_end - buf.base]))
+        try:
+            length = _content_length(bytes(buf.data[:head_end - buf.base]))
+        except FramingError:
+            length = None
         if length is None:
-            entry.resp_tracker_dead = True  # chunked or lengthless: never offload
+            entry.resp_tracker_dead = True  # unframed by a length: never offload
             return
         entry.resp_len = length
         entry.resp_end = head_end + length
@@ -911,8 +953,12 @@ class SpliceAgent:
                 and entry.client_fin_acked and entry.server_fin_acked):
             self.remove_entry(entry, now)
 
-    def _abort(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        out = [self._rst_for(pkt)]
+    def _abort(self, entry: ConnEntry, now: float) -> list[Packet]:
+        """Reset both sides (RFC 9293's ABORT, the client's at the seq it
+        last ACKed) and drop the entry."""
+        self.counters["resets_tx"] += 1
+        out = [Packet(key=entry.client_key.reverse(), seq=entry.client_ack_front,
+                      flags=TcpFlags.RST)]
         if entry.server_key is not None:
             out.append(Packet(key=entry.server_key,
                               seq=seq_add(entry.isn_lb_back, 1), flags=TcpFlags.RST))
@@ -973,13 +1019,22 @@ def _request_path(head: bytes) -> bytes:
 
 
 def _content_length(head: bytes) -> Optional[int]:
+    """The body length a head's Content-Length gives (RFC 9112 section 6.3),
+    or None when it has none.  FramingError for any Transfer-Encoding, or
+    for a Content-Length that is not digits or that conflicts with another
+    (a repeated equal value is one length, RFC 9110 section 8.6)."""
+    length = None
     for line in head.split(b"\r\n")[1:]:
         if not line:
             break
         name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            try:
-                return int(value.strip())
-            except ValueError:
-                return None
-    return None
+        name = name.strip().lower()
+        if name == b"transfer-encoding":
+            raise FramingError("Transfer-Encoding")
+        if name == b"content-length":
+            for item in value.split(b","):
+                item = item.strip()
+                if not item.isdigit() or (length is not None and int(item) != length):
+                    raise FramingError(f"Content-Length {value!r}")
+                length = int(item)
+    return length

@@ -144,6 +144,84 @@ def test_pure_acks_after_own_fin_carry_fin_seq_plus_one():
     assert ep.closed_cleanly
 
 
+def test_unacked_synack_is_resent_with_backoff_until_the_endpoint_gives_up():
+    """A backend whose SYNACKs are all lost, and which never sees an ACK,
+    resends its SYNACK on the doubling RTO and goes dead after
+    MAX_HANDSHAKE_RETRIES resends, so it cannot hold a run open."""
+    key = FlowKey(1, 2, 3, 4)
+    queue, sent = EventQueue(), []
+    ep = MiniTcpEndpoint(queue, key, mss=1460, isn=500,
+                         transmit=lambda pkt, now: sent.append(now))  # all lost
+    ep.accept(Packet(key=key.reverse(), seq=9000, flags=TcpFlags.SYN), 0.0)
+    retries = MiniTcpEndpoint.MAX_HANDSHAKE_RETRIES
+    bound = MiniTcpEndpoint.RTO_BASE * (2 ** (retries + 1) - 1)  # 25.4 s
+    queue.run(until=2 * bound)
+    assert ep.terminal and ep.dead
+    assert queue.now == pytest.approx(bound)
+    assert len(sent) == 1 + retries
+    gaps = [b - a for a, b in zip(sent, sent[1:])]
+    assert gaps == pytest.approx([MiniTcpEndpoint.RTO_BASE * 2 ** k for k in range(retries)])
+
+
+@pytest.mark.parametrize("payload", [b"", b"GET / HTTP/1.1\r\n\r\n"])
+def test_any_segment_acking_the_synack_stops_its_timer(payload):
+    key = FlowKey(1, 2, 3, 4)
+    queue, sent = EventQueue(), []
+    ep = MiniTcpEndpoint(queue, key, mss=1460, isn=500,
+                         transmit=lambda pkt, now: sent.append(pkt))
+    ep.accept(Packet(key=key.reverse(), seq=9000, flags=TcpFlags.SYN), 0.0)
+    ep.on_segment(Packet(key=key.reverse(), seq=9001, ack=501, flags=TcpFlags.ACK,
+                         payload=payload), 0.1)
+    ep.send_bytes(b"resp", 0.1)  # never ACKed: the timer now resends data
+    queue.run(until=10.0)
+    assert not ep.terminal
+    assert [p.flags for p in sent if p.syn] == [TcpFlags.SYN | TcpFlags.ACK]
+    assert ep.stats["rto_fires"] > 0
+    assert [p.payload for p in sent if p.payload] == [b"resp"] * (1 + ep.stats["rto_fires"])
+
+
+def test_small_response_leaves_the_server_as_one_segment():
+    # the head rides in its body's segment: 41 + 1,024 bytes
+    sim = Simulation(SimParams(offload_mode="never"), seed=7)
+    payloads = []
+    send = sim.link_s2lb.send
+
+    def recorded(pkt, now):
+        payloads.append(len(pkt.payload))
+        send(pkt, now)
+
+    sim.link_s2lb.send = recorded
+    sim.run()
+    assert_streams_equal(sim)
+    assert [n for n in payloads if n] == [1065]
+
+
+def test_lb_ingress_packet_budget_of_small_keepalive_requests():
+    """2 connections x 3 requests of 1 KiB, no loss: every request leaves
+    the LB as one segment with its insertion, every response leaves the
+    server as one, and the LB takes in 38 packets, 6.33 per request.  A
+    request or response split again into more segments breaks this."""
+    sim = Simulation(SimParams(
+        workload=WorkloadParams(connections=2, requests_per_connection=(3, 3)),
+        offload_mode="never"), seed=5)
+    to_server = []
+    send = sim.link_lb2s.send
+
+    def recorded(pkt, now):
+        if pkt.payload:
+            to_server.append(len(pkt.payload))
+        send(pkt, now)
+
+    sim.link_lb2s.send = recorded
+    sim.run()
+    assert_streams_equal(sim)
+    assert len(to_server) == 6
+    # per connection: client SYN, ACK, 3 requests, 3 ACKs, FIN, last ACK;
+    # server SYNACK, 3 responses, 3 ACKs of the requests, ACK and FIN
+    assert (sim.link_c2lb.tx_packets, sim.link_s2lb.tx_packets) == (20, 18)
+    assert sim.agent.counters["acks_suppressed"] == 0
+
+
 def test_statelessness_no_entries_without_payload():
     sim = run_sim(connections=3)
     # after the run the table holds only what teardown left; handshake alone
@@ -238,22 +316,22 @@ def test_seeded_lossy_offload_run_is_pinned():
     sim._emit = hashed_emit
     sim.run()
     assert_streams_equal(sim)
-    assert sim.queue.processed == 18295
-    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (5103, 1404)
+    assert sim.queue.processed == 17866
+    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (4841, 1656)
     endpoint_stats = {}
     for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
         for name, n in ep.stats.items():
             endpoint_stats[name] = endpoint_stats.get(name, 0) + n
     assert endpoint_stats == {
-        "retransmits": 64, "rto_fires": 0, "fast_retransmits": 51,
-        "segments_tx": 3306, "acks_tx": 3259, "bytes_delivered": 4719125}
+        "retransmits": 67, "rto_fires": 8, "fast_retransmits": 44,
+        "segments_tx": 3305, "acks_tx": 3249, "bytes_delivered": 4719125}
     assert sim.agent.counters == {
         "syn_rx": 3, "synack_tx": 3, "entries_created": 3, "resets_tx": 0,
-        "c2s_data_pkts": 4, "s2c_data_pkts": 385, "acks_suppressed": 4,
+        "c2s_data_pkts": 6, "s2c_data_pkts": 384, "acks_suppressed": 0,
         "inserted_bytes_tx": 108, "inserted_bytes_retx": 0,
-        "forwarded_payload_bytes": 555373, "entries_removed": 3,
+        "forwarded_payload_bytes": 559665, "entries_removed": 3,
         "cookie_failures": 0, "deferred_pkts": 0, "ttl_sweeps": 1}
-    assert h.hexdigest() == "4789cd8164444976036a2a3a86bd54ab"
+    assert h.hexdigest() == "7b4a92fb56810c267c77320f39309efa"
 
 
 def _client_ack_hairpins_checked(sim) -> int:

@@ -293,7 +293,9 @@ def test_held_resend_replayed_with_its_insertion_still_live():
                                flags=TcpFlags.ACK), 3.0, worker_id=w)
     sim.run_until(4.0)
     assert not entry.deferred
-    assert spliced_payloads(entry, sim.emitted)[:2] == [(0, 30), (57, 2)]
+    # the ACKed insertion's bytes are skipped; the rest of the first request,
+    # req2 and req2's insertion leave as one run
+    assert spliced_payloads(entry, sim.emitted)[:2] == [(0, 30), (57, 2 + 32 + 27)]
 
 
 def test_entry_teardown_enqueues_rule_delete():

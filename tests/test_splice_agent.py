@@ -10,12 +10,14 @@ from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, seq_add, seq_sub
 from lbsim.splice import (
     REQUEST_HEAD_CAP,
     Backend,
+    FramingError,
     HeaderEdit,
     RouteRule,
     RouteTable,
     ShardViolation,
     SpliceAgent,
     SpliceState,
+    _content_length,
 )
 
 VIP = 0x0A0000FE
@@ -153,6 +155,22 @@ def test_oversized_head_resets_connection():
     out = send_request(agent, ck, synack, b"GET /api HTTP/1.1\r\n" + b"a" * 17000)
     assert any(p.rst for p in out)
     assert agent.table.lookup(ck, 0.0) is None
+
+
+def test_out_of_order_flood_keeps_the_head_buffer_within_its_cap():
+    # segments past the open head's end are kept only inside the cap's
+    # window; the head still completes and routes once its gap is filled
+    agent = make_agent()
+    ck = client_key()
+    synack = do_syn(agent, ck)
+    send_request(agent, ck, synack, GET[:10])
+    buf = agent.table.lookup(ck, 0.0).head_buf
+    for k in range(40):  # 40 x 1,460 bytes from offset 100: far past the cap
+        assert send_request(agent, ck, synack, bytes(1460), seq_off=100 + 1460 * k) == []
+        assert len(buf.data) + sum(map(len, buf.fragments.values())) <= REQUEST_HEAD_CAP
+    assert max(off + len(f) for off, f in buf.fragments.items()) == REQUEST_HEAD_CAP
+    out = send_request(agent, ck, synack, GET[10:] + bytes(100 - len(GET)), seq_off=10)
+    assert len(out) == 1 and out[0].syn
 
 
 def establish(agent, ck, payload=GET, now=0.0):
@@ -363,7 +381,8 @@ def test_client_ack_of_bytes_the_agent_never_relayed_does_not_fold():
     handle(from_server(entry, 5000, len(GET) + len(req2) + 2 * 27))
     # the server's ACK never reached the client, which resends req2
     again = handle(from_client(entry, len(GET), 5000, req2))
-    assert spliced_payloads(entry, again)[0] == spliced_payloads(entry, first)[0]
+    # the resend starts where req2 first did; its ACKed insertion is skipped
+    assert spliced_payloads(entry, again)[0][0] == spliced_payloads(entry, first)[0][0]
     assert len(entry.insertions) == 1
 
 
@@ -542,14 +561,14 @@ def post(path: bytes, body: bytes) -> bytes:
 
 def test_later_request_with_its_body_leaves_without_a_crlf_segment():
     # a later head whose body arrives with it leaves as the first one does:
-    # the head to its final CRLF, the insertion, then the CRLF and the body
+    # the head, its insertion, the CRLF and the body are one run, cut only
+    # at eff_mss
     entry, _, handle = established_with_handler()
     handle(from_server(entry, 0, len(GET) + len(XFF)))
     req2 = post(b"/api/p", bytes(1405))
     assert len(req2) == 1460
     out = handle(from_client(entry, len(GET), 0, req2))
-    recv = len(GET) + len(XFF)
-    assert spliced_payloads(entry, out) == [(recv, 53), (recv + 53, 27), (recv + 80, 1407)]
+    assert spliced_payloads(entry, out) == [(59, 1460), (1519, 27)]
 
 
 @st.composite
@@ -587,19 +606,27 @@ def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case):
     ck = client_key()
     worker = shard_of(ck.src_port)
     synack = do_syn(agent, ck)
-    out = []
+    calls = []  # what each packet into the agent sent out
     for k, (lo, hi) in enumerate(segments):
-        out += send_request(agent, ck, synack, stream[lo:hi], seq_off=lo)
+        calls.append(send_request(agent, ck, synack, stream[lo:hi], seq_off=lo))
         if k == synack_after:
-            backend_syn = out[0]
-            out += agent.handle_packet(Packet(
+            backend_syn = next(p for call in calls for p in call)
+            calls.append(agent.handle_packet(Packet(
                 key=backend_syn.key.reverse(), seq=7_000_000,
                 ack=seq_add(backend_syn.seq, 1), flags=TcpFlags.SYN | TcpFlags.ACK),
-                0.0, worker_id=worker)
+                0.0, worker_id=worker))
     entry = agent.table.lookup(ck, 0.0)
     expected = b"".join(r.replace(b"\r\n\r\n", b"\r\n" + XFF + b"\r\n", 1) for r in reqs)
+    out = [p for call in calls for p in call]
     to_server = [p for p in out if p.payload]
     assert all(len(p.payload) <= entry.eff_mss for p in to_server)
+    # within a run that is contiguous at the receiver, only the last
+    # segment may be short of eff_mss
+    for call in calls:
+        segs = spliced_payloads(entry, call)
+        for (off, n), (next_off, _) in zip(segs, segs[1:]):
+            if next_off == off + n:
+                assert n == entry.eff_mss, segs
     sent = bytearray(len(expected))
     covered = bytearray(len(expected))
     for (off, n), p in zip(spliced_payloads(entry, to_server), to_server):
@@ -607,3 +634,85 @@ def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case):
         covered[off:off + n] = b"\x01" * n
         sent[off:off + n] = p.payload
     assert all(covered) and sent == expected
+
+
+@pytest.mark.parametrize("fields, length", [
+    (b"", None),
+    (b"Content-Length: 7\r\n", 7),
+    (b"Content-Length: 007\r\n", 7),
+    (b"content-length:  12 \r\n", 12),
+    (b"Content-Length: 5\r\nContent-Length: 5\r\n", 5),
+    (b"Content-Length: 5, 5\r\n", 5),
+    (b"Content-Length: -5\r\n", FramingError),
+    (b"Content-Length: +7\r\n", FramingError),
+    (b"Content-Length: 1_000\r\n", FramingError),
+    (b"Content-Length: 0x10\r\n", FramingError),
+    (b"Content-Length: \r\n", FramingError),
+    (b"Content-Length: 5\r\nContent-Length: 6\r\n", FramingError),
+    (b"Content-Length: 5, 6\r\n", FramingError),
+    (b"Transfer-Encoding: chunked\r\n", FramingError),
+    (b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n", FramingError),
+])
+def test_content_length_follows_rfc_9112_framing(fields, length):
+    head = b"POST /api/p HTTP/1.1\r\nHost: h\r\n" + fields + b"\r\n"
+    if length is FramingError:
+        with pytest.raises(FramingError):
+            _content_length(head)
+    else:
+        assert _content_length(head) == length
+
+
+UNFRAMED = [
+    b"Content-Length: -5\r\n",
+    b"Content-Length: +7\r\n",
+    b"Content-Length: 1_000\r\n",
+    b"Content-Length: 5\r\nContent-Length: 6\r\n",
+    b"Transfer-Encoding: chunked\r\n",
+]
+CHUNKED_BODY = b"5\r\nhello\r\n0\r\n\r\n"
+
+
+def unframed_post(fields: bytes) -> bytes:
+    return b"POST /api/p HTTP/1.1\r\nHost: h\r\n" + fields + b"\r\n" + CHUNKED_BODY
+
+
+@pytest.mark.parametrize("fields", UNFRAMED)
+def test_first_request_without_a_valid_length_resets_before_routing(fields):
+    agent = make_agent()
+    ck = client_key()
+    synack = do_syn(agent, ck)
+    out = send_request(agent, ck, synack, unframed_post(fields))
+    assert [p.flags for p in out] == [TcpFlags.RST]
+    assert out[0].key == ck.reverse()
+    assert len(agent.table) == 0 and not agent._used_ports
+
+
+@pytest.mark.parametrize("fields", UNFRAMED)
+def test_later_request_without_a_valid_length_resets_both_sides(fields):
+    # its body is never parsed as a head: no insertion lands inside it
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, len(GET) + len(XFF)))
+    out = handle(from_client(entry, len(GET), 0, unframed_post(fields)))
+    assert [(p.key, p.flags) for p in out] == [
+        (entry.client_key.reverse(), TcpFlags.RST), (entry.server_key, TcpFlags.RST)]
+    assert entry.closed and len(entry.insertions) == 1
+
+
+@pytest.mark.parametrize("fields", UNFRAMED)
+def test_pipelined_request_without_a_valid_length_resets_at_the_synack(fields):
+    agent = make_agent()
+    ck = client_key()
+    entry, out = establish(agent, ck, payload=GET + unframed_post(fields))
+    assert [p.flags for p in out if p.flags & TcpFlags.RST] == [TcpFlags.RST] * 2
+    assert not [p for p in out if p.payload]
+    assert entry.closed and len(agent.table) == 0
+
+
+@pytest.mark.parametrize("fields", UNFRAMED)
+def test_response_without_a_valid_length_is_never_offloaded(fields):
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, len(GET) + len(XFF)))
+    head = b"HTTP/1.1 200 OK\r\n" + fields + b"\r\n"
+    out = handle(from_server(entry, 0, len(GET) + len(XFF), head + CHUNKED_BODY))
+    assert [p.payload for p in out] == [head + CHUNKED_BODY]  # still relayed
+    assert entry.resp_tracker_dead and entry.resp_len is None and entry.resp_end is None
