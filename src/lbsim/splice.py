@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Callable, Optional, Sequence
@@ -53,6 +54,7 @@ from .packet import (
 )
 
 REQUEST_HEAD_CAP = 16384
+MAX_LENGTH_DIGITS = 18  # significant digits of a valid Content-Length; every such value fits 63 bits
 DUP_ACK_RETRANSMIT_THRESHOLD = 3
 HEAD_TERMINATOR = b"\r\n\r\n"
 
@@ -188,14 +190,17 @@ class ShardViolation(RuntimeError):
 
 class StreamBuf:
     """Byte reassembly at a fixed base offset: a contiguous prefix plus
-    out-of-order fragments.  Duplicates and overlaps are tolerated; bytes
-    below base are clipped, and so are fragment bytes at or past base + cap.
-    The prefix growing past cap raises BufferCapExceeded."""
+    out-of-order fragments, kept sorted, disjoint and not touching (a new
+    fragment merges with those it overlaps or touches).  Duplicates and
+    overlaps are tolerated; bytes below base are clipped, and so are
+    fragment bytes at or past base + cap, so the prefix and the fragments
+    hold at most cap bytes together.  The prefix growing past cap raises
+    BufferCapExceeded."""
 
     def __init__(self, base: int = 0, cap: Optional[int] = None):
         self.base = base
         self.data = bytearray()
-        self.fragments: dict[int, bytes] = {}
+        self.fragments: list[tuple[int, bytes]] = []  # (offset, bytes)
         self.cap = cap
 
     @property
@@ -216,18 +221,36 @@ class StreamBuf:
             return
         if self.cap is not None:
             chunk = chunk[:max(0, self.base + self.cap - off)]
-        if len(chunk) > len(self.fragments.get(off, b"")):
-            self.fragments[off] = chunk  # keep the longer of two at one offset
+            if not chunk:
+                return
+        frags = self.fragments
+        hi = off + len(chunk)
+        i = bisect_left(frags, off, key=_fragment_end)  # first ending at or past off
+        j = i
+        while j < len(frags) and frags[j][0] <= hi:
+            j += 1
+        if i < j:
+            first_off, first = frags[i]
+            last_off, last = frags[j - 1]
+            chunk = first[:max(0, off - first_off)] + chunk + last[hi - last_off:]
+            off = min(off, first_off)
+        frags[i:j] = [(off, chunk)]
 
     def _fold_fragments(self) -> None:
         # Folding only moves `end` forward, so one ascending pass folds every
         # fragment that becomes reachable.
-        for foff in sorted(self.fragments):
-            if foff > self.end:
-                break
-            frag = self.fragments.pop(foff)
+        frags = self.fragments
+        n = 0
+        while n < len(frags) and frags[n][0] <= self.end:
+            foff, frag = frags[n]
             if foff + len(frag) > self.end:
                 self.data += frag[self.end - foff:]
+            n += 1
+        del frags[:n]
+
+
+def _fragment_end(fragment: tuple[int, bytes]) -> int:
+    return fragment[0] + len(fragment[1])
 
 
 # ---------------------------------------------------------------------------
@@ -954,10 +977,15 @@ class SpliceAgent:
             self.remove_entry(entry, now)
 
     def _abort(self, entry: ConnEntry, now: float) -> list[Packet]:
-        """Reset both sides (RFC 9293's ABORT, the client's at the seq it
-        last ACKed) and drop the entry."""
+        """Reset both sides and drop the entry.  The client's RST carries
+        the highest client-facing seq the agent knows was sent: past the
+        server bytes it relayed, or the client's ACK if that is higher.
+        Server bytes the engine hairpinned past both are not counted, so a
+        client that checks an RST's seq exactly (RFC 5961) may answer it
+        with a challenge ACK instead."""
         self.counters["resets_tx"] += 1
-        out = [Packet(key=entry.client_key.reverse(), seq=entry.client_ack_front,
+        out = [Packet(key=entry.client_key.reverse(),
+                      seq=seq_max(entry.relayed_hi, entry.client_ack_front),
                       flags=TcpFlags.RST)]
         if entry.server_key is not None:
             out.append(Packet(key=entry.server_key,
@@ -1021,7 +1049,8 @@ def _request_path(head: bytes) -> bytes:
 def _content_length(head: bytes) -> Optional[int]:
     """The body length a head's Content-Length gives (RFC 9112 section 6.3),
     or None when it has none.  FramingError for any Transfer-Encoding, or
-    for a Content-Length that is not digits or that conflicts with another
+    for a Content-Length that is not digits, that has more than
+    MAX_LENGTH_DIGITS significant digits, or that conflicts with another
     (a repeated equal value is one length, RFC 9110 section 8.6)."""
     length = None
     for line in head.split(b"\r\n")[1:]:
@@ -1034,7 +1063,9 @@ def _content_length(head: bytes) -> Optional[int]:
         if name == b"content-length":
             for item in value.split(b","):
                 item = item.strip()
-                if not item.isdigit() or (length is not None and int(item) != length):
+                digits = item.lstrip(b"0") or b"0"
+                if not item.isdigit() or len(digits) > MAX_LENGTH_DIGITS \
+                        or (length is not None and int(digits) != length):
                     raise FramingError(f"Content-Length {value!r}")
-                length = int(item)
+                length = int(digits)
     return length

@@ -165,10 +165,13 @@ def test_out_of_order_flood_keeps_the_head_buffer_within_its_cap():
     synack = do_syn(agent, ck)
     send_request(agent, ck, synack, GET[:10])
     buf = agent.table.lookup(ck, 0.0).head_buf
-    for k in range(40):  # 40 x 1,460 bytes from offset 100: far past the cap
-        assert send_request(agent, ck, synack, bytes(1460), seq_off=100 + 1460 * k) == []
-        assert len(buf.data) + sum(map(len, buf.fragments.values())) <= REQUEST_HEAD_CAP
-    assert max(off + len(f) for off, f in buf.fragments.items()) == REQUEST_HEAD_CAP
+    # 40 x 1,460 bytes from offset 100, far past the cap, then 1,000 that
+    # overlap each other at offsets 101, 102, ...
+    offsets = [100 + 1460 * k for k in range(40)] + [101 + k for k in range(1000)]
+    for off in offsets:
+        assert send_request(agent, ck, synack, bytes(1460), seq_off=off) == []
+        assert len(buf.data) + sum(len(f) for _, f in buf.fragments) <= REQUEST_HEAD_CAP
+    assert buf.fragments == [(100, bytes(REQUEST_HEAD_CAP - 100))]
     out = send_request(agent, ck, synack, GET[10:] + bytes(100 - len(GET)), seq_off=10)
     assert len(out) == 1 and out[0].syn
 
@@ -535,7 +538,7 @@ def test_response_head_found_after_a_flood_of_later_segments():
     for off, payload in segments[1:] + segments[:1]:
         handle(from_server(entry, off, len(GET) + len(XFF), payload))
         buf = entry.resp_head_buf
-        assert len(buf.data) + sum(map(len, buf.fragments.values())) <= REQUEST_HEAD_CAP
+        assert len(buf.data) + sum(len(f) for _, f in buf.fragments) <= REQUEST_HEAD_CAP
     assert not entry.resp_tracker_dead
     assert entry.resp_len == body_len
 
@@ -652,6 +655,11 @@ def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case):
     (b"Content-Length: 5, 6\r\n", FramingError),
     (b"Transfer-Encoding: chunked\r\n", FramingError),
     (b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n", FramingError),
+    (b"Content-Length: " + b"9" * 18 + b"\r\n", 10 ** 18 - 1),
+    pytest.param(b"Content-Length: " + b"0" * 5000 + b"7\r\n", 7, id="5000-zeros-then-7"),
+    (b"Content-Length: 1" + b"0" * 18 + b"\r\n", FramingError),
+    pytest.param(b"Content-Length: " + b"9" * 5000 + b"\r\n", FramingError,
+                 id="5000-digits"),
 ])
 def test_content_length_follows_rfc_9112_framing(fields, length):
     head = b"POST /api/p HTTP/1.1\r\nHost: h\r\n" + fields + b"\r\n"
@@ -668,6 +676,7 @@ UNFRAMED = [
     b"Content-Length: 1_000\r\n",
     b"Content-Length: 5\r\nContent-Length: 6\r\n",
     b"Transfer-Encoding: chunked\r\n",
+    pytest.param(b"Content-Length: " + b"9" * 5000 + b"\r\n", id="5000-digits"),
 ]
 CHUNKED_BODY = b"5\r\nhello\r\n0\r\n\r\n"
 
@@ -696,6 +705,17 @@ def test_later_request_without_a_valid_length_resets_both_sides(fields):
     assert [(p.key, p.flags) for p in out] == [
         (entry.client_key.reverse(), TcpFlags.RST), (entry.server_key, TcpFlags.RST)]
     assert entry.closed and len(entry.insertions) == 1
+
+
+def test_client_reset_carries_the_seq_past_the_relayed_response():
+    # the client holds a response it has not ACKed yet: its RCV.NXT is
+    # past its last ACK, and the RST must sit there to be accepted
+    entry, _, handle = established_with_handler()
+    resp = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    handle(from_server(entry, 0, len(GET) + len(XFF), resp))
+    out = handle(from_client(entry, len(GET), 0, unframed_post(UNFRAMED[0])))
+    assert out[0].key == entry.client_key.reverse() and out[0].rst
+    assert out[0].seq == seq_add(seq_add(entry.isn_lb_front, 1), len(resp))
 
 
 @pytest.mark.parametrize("fields", UNFRAMED)
