@@ -4,8 +4,11 @@ The economics: rewriting one packet on a worker costs T; installing plus
 deleting the engine rules of one offload costs P.  Offloading a response of
 B bytes takes its B / MSS data segments off the worker, and the client's
 ACKs of them, about one per segment, so it saves 2 * (B / MSS) * T of
-worker time and pays off only when B >= (P / 2T) * MSS.  Deployments
-usually set a higher override threshold on top of the formula.
+worker time and pays off only when B >= (P / 2T) * MSS, the one threshold
+`auto` uses.  The formula does not price two costs: the latch's wait, about
+149 us per later request on an offloaded connection, and the install
+window, during which a warm connection's open window of data and ACKs
+still passes through the worker.
 
 An offload is a pair of rules, installed in one batch and deleted in one
 batch: the server rule rewrites the response's data toward the client, and
@@ -40,14 +43,12 @@ from .flow_engine import (
 from .packet import Packet, seq_add, seq_sub
 from .splice import ConnEntry, SpliceAgent
 
-T_PER_PACKET_DEFAULT = 1 / 3.0e6  # one worker sustains ~3 Mpps
+T_PER_PACKET = 1 / 3.0e6  # one worker sustains ~3 Mpps
 
 
 @dataclass(frozen=True)
 class OffloadParams:
-    b_override: Optional[int] = 1 << 20     # deployment threshold: 1 MiB
     mss: int = 1460
-    t_per_packet: float = T_PER_PACKET_DEFAULT
     delete_batch_max: int = 16
     delete_flush_timeout: float = 100e-6
     rule_idle_timeout: float = 10.0
@@ -62,21 +63,10 @@ class OffloadParams:
 
     @property
     def formula_threshold(self) -> float:
-        # each offloaded data segment saves two worker packets: the segment
-        # and the client's ACK of it
-        return (self.p_rule_update / (2 * self.t_per_packet)) * self.mss
-
-    @property
-    def effective_threshold(self) -> float:
-        if self.b_override is None:
-            return self.formula_threshold
-        return max(self.b_override, self.formula_threshold)
-
-
-def should_offload(resp_len: Optional[int], params: OffloadParams) -> bool:
-    """True iff the response is big enough to pay for the rule update.
-    Unknown length (no Content-Length, chunked) never offloads."""
-    return resp_len is not None and resp_len >= params.effective_threshold
+        """Response bytes from which an offload pays for its rule update:
+        each offloaded data segment saves two worker packets, the segment
+        and the client's ACK of it."""
+        return (self.p_rule_update / (2 * T_PER_PACKET)) * self.mss
 
 
 def build_offload_rule(engine: FlowEngine, entry: ConnEntry,
@@ -151,7 +141,7 @@ class OffloadManager:
     def on_resp_len_known(self, entry: ConnEntry, resp_len: int, now: float) -> None:
         if entry.offload_rule is not None:
             return  # crossing already handled, or prior rules not yet gone
-        if not self.force and not should_offload(resp_len, self.params):
+        if not self.force and resp_len < self.params.formula_threshold:
             self.stats["offloads_skipped_small"] += 1
             return
         idle = self.params.rule_idle_timeout

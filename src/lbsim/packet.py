@@ -231,11 +231,3 @@ def decode(buf: bytes) -> Packet:
 
 def addr_str(addr: int) -> str:
     return ".".join(str((addr >> s) & 0xFF) for s in (24, 16, 8, 0))
-
-
-def parse_addr(text: str) -> int:
-    parts = text.strip().split(".")
-    if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
-        raise ValueError(f"bad IPv4 address {text!r}")
-    a, b, c, d = (int(p) for p in parts)
-    return (a << 24) | (b << 16) | (c << 8) | d

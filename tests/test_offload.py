@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from lbsim.offload import (
     OffloadManager,
     OffloadParams,
     build_offload_rule,
-    should_offload,
 )
 from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add
 from lbsim.splice import Backend, ConnEntry, InsertionPoint, SpliceState
@@ -27,43 +27,11 @@ from test_splice_agent import (
 
 def test_formula_threshold_from_measured_latencies():
     # P at batch 16, two rules per offload: 2 * (25.39 + 18.08) us;
-    # each segment saves 2T (itself and its ACK), T = 0.333 us; MSS = 1460
-    params = OffloadParams(delete_batch_max=16, t_per_packet=0.333e-6,
-                           b_override=None)
+    # each segment saves 2T (itself and its ACK), T = 1/3 us; MSS = 1460
     p_us = 2 * (25.39 + 18.08)
-    expected = (p_us / (2 * 0.333)) * 1460
-    assert expected == pytest.approx(190_589.2, abs=1.0)
-    assert abs(params.formula_threshold - expected) <= 1460
-
-
-def test_default_t_is_one_over_three_mpps():
-    params = OffloadParams()
-    assert params.t_per_packet == pytest.approx(0.3333e-6, rel=1e-3)
-
-
-def test_override_raises_but_never_lowers_threshold():
-    params = OffloadParams(b_override=1 << 20)
-    assert params.effective_threshold == 1 << 20
-    tiny_override = OffloadParams(b_override=10)
-    assert tiny_override.effective_threshold == tiny_override.formula_threshold
-
-
-def test_should_offload_cases():
-    params = OffloadParams()  # override 1 MiB
-    assert should_offload(16 << 20, params)
-    assert should_offload(1 << 20, params)
-    assert not should_offload(1024, params)
-    assert not should_offload(None, params)  # chunked / unknown length
-
-
-def test_should_offload_monotone():
-    params = OffloadParams(b_override=None)
-    rng = random.Random(8)
-    for _ in range(500):
-        x = rng.randrange(0, 1 << 24)
-        y = rng.randrange(x, 1 << 25)
-        if should_offload(x, params):
-            assert should_offload(y, params)
+    expected = (p_us / (2 / 3)) * 1460
+    assert expected == pytest.approx(190_398.6, abs=0.1)
+    assert OffloadParams().formula_threshold == pytest.approx(expected)
 
 
 class Sim:
@@ -90,11 +58,10 @@ class Sim:
         self.now = t
 
 
-def offload_setup(b_override=1 << 20, flush_timeout=100e-6):
+def offload_setup(params=OffloadParams()):
     agent = make_agent()
     engine = FlowEngine(n_workers=4, vips=[(0x0A0000FE, 80)])
     sim = Sim()
-    params = OffloadParams(b_override=b_override, delete_flush_timeout=flush_timeout)
     mgr = OffloadManager(engine, agent, params, sim.schedule, sim.emit)
     return agent, engine, sim, mgr
 
@@ -131,6 +98,20 @@ def test_threshold_crossing_installs_hairpin_rule():
     rule = live_rule(engine, entry.server_in_key, 1.0)
     assert rule is not None
     assert rule.ready_at == pytest.approx(1.0 + 2 * 100.48e-6)  # a batch of two
+    assert mgr.stats["rules_installed"] == 1
+
+
+@pytest.mark.parametrize("mss, threshold", [(1460, 190_399), (8960, 1_168_474)])
+def test_the_formula_threshold_is_the_only_offload_boundary(mss, threshold):
+    agent, engine, sim, mgr = offload_setup(OffloadParams(mss=mss))
+    assert math.ceil(mgr.params.formula_threshold) == threshold
+    _, below = established_entry(agent, port=40000)
+    _, at = established_entry(agent, port=40004)
+    mgr.on_resp_len_known(below, threshold - 1, 1.0)
+    assert below.offload_rule is None
+    assert mgr.stats["offloads_skipped_small"] == 1
+    mgr.on_resp_len_known(at, threshold, 1.0)
+    assert at.offload_rule is not None
     assert mgr.stats["rules_installed"] == 1
 
 
@@ -190,11 +171,7 @@ def test_rule_pair_installs_and_deletes_as_one_batch():
 
 
 def test_deleter_never_splits_a_pair():
-    agent = make_agent()
-    engine = FlowEngine(n_workers=4, vips=[(0x0A0000FE, 80)])
-    sim = Sim()
-    mgr = OffloadManager(engine, agent, OffloadParams(delete_batch_max=5),
-                         sim.schedule, sim.emit)
+    agent, engine, sim, mgr = offload_setup(OffloadParams(delete_batch_max=5))
     batches = []
     delete = engine.delete_rules
 
@@ -237,7 +214,7 @@ def test_response_completion_flushes_batch_of_16():
 
 
 def test_single_completion_flushes_on_timeout_at_batch1_cost():
-    agent, engine, sim, mgr = offload_setup(flush_timeout=100e-6)
+    agent, engine, sim, mgr = offload_setup()
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))

@@ -325,22 +325,31 @@ def spliced_payloads(entry, pkts):
 
 
 def test_pipelined_request_is_parsed_and_the_next_one_forwarded():
-    # the first segment carries two requests; the second must be parsed as
-    # a head of its own, not forwarded raw with the first one's body
-    agent = make_agent()
-    ck = client_key()
+    # each later request must be parsed as a head of its own, not forwarded
+    # raw with the body before it
     req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
     req3 = b"GET /api/z HTTP/1.1\r\nHost: h\r\n\r\n"
-    entry, out = establish(agent, ck, payload=GET + req2)
-    out += agent.handle_packet(from_client(entry, len(GET + req2), 0, req3), 0.0,
-                               worker_id=shard_of(ck.src_port))
-    assert len(entry.insertions) == 3
-    expected = b"".join(r[:-2] + XFF + r[-2:] for r in (GET, req2, req3))
-    to_server = [p for p in out if p.payload]
-    stream = bytearray(len(expected))
-    for (off, n), p in zip(spliced_payloads(entry, to_server), to_server):
-        stream[off:off + n] = p.payload
-    assert stream == expected
+    cases = [
+        # the first segment carries two requests, the next one a third
+        ((GET, req2, req3), GET + req2, [(len(GET + req2), req3)]),
+        # the second request's bytes from offset 10 on arrive before its
+        # first 10: its head starts where the first request ends
+        ((GET, req2), GET, [(len(GET) + 10, req2[10:]), (len(GET), req2[:10])]),
+    ]
+    for requests, first, later in cases:
+        agent = make_agent()
+        ck = client_key()
+        entry, out = establish(agent, ck, payload=first)
+        for off, payload in later:
+            out += agent.handle_packet(from_client(entry, off, 0, payload), 0.0,
+                                       worker_id=shard_of(ck.src_port))
+        assert len(entry.insertions) == len(requests)
+        expected = b"".join(r[:-2] + XFF + r[-2:] for r in requests)
+        to_server = [p for p in out if p.payload]
+        stream = bytearray(len(expected))
+        for (off, n), p in zip(spliced_payloads(entry, to_server), to_server):
+            stream[off:off + n] = p.payload
+        assert stream == expected
 
 
 def established_with_handler(ck=None):
