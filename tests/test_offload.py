@@ -10,6 +10,7 @@ from lbsim.netsim import Simulation, SimParams, WorkloadParams
 from lbsim.offload import (
     OffloadManager,
     OffloadParams,
+    T_PER_PACKET,
     build_offload_rule,
 )
 from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add
@@ -32,6 +33,10 @@ def test_formula_threshold_from_measured_latencies():
     expected = (p_us / (2 / 3)) * 1460
     assert expected == pytest.approx(190_398.6, abs=0.1)
     assert OffloadParams().formula_threshold == pytest.approx(expected)
+
+
+def test_default_t_is_one_over_three_mpps():
+    assert T_PER_PACKET == pytest.approx(0.3333e-6, rel=1e-3)
 
 
 class Sim:
@@ -80,8 +85,10 @@ def established_entry(agent, port=40000):
     return ck, entry
 
 
-def first_response_pkt(entry, body_len):
-    head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % body_len
+def first_response_pkt(entry, body_len, framing=None):
+    if framing is None:
+        framing = b"Content-Length: %d" % body_len
+    head = b"HTTP/1.1 200 OK\r\n%s\r\n\r\n" % framing
     return Packet(key=entry.server_in_key, seq=seq_add(entry.isn_server, 1),
                   ack=seq_add(seq_add(entry.isn_lb_back, 1),
                               entry.fwd_hi + entry.total_inserted),
@@ -113,6 +120,22 @@ def test_the_formula_threshold_is_the_only_offload_boundary(mss, threshold):
     mgr.on_resp_len_known(at, threshold, 1.0)
     assert at.offload_rule is not None
     assert mgr.stats["rules_installed"] == 1
+
+
+def test_should_offload_cases():
+    # Through the agent: a length at or over the threshold offloads; a small
+    # one is skipped; an unknown length (chunked) never reaches the decision.
+    cases = [(16 << 20, None, True), (1 << 20, None, True),
+             (1024, None, False), (0, b"Transfer-Encoding: chunked", False)]
+    for i, (body_len, framing, offloads) in enumerate(cases):
+        agent, engine, sim, mgr = offload_setup()
+        ck, entry = established_entry(agent, port=40000 + 4 * i)
+        agent.handle_packet(first_response_pkt(entry, body_len, framing), 1.0,
+                            worker_id=shard_of(ck.src_port))
+        assert (entry.offload_rule is not None) == offloads
+        assert mgr.stats["rules_installed"] == int(offloads)
+        assert mgr.stats["offloads_skipped_small"] == int(body_len == 1024)
+    assert entry.resp_tracker_dead and entry.resp_len is None
 
 
 def test_small_response_skips_offload():
