@@ -15,7 +15,16 @@ carries that seq; a packet with payload, or at any other seq, misses to the
 worker.  The client-ACK rule of an offloaded response uses it: the client's
 pure ACKs sit at the end of the request bytes the worker has forwarded, and
 anything else (the next request, an ACK past bytes held back) needs the
-worker.
+worker.  In the same way a rule may match one exact ACK (`Rule.ack`,
+`outer_tcp_ack_num`): the server rule of an offload hits only packets that
+acknowledge exactly the request it was targeted at.
+
+A rule may carry a divert (`Rule.divert_seq`): a packet with payload at
+that exact seq misses to the worker, while the rule still hits every other
+packet it matches.  On mlx5 that is a higher-priority entry on
+`outer_tcp_seq_num`, so it takes a rule slot and is priced as one rule.
+The server rule of a kept offload diverts the segment at the next
+response's start, which carries the response head the worker must read.
 
 Rule updates cost time.  The latency model is calibrated from measured
 per-rule insert/delete costs at batch sizes 1, 2, 8 and 16, linearly
@@ -24,7 +33,10 @@ becomes effective at `ready_at` = t + per_rule(n) * n; until then matching
 packets miss to the workers, which perform the identical rewrite (the race
 window is correct by construction, and exercised by the differential
 tests).  A delete sets `gone_at` the same way; the rule keeps matching until
-then.
+then.  A re-target modifies live rules in place.  No modify cost was
+measured, so it is priced as an insert batch of the rules it changes, each
+divert counted as one more, and the rules miss to the workers until its
+`ready_at`.
 """
 
 from __future__ import annotations
@@ -63,9 +75,16 @@ class Rule:
     rewrite: Rewrite
     idle_timeout: Optional[float] = None
     seq: Optional[int] = None        # when set, hit only payload-free packets at this seq
+    ack: Optional[int] = None        # when set, hit only packets with this ack
+    divert_seq: Optional[int] = None  # a packet with payload at this seq misses (one more slot)
     ready_at: float = 0.0            # effective from this time on
     gone_at: Optional[float] = None  # set by a delete: unmatchable from then on
     last_hit: float = 0.0
+
+    @property
+    def slots(self) -> int:
+        """Engine entries the rule takes: its divert is an entry of its own."""
+        return 1 if self.divert_seq is None else 2
 
 
 # -- latency model --------------------------------------------------------------
@@ -160,6 +179,7 @@ class EngineStats:
     sack_diverted: int = 0
     rules_inserted: int = 0
     rules_deleted: int = 0
+    rules_retargeted: int = 0  # rules modified in place, a divert counted as one more
 
 
 class FlowEngine:
@@ -187,10 +207,10 @@ class FlowEngine:
     # -- rule lifecycle -----------------------------------------------------------
 
     def make_rule(self, match: FlowKey, rewrite: Rewrite,
-                  idle_timeout: Optional[float] = None,
-                  seq: Optional[int] = None) -> Rule:
+                  idle_timeout: Optional[float] = None, seq: Optional[int] = None,
+                  ack: Optional[int] = None, divert_seq: Optional[int] = None) -> Rule:
         rule = Rule(id=self._next_id, match=match, rewrite=rewrite,
-                    idle_timeout=idle_timeout, seq=seq)
+                    idle_timeout=idle_timeout, seq=seq, ack=ack, divert_seq=divert_seq)
         self._next_id += 1
         return rule
 
@@ -201,9 +221,7 @@ class FlowEngine:
         Either way nothing of the batch is installed."""
         if not batch:
             raise ValueError("empty batch")
-        self._expire_deleted(now)
-        if len(self.rules) + len(batch) > self.capacity:
-            raise EngineCapacityError(f"rule capacity {self.capacity} exceeded")
+        self._check_capacity(sum(r.slots for r in batch), now)
         for rule in batch:
             existing = self.rules.get(rule.match)
             if existing is not None and existing.gone_at is None:
@@ -217,6 +235,28 @@ class FlowEngine:
             rule.last_hit = done
             self.rules[rule.match] = rule
         self.stats.rules_inserted += len(batch)
+        return done
+
+    def retarget_rules(self, batch: Sequence[Rule], now: float) -> float:
+        """Modify live rules in one batch: each rule of `batch` takes the
+        place, and the id, of the live rule with its match.  Priced as an
+        insert batch of its slots (see the module docstring); every packet
+        the rules match misses to the worker until the returned time.  No
+        live rule for a match -> KeyError; no room for the slots it adds ->
+        EngineCapacityError.  Either way nothing changes."""
+        if not batch:
+            raise ValueError("empty batch")
+        olds = [self.rules.get(rule.match) for rule in batch]
+        if any(old is None or old.gone_at is not None for old in olds):
+            raise KeyError("re-target of a rule that is not live")
+        slots = sum(r.slots for r in batch)
+        self._check_capacity(slots - sum(old.slots for old in olds), now)
+        done = now + self.model.insert_batch_seconds(slots)
+        for old, rule in zip(olds, batch):
+            rule.id = old.id
+            rule.ready_at = rule.last_hit = done
+            self.rules[rule.match] = rule
+        self.stats.rules_retargeted += slots
         return done
 
     def delete_rules(self, rule_ids: Sequence[int], now: float) -> float:
@@ -233,6 +273,13 @@ class FlowEngine:
         self.stats.rules_deleted += len(rule_ids)
         return done
 
+    def _check_capacity(self, added: int, now: float) -> None:
+        """Room for `added` more slots once the rules past their `gone_at`
+        are dropped, else EngineCapacityError."""
+        self._expire_deleted(now)
+        if sum(r.slots for r in self.rules.values()) + added > self.capacity:
+            raise EngineCapacityError(f"rule capacity {self.capacity} exceeded")
+
     def _expire_deleted(self, now: float) -> None:
         gone = [k for k, r in self.rules.items()
                 if r.gone_at is not None and r.gone_at <= now]
@@ -244,14 +291,18 @@ class FlowEngine:
     def process(self, pkt: Packet, now: float) -> EngineResult:
         """Each ingress packet is exactly one of: hairpinned by the effective
         rule that matches it, or missed to the steered worker (no such rule,
-        a packet that `diverts`, or one a seq-matching rule does not take)."""
+        a packet that `diverts`, one whose seq or ack the rule does not
+        match, or one the rule's divert takes)."""
         rule = self.rules.get(pkt.key)
         if rule is not None:
             if rule.gone_at is not None and rule.gone_at <= now:
                 del self.rules[pkt.key]
             elif now >= rule.ready_at:
-                if not diverts(pkt) and (rule.seq is None
-                                         or pkt.seq == rule.seq and not pkt.payload):
+                payload = pkt.payload
+                if not diverts(pkt) \
+                        and (rule.seq is None or pkt.seq == rule.seq and not payload) \
+                        and (rule.ack is None or pkt.ack == rule.ack) \
+                        and not (payload and pkt.seq == rule.divert_seq):
                     rule.last_hit = now
                     rw = rule.rewrite
                     self.stats.matched += 1

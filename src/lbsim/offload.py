@@ -5,26 +5,46 @@ deleting the engine rules of one offload costs P.  Offloading a response of
 B bytes takes its B / MSS data segments off the worker, and the client's
 ACKs of them, about one per segment, so it saves 2 * (B / MSS) * T of
 worker time and pays off only when B >= (P / 2T) * MSS, the one threshold
-`auto` uses.  The formula does not price two costs: the latch's wait, about
-149 us per later request on an offloaded connection, and the install
+`auto` uses.  P prices the rule work of a connection's first offload: one
+install and one delete of the pair, at the deleter's batch size.  Each
+later response on that connection pays a re-target instead (three rule
+slots, see below) and no delete; the formula does not price that
+difference, and its threshold is unchanged.  The first response's install
 window, during which a warm connection's open window of data and ACKs
-still passes through the worker.
+still passes through the worker, is not priced either.  A later response
+has no such window: the latch holds its request until the re-targeted
+rules are ready, so a re-target costs the request latency, not worker
+packets.
 
-An offload is a pair of rules, installed in one batch and deleted in one
-batch: the server rule rewrites the response's data toward the client, and
-the client rule rewrites the client's pure ACKs toward the server.  The
-client rule matches the seq at the end of the forwarded request bytes, so
-only ACKs the worker would map with the same constants hit it
-(`build_client_ack_rule`).
+An offload is a pair of rules, installed in one batch: the server rule
+rewrites the response's data toward the client, and the client rule
+rewrites the client's pure ACKs toward the server.  Both match the end of
+the request bytes the worker has forwarded: the client rule the seq of
+ACKs sent after them, the server rule the ACK of packets sent after the
+server took them in.  So only packets the worker would map with the
+rules' constants hit them (`build_offload_rule`, `build_client_ack_rule`).
 
-Rule lifecycle: install when a response crosses the threshold, without
-waiting for it (workers keep rewriting identically until the rules turn
-ready).  The client ACK that covers the whole response is hairpinned, so the
-worker sees completion on the next client packet the engine diverts to it:
-the next request, which carries that ACK, or the FIN; an idle rule ages out
-as the backstop.  The pair then goes to a dedicated deleter that batches
-deletions, and the connection's next request stays latched until both rules
-are really gone, so a stale rule can never rewrite fresh traffic.
+Rule lifecycle:
+
+- Install when a connection's first large response crosses the threshold,
+  without waiting for it (workers keep rewriting identically until the
+  rules turn ready), and keep the pair for the rest of the connection.
+- Re-target once per later request.  The client ACK that covers the whole
+  response is hairpinned, so the worker sees completion on the next client
+  packet the engine diverts to it: usually the next request, which the
+  latch holds.  The pair is re-targeted at that request in one batch: the
+  server rule takes the new `total_inserted` and matches the ACK at the
+  request's end, the client rule matches the seq at that end, and the
+  server rule's divert sends the next response's first segment, which
+  carries its head, to the worker.  The worker reads the Content-Length
+  there, so it sees that response complete too.  The request is released
+  when the re-targeted rules are ready.
+- Delete only when the connection closes or aborts, when the rules age out
+  idle, or when a response has no length the worker can track
+  (`resp_tracker_dead`); that last pair goes at once, since the worker
+  would never see the response complete.  A dedicated deleter batches
+  deletions, and a request held meanwhile waits until both rules are
+  really gone, so a stale rule never rewrites fresh traffic.
 """
 
 from __future__ import annotations
@@ -55,8 +75,8 @@ class OffloadParams:
 
     @property
     def p_rule_update(self) -> float:
-        """Seconds to insert and delete the two rules of one offload, at the
-        delete batch size."""
+        """Seconds to insert and delete the two rules of a connection's first
+        offload, at the delete batch size."""
         model = LatencyModel()
         return 2 * (model.insert_per_rule_us(self.delete_batch_max)
                     + model.delete_per_rule_us(self.delete_batch_max)) * 1e-6
@@ -70,22 +90,27 @@ class OffloadParams:
 
 
 def build_offload_rule(engine: FlowEngine, entry: ConnEntry,
-                       idle_timeout: Optional[float]) -> Rule:
+                       idle_timeout: Optional[float],
+                       divert_seq: Optional[int] = None) -> Rule:
     """The server rule of an offload's pair; `build_client_ack_rule` builds
-    the client rule, which matches one seq as well as the 5-tuple.  Match
-    server->LB packets of this connection; shift seq/ack by the same
-    constant deltas the worker path applies during the response phase (the
-    request is fully ACKed, so the insertion-aware ACK map collapses to a
-    constant), rewrite addresses to the client-facing flow, hairpin.  While
-    the pair lives the worker sees the client's ACKs only when they divert,
-    so it sees the response complete on the next request or the FIN."""
+    the client rule.  Match server->LB packets of this connection that ACK
+    the end of the forwarded request bytes; shift seq/ack by the same
+    constant deltas the worker path applies to them (every insertion lies
+    below that ACK, so the insertion-aware ACK map collapses to a
+    constant), rewrite addresses to the client-facing flow, hairpin.  A
+    server packet sent before the server took in the last request, such as
+    a late resend of the previous response, carries a lower ACK and misses
+    to the worker.  `divert_seq`, set on a re-target, sends the segment at
+    the next response's start to the worker."""
     rewrite = Rewrite(
         key=entry.client_key.reverse(),
         seq_delta=seq_sub(entry.isn_lb_front, entry.isn_server),
         ack_delta=seq_sub(seq_sub(entry.isn_client, entry.isn_lb_back),
                           entry.total_inserted))
-    return engine.make_rule(match=entry.server_in_key, rewrite=rewrite,
-                            idle_timeout=idle_timeout)
+    return engine.make_rule(
+        match=entry.server_in_key, rewrite=rewrite, idle_timeout=idle_timeout,
+        ack=seq_add(entry.isn_lb_back, 1 + entry.fwd_hi + entry.total_inserted),
+        divert_seq=divert_seq)
 
 
 def build_client_ack_rule(engine: FlowEngine, entry: ConnEntry,
@@ -94,9 +119,9 @@ def build_client_ack_rule(engine: FlowEngine, entry: ConnEntry,
     toward the server, as `SpliceAgent.on_client_ack` does in the response
     phase.  Its deltas are the negatives of the server rule's ack and seq
     deltas.  It matches only the seq at the end of the request bytes
-    forwarded so far: the latch holds `fwd_hi` there while the rule lives,
-    and an ACK at any other seq (sent after a request the latch holds) needs
-    the worker's mapping."""
+    forwarded so far: the latch holds `fwd_hi` there until the pair is
+    re-targeted, and an ACK at any other seq (sent after a request the
+    latch holds) needs the worker's mapping."""
     rewrite = Rewrite(
         key=entry.server_key,
         seq_delta=seq_sub(seq_add(entry.isn_lb_back, entry.total_inserted),
@@ -111,7 +136,7 @@ class OffloadManager:
     """Wires threshold decisions, rule installs, and the batching deleter.
 
     schedule(at, fn) must invoke fn(now) at simulated time `at`; emit(pkts,
-    now) puts worker-generated packets (deferred-request replays) on the
+    now) puts worker-generated packets (held requests, released) on the
     wire.  Both are provided by the simulator.
     """
 
@@ -131,16 +156,18 @@ class OffloadManager:
         self._by_rule: dict[int, ConnEntry] = {}  # ids of pairs not yet queued for deletion
         self._timer_gen = 0
         self.stats = {
-            # rules_installed counts offloads: one per installed pair
-            "rules_installed": 0, "install_refusals": 0, "deletes_enqueued": 0,
-            "delete_batches": 0, "latch_waits": 0, "offloads_skipped_small": 0,
+            # rules_installed counts offloads: one per installed pair;
+            # latch_waits counts held requests released, by re-target or delete
+            "rules_installed": 0, "install_refusals": 0, "retargets": 0,
+            "deletes_enqueued": 0, "delete_batches": 0, "latch_waits": 0,
+            "offloads_skipped_small": 0,
         }
 
     # -- signals from the splice agent -----------------------------------------
 
     def on_resp_len_known(self, entry: ConnEntry, resp_len: int, now: float) -> None:
         if entry.offload_rule is not None:
-            return  # crossing already handled, or prior rules not yet gone
+            return  # the kept pair carries this response too, or is not yet gone
         if not self.force and resp_len < self.params.formula_threshold:
             self.stats["offloads_skipped_small"] += 1
             return
@@ -158,6 +185,20 @@ class OffloadManager:
         self.stats["rules_installed"] += 1
 
     def on_response_complete(self, entry: ConnEntry, now: float) -> None:
+        """The response the pair serves is complete: the next request may
+        re-target the pair, at once if it is already held."""
+        if self._kept(entry):
+            entry.retarget_due = True
+            if entry.deferred:
+                self._release(entry, now)
+
+    def on_request_held(self, entry: ConnEntry, now: float) -> None:
+        if entry.retarget_due and self._kept(entry):
+            self._release(entry, now)
+
+    def on_tracker_dead(self, entry: ConnEntry, now: float) -> None:
+        """The worker cannot frame a response, so it would never see one
+        complete: the pair goes at once, not when it ages out."""
         self._enqueue_delete(entry, now)
 
     def on_entry_removed(self, entry: ConnEntry, now: float) -> None:
@@ -168,6 +209,50 @@ class OffloadManager:
             entry = self._by_rule.get(rid)
             if entry is not None:
                 self._enqueue_delete(entry, now)
+
+    # -- the re-target -------------------------------------------------------------
+
+    def _kept(self, entry: ConnEntry) -> bool:
+        """The entry has a pair not queued for deletion."""
+        pair = entry.offload_rule
+        return pair is not None and self._by_rule.get(pair[0]) is entry
+
+    def _release(self, entry: ConnEntry, now: float) -> None:
+        """Run the held client bytes.  Once they complete a request, re-target
+        the pair at it and release the request when the rules are ready.
+        Bytes short of that (part of a head, or of a body) leave at once:
+        the rules still match the previous request's end, seq and ACK, so
+        nothing that follows these bytes can hit them.  Pipelined requests
+        leave at once too, and the pair goes, since the divert can show the
+        worker only the first of their responses' heads; so does a request
+        when the engine has no slot for the divert."""
+        fwd_hi, heads = entry.fwd_hi, entry.heads
+        out = self.agent.replay_deferred(entry, now)
+        if entry.closed or entry.fwd_hi == fwd_hi or entry.fwd_hi < entry.body_end:
+            self.emit(out, now)
+            return
+        if entry.heads - heads <= 1:
+            idle = self.params.rule_idle_timeout
+            divert = seq_add(entry.isn_server, 1 + entry.resp_head_buf.base)
+            try:
+                done = self.engine.retarget_rules(
+                    (build_offload_rule(self.engine, entry, idle, divert),
+                     build_client_ack_rule(self.engine, entry, idle)), now)
+            except EngineCapacityError:
+                self.stats["install_refusals"] += 1
+            else:
+                entry.retarget_due = False
+                self.stats["retargets"] += 1
+                self.stats["latch_waits"] += 1
+
+                def release(t: float) -> None:
+                    if not entry.closed:
+                        self.emit(out, t)
+
+                self.schedule(done, release)
+                return
+        self.emit(out, now)
+        self._enqueue_delete(entry, now)
 
     # -- the dedicated deleter ---------------------------------------------------
 
@@ -211,6 +296,7 @@ class OffloadManager:
         for pair, entry in batch:
             if entry.offload_rule == pair:
                 entry.offload_rule = None
+                entry.retarget_due = False
                 if entry.deferred and not entry.closed:
                     self.stats["latch_waits"] += 1
                     out = self.agent.replay_deferred(entry, now)

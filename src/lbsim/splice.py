@@ -80,7 +80,8 @@ class InsertionPoint:
     it reached the client with an ACK at or past sender_off: through the
     agent, it followed that server ACK on a FIFO link and carries a higher
     ACK; through the flow engine, it carries the ACK of the whole request,
-    as a rule exists only while the response to a received request is sent.
+    as the server rule hits only packets that ACK the forwarded request's
+    end.
     So once the client ACKs such a byte, it has taken in an ACK at or past
     sender_off, and a TCP client sends no later segment that starts below
     it; server ACKs only grow, so none falls at or below recv_end again.
@@ -391,6 +392,7 @@ class ConnEntry:
     # c2s request parsing (offsets in the client stream)
     head_buf: Optional[StreamBuf] = None  # the open head from its base; None: in a body
     body_end: int = 0                  # where the body being passed ends
+    heads: int = 0                     # request heads parsed
     fwd_hi: int = 0                    # highest client offset forwarded
     client_ack_front: int = 0          # latest cumulative ack from the client
     relayed_hi: int = 0                # client-facing seq past the server bytes relayed
@@ -405,8 +407,10 @@ class ConnEntry:
 
     # offload rule lifecycle (driven by the offload manager).  The pair's ids
     # are set from install until both rules are gone, and while they are set
-    # the connection is latched: its next request is held in `deferred`.
+    # the connection is latched: client bytes past fwd_hi are held in
+    # `deferred` until the pair is re-targeted at them or gone.
     offload_rule: Optional[tuple[int, int]] = None  # ids of the server and client rules
+    retarget_due: bool = False         # the pair's response is complete: re-target on the next request
     deferred: list[Packet] = field(default_factory=list)
 
     client_fin: Optional[int] = None   # absolute client-space FIN seq
@@ -465,8 +469,41 @@ def clamped_ack_s2c(entry: ConnEntry, ack_in: int) -> int:
     value clamps to the last client byte fully covered."""
     a = seq_sub(ack_in, seq_add(entry.isn_lb_back, 1))
     _note_server_ack(entry, a)
+    return _client_ack(entry, a)
+
+
+def _client_ack(entry: ConnEntry, a: int) -> int:
     return seq_add(seq_add(entry.isn_client, 1),
                    client_bytes_below(entry.insertions, a, entry.folded))
+
+
+def rewrite_s2c(entry: ConnEntry, pkt: Packet) -> Packet:
+    """A server data segment or relayed pure ACK as the worker sends it to
+    the client, computed without changing the entry: address swap, constant
+    seq shift (no insertions server->client), the ACK clamped to the last
+    client byte fully covered, SACK blocks mapped to client space."""
+    return Packet(key=entry.client_key.reverse(),
+                  seq=seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
+                  ack=_client_ack(entry, seq_sub(pkt.ack, seq_add(entry.isn_lb_back, 1))),
+                  flags=pkt.flags, window=pkt.window,
+                  options=_options_s2c(entry, pkt.options), payload=pkt.payload)
+
+
+def _options_s2c(entry: ConnEntry, options: TcpOptions) -> TcpOptions:
+    """A server packet's options toward the client: SACK blocks mapped to
+    client space, or the options themselves when they carry none."""
+    if not options.sack_blocks:
+        return options
+    base = seq_add(entry.isn_lb_back, 1)
+    cbase = seq_add(entry.isn_client, 1)
+    folded = entry.folded
+    out = []
+    for l, r in options.sack_blocks:
+        mapped = map_sack_block_s2c(entry.insertions,
+                                    seq_sub(l, base), seq_sub(r, base), folded)
+        if mapped is not None:
+            out.append((seq_add(cbase, mapped[0]), seq_add(cbase, mapped[1])))
+    return TcpOptions(sack_blocks=tuple(out))
 
 
 class SpliceAgent:
@@ -642,25 +679,30 @@ class SpliceAgent:
             return []
 
         if entry.offload_rule is not None and end > entry.fwd_hi:
-            # prior offload rules are still being removed; hold the next
-            # request (its piggybacked ACK effects already ran)
+            # the offload pair still matches the previous request's end; hold
+            # the next request (its piggybacked ACK effects already ran)
             entry.deferred.append(pkt)
             self.counters["deferred_pkts"] += 1
+            self.offload.on_request_held(entry, now)
             return []
-        if end <= entry.fwd_hi:
+        return self._pass_client_data(pkt, entry, now)
+
+    def _pass_client_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
+        off = seq_sub(pkt.seq, seq_add(entry.isn_client, 1))
+        if off + len(pkt.payload) <= entry.fwd_hi:
             # pure retransmission: re-fragment; unACKed insertions inside the
             # covered range ride along again
             return self._emit_spliced(entry, pkt.payload, off, now)
         return self._ingest_new_data(pkt.payload, off, entry, now)
 
     def replay_deferred(self, entry: ConnEntry, now: float) -> list[Packet]:
-        """Run packets held behind the offload-rule latch (called by the
-        offload manager once both rules are gone)."""
+        """Run packets held behind the offload-rule latch, past it (called by
+        the offload manager to re-target the pair, or once it is gone)."""
         out: list[Packet] = []
         deferred, entry.deferred = entry.deferred, []
         for pkt in deferred:
             if not entry.closed:
-                out += self.on_client_data(pkt, entry, now)
+                out += self._pass_client_data(pkt, entry, now)
         return out
 
     def _try_route(self, entry: ConnEntry, now: float) -> list[Packet]:
@@ -706,6 +748,7 @@ class SpliceAgent:
         buf = entry.head_buf
         head = bytes(buf.data[:head_end - buf.base])
         entry.body_end = head_end + (_content_length(head) or 0)
+        entry.heads += 1
         inserted = b"".join(e.render(entry.client_key.src_addr)
                             for e in self.routes.match(_request_path(head)).edits)
         if inserted:
@@ -852,24 +895,21 @@ class SpliceAgent:
         return out
 
     def on_server_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        """Rewrite a response data segment toward the client: address swap,
-        constant seq shift (no insertions server->client), clamped ACK."""
+        """Rewrite a response data segment toward the client (`rewrite_s2c`),
+        after noting its ACK and tracking the response."""
         self._track_response(pkt, entry, now)
-        seq_out = seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server))
-        entry.relayed_hi = seq_max(entry.relayed_hi, seq_add(seq_out, len(pkt.payload)))
-        ack_out = clamped_ack_s2c(entry, pkt.ack)
+        out = rewrite_s2c(entry, pkt)
+        entry.relayed_hi = seq_max(entry.relayed_hi, seq_add(out.seq, len(pkt.payload)))
+        _note_server_ack(entry, seq_sub(pkt.ack, seq_add(entry.isn_lb_back, 1)))
         self.counters["forwarded_payload_bytes"] += len(pkt.payload)
-        return [Packet(key=entry.client_key.reverse(), seq=seq_out, ack=ack_out,
-                       flags=pkt.flags, window=pkt.window,
-                       options=self._options_to_client(entry, pkt.options),
-                       payload=pkt.payload)]
+        return [out]
 
     def on_server_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         """Pure ACK from the server.  One inside or at the end of an inserted
         region is suppressed; the third in a row parked at an unACKed
         insertion's start retransmits that insertion; the rest are relayed
-        with the ACK mapped to client space."""
-        kind, ack_out, idx = map_ack_s2c(entry, pkt.ack)
+        (`rewrite_s2c`)."""
+        kind, _, idx = map_ack_s2c(entry, pkt.ack)
         if kind == "inside":
             self.counters["acks_suppressed"] += 1
             return []
@@ -881,27 +921,7 @@ class SpliceAgent:
                     pt.dup_ack_count = 0
                     self.counters["inserted_bytes_retx"] += pt.length
                     return self._segments(entry, pt.data, pt.recv_start)
-        return [Packet(key=entry.client_key.reverse(),
-                       seq=seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
-                       ack=ack_out, flags=TcpFlags.ACK, window=pkt.window,
-                       options=self._options_to_client(entry, pkt.options))]
-
-    @staticmethod
-    def _options_to_client(entry: ConnEntry, options: TcpOptions) -> TcpOptions:
-        """A server packet's options toward the client: SACK blocks mapped to
-        client space, or the options themselves when they carry none."""
-        if not options.sack_blocks:
-            return options
-        base = seq_add(entry.isn_lb_back, 1)
-        cbase = seq_add(entry.isn_client, 1)
-        folded = entry.folded
-        out = []
-        for l, r in options.sack_blocks:
-            mapped = map_sack_block_s2c(entry.insertions,
-                                        seq_sub(l, base), seq_sub(r, base), folded)
-            if mapped is not None:
-                out.append((seq_add(cbase, mapped[0]), seq_add(cbase, mapped[1])))
-        return TcpOptions(sack_blocks=tuple(out))
+        return [rewrite_s2c(entry, pkt)]
 
     def _track_response(self, pkt: Packet, entry: ConnEntry, now: float) -> None:
         if entry.resp_tracker_dead or entry.resp_end is not None:
@@ -917,19 +937,24 @@ class SpliceAgent:
         head_end = self._head_complete(buf)
         if head_end is None:
             if buf.end >= limit:
-                entry.resp_tracker_dead = True  # a full window and no head end
+                self._tracker_dead(entry, now)  # a full window and no head end
             return
         try:
             length = _content_length(bytes(buf.data[:head_end - buf.base]))
         except FramingError:
             length = None
         if length is None:
-            entry.resp_tracker_dead = True  # unframed by a length: never offload
+            self._tracker_dead(entry, now)  # unframed by a length: never offload
             return
         entry.resp_len = length
         entry.resp_end = head_end + length
         if self.offload is not None:
             self.offload.on_resp_len_known(entry, length, now)
+
+    def _tracker_dead(self, entry: ConnEntry, now: float) -> None:
+        entry.resp_tracker_dead = True
+        if self.offload is not None:
+            self.offload.on_tracker_dead(entry, now)
 
     def _check_response_complete(self, entry: ConnEntry, now: float) -> None:
         if entry.resp_end is None:
@@ -938,13 +963,13 @@ class SpliceAgent:
         if acked >= entry.resp_end:
             if self.response_observer is not None:
                 self.response_observer(entry, now)
-            if self.offload is not None:
-                self.offload.on_response_complete(entry, now)
             # re-arm for the next response on this connection
             entry.resp_head_buf = StreamBuf(base=entry.resp_end, cap=self.head_cap)
             entry.resp_end = None
             entry.resp_len = None
             entry.resp_index += 1
+            if self.offload is not None:
+                self.offload.on_response_complete(entry, now)
 
     def _on_server_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         entry.server_fin = seq_add(pkt.seq, len(pkt.payload))
@@ -978,15 +1003,19 @@ class SpliceAgent:
 
     def _abort(self, entry: ConnEntry, now: float) -> list[Packet]:
         """Reset both sides and drop the entry.  The client's RST carries
-        the highest client-facing seq the agent knows was sent: past the
-        server bytes it relayed, or the client's ACK if that is higher.
-        Server bytes the engine hairpinned past both are not counted, so a
-        client that checks an RST's seq exactly (RFC 5961) may answer it
-        with a challenge ACK instead."""
+        the highest client-facing seq that may have been sent: past the
+        server bytes the agent relayed, or the client's ACK if that is
+        higher, or, while an offload pair lives and the response's end is
+        known, past that end, the last byte the server rule may have
+        hairpinned.  Mid-response the client's RCV.NXT may lie below that,
+        so a client that checks an RST's seq exactly (RFC 5961) answers it
+        with a challenge ACK; the RST is never below a byte the client
+        took in."""
         self.counters["resets_tx"] += 1
-        out = [Packet(key=entry.client_key.reverse(),
-                      seq=seq_max(entry.relayed_hi, entry.client_ack_front),
-                      flags=TcpFlags.RST)]
+        seq = seq_max(entry.relayed_hi, entry.client_ack_front)
+        if entry.offload_rule is not None and entry.resp_end is not None:
+            seq = seq_max(seq, seq_add(entry.isn_lb_front, 1 + entry.resp_end))
+        out = [Packet(key=entry.client_key.reverse(), seq=seq, flags=TcpFlags.RST)]
         if entry.server_key is not None:
             out.append(Packet(key=entry.server_key,
                               seq=seq_add(entry.isn_lb_back, 1), flags=TcpFlags.RST))

@@ -224,6 +224,80 @@ def test_capacity_counts_no_rule_past_its_gone_at():
     assert list(e.rules.values()) == [second]
 
 
+def installed_pair(e, now=0.0):
+    """A server rule matching ack 500 and a client rule matching seq 900,
+    installed as one batch and ready at the returned time."""
+    server = e.make_rule(S2C, shift(seq=10, ack=20), ack=500)
+    client = e.make_rule(S2C.reverse(), Rewrite(S2C, 30, 40), seq=900)
+    return server, client, e.insert_rules([server, client], now)
+
+
+def test_retarget_costs_an_insert_batch_of_its_slots_and_keeps_the_ids():
+    e = make_engine()
+    server, client, ready = installed_pair(e)
+    done = e.retarget_rules([e.make_rule(S2C, shift(seq=10, ack=-7), ack=600, divert_seq=77),
+                             e.make_rule(S2C.reverse(), Rewrite(S2C, 37, 40), seq=950)],
+                            now=1.0)
+    # three slots, the divert counted as one: 3 x 90.19 us, interpolated
+    # between the batch-2 and batch-8 anchors
+    per_rule = 100.48 + (38.72 - 100.48) / 6
+    assert LatencyModel().insert_per_rule_us(3) == pytest.approx(per_rule)
+    assert done == pytest.approx(1.0 + 3 * per_rule * 1e-6)
+    assert [(r.id, r.ready_at) for r in e.rules.values()] == \
+        [(server.id, done), (client.id, done)]
+    assert (e.stats.rules_inserted, e.stats.rules_retargeted) == (2, 3)
+    with pytest.raises(KeyError):  # only a live rule is re-targeted
+        e.retarget_rules([e.make_rule(FlowKey(1, 2, 3, 4), shift())], now=2.0)
+    e.delete_rules([server.id], now=2.0)
+    with pytest.raises(KeyError):
+        e.retarget_rules([e.make_rule(S2C, shift())], now=2.0)
+
+
+def test_retarget_window_misses_then_hits_with_the_new_rewrite():
+    e = make_engine()
+    installed_pair(e)
+    done = e.retarget_rules([e.make_rule(S2C, shift(seq=10, ack=-7), ack=600)], now=1.0)
+    old = Packet(key=S2C, seq=100, ack=500, flags=TcpFlags.ACK, payload=b"x")
+    new = dataclasses.replace(old, ack=600)
+    for pkt in (old, new):  # inside the window every packet misses
+        r = e.process(pkt, now=(1.0 + done) / 2)
+        assert (r.kind, r.packet) == (ResultKind.MISSED, pkt)
+    r = e.process(new, now=done)
+    assert r.kind is ResultKind.HAIRPIN
+    assert (r.packet.seq, r.packet.ack) == (110, 593)
+    assert e.process(old, now=done).kind is ResultKind.MISSED  # the ack match moved
+
+
+def test_divert_sends_payload_at_its_seq_to_the_worker():
+    e = make_engine()
+    installed_pair(e)
+    done = e.retarget_rules([e.make_rule(S2C, shift(seq=10), ack=500, divert_seq=77)], now=0.0)
+
+    def kind(seq, payload):
+        pkt = Packet(key=S2C, seq=seq, ack=500, flags=TcpFlags.ACK, payload=payload)
+        return e.process(pkt, now=done).kind
+
+    assert kind(77, b"HTTP/1.1 200 OK\r\n") is ResultKind.MISSED
+    assert kind(77, b"") is ResultKind.HAIRPIN   # a pure ACK at that seq
+    assert kind(78, b"x") is ResultKind.HAIRPIN  # data at any other seq
+    assert kind(76, b"xy") is ResultKind.HAIRPIN
+    assert e.stats.matched == 3 and e.stats.sack_diverted == 0
+
+
+def test_capacity_counts_the_divert():
+    e = FlowEngine(n_workers=1, capacity=3)
+    server, client, _ = installed_pair(e)
+    e.retarget_rules([e.make_rule(S2C, shift(), ack=600, divert_seq=77)], now=1.0)
+    with pytest.raises(EngineCapacityError):  # two rules and a divert fill 3 slots
+        e.insert_rules([e.make_rule(FlowKey(1, 2, 3, 4), shift())], now=2.0)
+    e2 = FlowEngine(n_workers=1, capacity=2)
+    installed_pair(e2)
+    before = dict(e2.rules)
+    with pytest.raises(EngineCapacityError):  # no slot for the divert: nothing changes
+        e2.retarget_rules([e2.make_rule(S2C, shift(), ack=600, divert_seq=77)], now=1.0)
+    assert e2.rules == before and e2.stats.rules_retargeted == 0
+
+
 _u32 = st.integers(0, (1 << 32) - 1)
 _u16 = st.integers(0, (1 << 16) - 1)
 _deltas = st.one_of(_u32, st.integers(-(1 << 33), 1 << 33))

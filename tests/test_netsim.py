@@ -11,7 +11,8 @@ from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, Work
 from lbsim.netsim.apps import request_bytes
 from lbsim.netsim.events import EventQueue
 from lbsim.netsim.tcp import MiniTcpEndpoint
-from lbsim.packet import FlowKey, Packet, TcpFlags, addr_str
+from lbsim.packet import FlowKey, Packet, TcpFlags, addr_str, seq_add, seq_sub
+from lbsim.splice import classify_ack, rewrite_s2c
 
 
 def run_sim(connections=1, sizes=((1024, 1.0),), reqs=(1, 1), loss=0.0,
@@ -316,8 +317,8 @@ def test_seeded_lossy_offload_run_is_pinned():
     sim._emit = hashed_emit
     sim.run()
     assert_streams_equal(sim)
-    assert sim.queue.processed == 17869
-    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (5451, 1046)
+    assert sim.queue.processed == 17868
+    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (5452, 1045)
     endpoint_stats = {}
     for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
         for name, n in ep.stats.items():
@@ -327,43 +328,60 @@ def test_seeded_lossy_offload_run_is_pinned():
         "segments_tx": 3305, "acks_tx": 3249, "bytes_delivered": 4719125}
     assert sim.agent.counters == {
         "syn_rx": 3, "synack_tx": 3, "entries_created": 3, "resets_tx": 0,
-        "c2s_data_pkts": 6, "s2c_data_pkts": 31, "acks_suppressed": 0,
+        "c2s_data_pkts": 6, "s2c_data_pkts": 30, "acks_suppressed": 0,
         "inserted_bytes_tx": 108, "inserted_bytes_retx": 0,
-        "forwarded_payload_bytes": 45511, "entries_removed": 3,
+        "forwarded_payload_bytes": 44051, "entries_removed": 3,
         "cookie_failures": 0, "deferred_pkts": 1, "ttl_sweeps": 1}
-    assert h.hexdigest() == "b10a0fbcf76a86dafd7494f533a749ae"
+    assert h.hexdigest() == "9a9c891385f05253d4085e31c608a7f6"
 
 
-def _client_ack_hairpins_checked(sim) -> int:
-    """Run `sim`, checking every client-direction hairpin against what the
-    worker (`on_client_ack`) would emit from the live entry at that moment.
-    Returns the number checked."""
+def _hairpins_checked(sim) -> tuple[int, int]:
+    """Run `sim`, checking every hairpin against what the worker would emit
+    from the live entry at that moment: `on_client_ack` for the client's
+    ACKs; for the server's packets `rewrite_s2c`, what `on_server_data` and
+    a relayed `on_server_ack` emit, computed without changing the entry.
+    The worker must relay such a pure ACK (suppressing or answering it with
+    inserted bytes would differ), and no hairpin may carry a response head
+    the worker has yet to read.  Returns the numbers checked, client and
+    server."""
     entries = {}
     on_len = sim.offload_mgr.on_resp_len_known
 
     def record(entry, resp_len, now):
-        entries[entry.client_key] = entry
+        entries[entry.client_key] = entries[entry.server_in_key] = entry
         on_len(entry, resp_len, now)
 
     sim.offload_mgr.on_resp_len_known = record
     process = sim.engine.process
-    checked = 0
+    checked = [0, 0]
 
     def shadowed(pkt, now):
-        nonlocal checked
         res = process(pkt, now)
-        if res.kind is ResultKind.HAIRPIN and pkt.key in entries:
-            want = sim.agent.on_client_ack(pkt, entries[pkt.key], now)
-            got = res.packet
+        entry = entries.get(pkt.key)
+        if res.kind is not ResultKind.HAIRPIN or entry is None:
+            return res
+        got = res.packet
+        if pkt.key == entry.client_key:
+            want = sim.agent.on_client_ack(pkt, entry, now)
             assert [(w.key, w.seq, w.ack, w.flags, w.window) for w in want] == \
                 [(got.key, got.seq, got.ack, got.flags, got.window)]
-            checked += 1
+            checked[0] += 1
+            return res
+        assert got == rewrite_s2c(entry, pkt)
+        if not pkt.payload:
+            a = seq_sub(pkt.ack, seq_add(entry.isn_lb_back, 1))
+            assert classify_ack(entry.insertions, a, entry.folded)[0] == "forward"
+        off = seq_sub(pkt.seq, seq_add(entry.isn_server, 1))
+        head = entry.resp_head_buf.base
+        assert entry.resp_end is not None or entry.resp_tracker_dead \
+            or not off <= head < off + len(pkt.payload)
+        checked[1] += 1
         return res
 
     sim.engine.process = shadowed
     sim.run()
     assert_streams_equal(sim)
-    return checked
+    return checked[0], checked[1]
 
 
 @pytest.mark.parametrize("loss, sizes, mode", [
@@ -378,7 +396,64 @@ def test_client_ack_hairpins_equal_the_worker_rewrite(loss, sizes, mode):
                                 requests_per_connection=(1, 3)),
         offload_mode=mode, drain=30.0)
     sim = Simulation(params, seed=4)
-    assert _client_ack_hairpins_checked(sim) > 1000
+    client, server = _hairpins_checked(sim)
+    assert client > 1000
+    if mode == "auto":
+        assert server > 1000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_server_hairpins_equal_the_worker_rewrite_at_1pct_loss(seed):
+    """Mixed 16 KiB, 256 KiB and 2 MiB responses on keep-alive connections
+    at 1% loss: kept pairs are re-targeted for each request, and a late
+    resend of a previous response must not meet a re-targeted rule."""
+    params = SimParams(
+        topology=TopologyParams(client_link=LinkParams(loss=0.01),
+                                server_link=LinkParams(loss=0.01)),
+        workload=WorkloadParams(connections=3,
+                                sizes=((16 << 10, 1.0), (256 << 10, 1.0), (2 << 20, 1.0)),
+                                requests_per_connection=(1, 3)),
+        drain=30.0)
+    sim = Simulation(params, seed=seed)
+    client, server = _hairpins_checked(sim)
+    assert server > 100 and client > 100
+    assert sim.offload_mgr.stats["retargets"] > 0
+
+
+def test_warm_responses_stay_off_the_worker():
+    """3 connections x 3 requests of 4 MiB, no loss: each connection
+    installs its pair once, for its first response, and re-targets it for
+    each later request.  A later response costs the worker at most 10
+    packets (its head, which the divert sends there, and the request after
+    it; the last also the teardown), and each held request is released
+    with its insertion."""
+    params = SimParams(workload=WorkloadParams(connections=3, sizes=((4 << 20, 1.0),),
+                                               requests_per_connection=(3, 3)),
+                       drain=30.0)
+    sim = Simulation(params, seed=41)
+    misses = {}
+    process = sim.engine.process
+
+    def counted(pkt, now):
+        res = process(pkt, now)
+        if res.kind is ResultKind.MISSED:
+            entry = sim.table.lookup(pkt.key, now)  # as the worker's own lookup
+            if entry is not None:
+                at = (entry.client_key.src_port, entry.resp_index)
+                misses[at] = misses.get(at, 0) + 1
+        return res
+
+    sim.engine.process = counted
+    sim.run()
+    assert_streams_equal(sim)
+    stats = sim.offload_mgr.stats
+    assert (stats["rules_installed"], stats["retargets"], stats["latch_waits"]) == (3, 6, 6)
+    later = {at: n for at, n in misses.items() if at[1] > 0}
+    assert len(later) == 9  # responses 1 and 2, and the teardown after them
+    assert max(later.values()) <= 10, misses
+    assert all(r.offloaded for r in sim.response_log)
+    now = sim.queue.now
+    assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lbsim.conntable import CuckooTable, TableConfig
-from lbsim.flow_engine import FlowEngine, ResultKind
+from lbsim.flow_engine import FlowEngine, LatencyModel, ResultKind
 from lbsim.netsim import Simulation, SimParams, WorkloadParams
 from lbsim.offload import (
     OffloadManager,
@@ -13,7 +13,7 @@ from lbsim.offload import (
     T_PER_PACKET,
     build_offload_rule,
 )
-from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add
+from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add, seq_gt
 from lbsim.splice import Backend, ConnEntry, InsertionPoint, SpliceState
 
 from test_splice_agent import (
@@ -185,8 +185,10 @@ def test_rule_pair_installs_and_deletes_as_one_batch():
     assert entry.offload_rule == (server.id, client.id)
     assert server.seq is None and client.seq is not None
     assert server.ready_at == client.ready_at
-    mgr.on_response_complete(entry, 2.0)
-    mgr.on_entry_removed(entry, 2.0)  # a second signal queues nothing more
+    mgr.on_response_complete(entry, 2.0)  # the pair is kept for the next request
+    assert not mgr.pending
+    mgr.on_entry_removed(entry, 2.0)
+    mgr.on_rules_aged([server.id], 2.0)  # a second signal queues nothing more
     assert len(mgr.pending) == 1
     sim.run_until(2.0 + 100e-6)
     assert server.gone_at == client.gone_at == pytest.approx(2.0 + 100e-6 + 2 * 24.48e-6)
@@ -211,14 +213,14 @@ def test_deleter_never_splits_a_pair():
         entries.append(entry)
     pairs = [list(e.offload_rule) for e in entries]
     for entry in entries:
-        mgr.on_response_complete(entry, 2.0)
+        mgr.on_entry_removed(entry, 2.0)
     sim.run_until(3.0)
     # at most 5 rules a batch: two pairs, then the third on the flush timer
     assert batches == [pairs[0] + pairs[1], pairs[2]]
     assert all(e.offload_rule is None for e in entries)
 
 
-def test_response_completion_flushes_batch_of_16():
+def test_sixteen_removals_flush_two_batches_of_16():
     agent, engine, sim, mgr = offload_setup()
     entries = []
     for i in range(16):
@@ -228,7 +230,7 @@ def test_response_completion_flushes_batch_of_16():
         entries.append(entry)
     assert mgr.stats["rules_installed"] == 16
     for entry in entries:
-        mgr.on_response_complete(entry, 2.0)
+        mgr.on_entry_removed(entry, 2.0)
     assert mgr.stats["delete_batches"] == 2  # 32 rules: two batches of 16
     sim.run_until(2.0 + 16 * 18.08e-6 - 1e-9)  # batch-16 cost not yet elapsed
     assert all(e.offload_rule is not None for e in entries)
@@ -236,12 +238,12 @@ def test_response_completion_flushes_batch_of_16():
     assert all(e.offload_rule is None for e in entries)
 
 
-def test_single_completion_flushes_on_timeout_at_batch1_cost():
+def test_single_removal_flushes_on_timeout_at_batch1_cost():
     agent, engine, sim, mgr = offload_setup()
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
-    mgr.on_response_complete(entry, 2.0)
+    mgr.on_entry_removed(entry, 2.0)
     assert mgr.stats["delete_batches"] == 0  # waiting for the flush timer
     sim.run_until(2.0 + 100e-6)
     assert mgr.stats["delete_batches"] == 1
@@ -252,11 +254,15 @@ def test_single_completion_flushes_on_timeout_at_batch1_cost():
 
 
 def test_next_request_held_until_rule_clean_then_replayed():
+    """The next request waits in the latch until the response completes and
+    the pair is re-targeted at it, and leaves, with its insertion, only
+    when the re-targeted rules are ready."""
     agent, engine, sim, mgr = offload_setup()
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
-    assert entry.offload_rule is not None
+    pair = entry.offload_rule
+    assert pair is not None
     req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
     pkt2 = Packet(key=ck, seq=seq_add(1000, len(GET)),
                   ack=seq_add(entry.isn_lb_front, 1),
@@ -265,8 +271,13 @@ def test_next_request_held_until_rule_clean_then_replayed():
     assert out == []
     assert entry.deferred
     mgr.on_response_complete(entry, 2.0)
+    ready_at = engine.rules[ck].ready_at
+    assert ready_at == pytest.approx(2.0 + LatencyModel().insert_batch_seconds(3))
+    sim.run_until(ready_at - 1e-9)
+    assert not sim.emitted
     sim.run_until(3.0)
-    assert entry.offload_rule is None
+    assert entry.offload_rule == pair  # kept, and re-targeted at the request
+    assert engine.rules[ck].seq == seq_add(1000, len(GET + req2))
     assert not entry.deferred
     data = b"".join(p.payload for p in sim.emitted if p.payload)
     assert b"GET /api/y" in data
@@ -296,6 +307,101 @@ def test_held_resend_replayed_with_its_insertion_still_live():
     # the ACKed insertion's bytes are skipped; the rest of the first request,
     # req2 and req2's insertion leave as one run
     assert spliced_payloads(entry, sim.emitted)[:2] == [(0, 30), (57, 2 + 32 + 27)]
+
+
+def test_abort_mid_offload_resets_the_client_past_the_hairpinned_bytes():
+    """Halfway through an offloaded response the engine has carried bytes
+    the worker never relayed; the client's RST goes past the last byte the
+    server rule may have hairpinned, the response's end."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    head = first_response_pkt(entry, 4 << 20)
+    agent.handle_packet(head, 1.0, worker_id=shard_of(ck.src_port))
+    half = Packet(key=entry.server_in_key, seq=seq_add(head.seq, 2 << 20), ack=head.ack,
+                  flags=TcpFlags.ACK | TcpFlags.PSH, payload=bytes(1460))
+    hairpinned = engine.process(half, 2.0)
+    assert hairpinned.kind is ResultKind.HAIRPIN
+    resp_end = len(head.payload) + (4 << 20)
+    assert entry.resp_end == resp_end
+    rst = agent._abort(entry, 2.0)[0]
+    assert (rst.key, rst.flags) == (ck.reverse(), TcpFlags.RST)
+    assert rst.seq == seq_add(entry.isn_lb_front, 1 + resp_end)
+    assert seq_gt(rst.seq, hairpinned.packet.seq_end())
+    assert seq_gt(rst.seq, entry.relayed_hi)
+
+
+def test_unframed_later_response_deletes_the_kept_pair_at_once():
+    """A kept pair's next response that the worker cannot frame would never
+    be seen complete, so the pair goes at once, and the request held
+    behind it leaves when both rules are gone, not when they age out."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    head = first_response_pkt(entry, 4 << 20)
+    agent.handle_packet(head, 1.0, worker_id=w)
+    resp_end = entry.resp_end
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    req3 = b"GET /api/z HTTP/1.1\r\nHost: h\r\n\r\n"
+
+    def request(seq, data):
+        return Packet(key=ck, seq=seq, ack=seq_add(entry.isn_lb_front, 1 + resp_end),
+                      flags=TcpFlags.ACK | TcpFlags.PSH, payload=data)
+
+    agent.handle_packet(request(seq_add(1000, len(GET)), req2), 2.0, worker_id=w)
+    sim.run_until(2.5)  # re-targeted at req2, which has left
+    assert mgr.stats["retargets"] == 1 and not mgr.pending
+    chunked = Packet(key=entry.server_in_key, seq=seq_add(entry.isn_server, 1 + resp_end),
+                     ack=engine.rules[entry.server_in_key].ack,
+                     flags=TcpFlags.ACK | TcpFlags.PSH,
+                     payload=b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+    agent.handle_packet(chunked, 3.0, worker_id=w)  # the divert sends it here
+    assert entry.resp_tracker_dead and len(mgr.pending) == 1
+    agent.handle_packet(request(seq_add(1000, len(GET + req2)), req3), 3.0, worker_id=w)
+    assert entry.deferred
+    sim.run_until(3.0 + 100e-6 + 2 * 24.48e-6)  # the flush timer, then a batch of 2
+    assert entry.offload_rule is None and not entry.deferred
+    assert mgr.stats["latch_waits"] == 2
+    assert b"GET /api/z" in sim.emitted[-1].payload
+
+
+def test_pipelined_requests_leave_at_once_and_the_pair_goes():
+    """Two requests held together would get two responses, and the divert
+    can send only the first head to the worker: both leave at once, and
+    the pair is deleted rather than re-targeted."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    head = first_response_pkt(entry, 4 << 20)
+    agent.handle_packet(head, 1.0, worker_id=w)
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    req3 = b"GET /api/z HTTP/1.1\r\nHost: h\r\n\r\n"
+    held = Packet(key=ck, seq=seq_add(1000, len(GET)),
+                  ack=seq_add(entry.isn_lb_front, 1 + entry.resp_end),
+                  flags=TcpFlags.ACK | TcpFlags.PSH, payload=req2 + req3)
+    assert agent.handle_packet(held, 2.0, worker_id=w) == []
+    data = b"".join(p.payload for p in sim.emitted)
+    assert b"GET /api/y" in data and b"GET /api/z" in data
+    assert mgr.stats["retargets"] == 0 and len(mgr.pending) == 1
+    sim.run_until(3.0)
+    assert entry.offload_rule is None
+    assert live_rule(engine, ck, 3.0) is live_rule(engine, entry.server_in_key, 3.0) is None
+
+
+def test_no_slot_for_the_divert_releases_the_request_and_deletes_the_pair():
+    agent, engine, sim, mgr = offload_setup()
+    engine.capacity = 2  # the pair fits, its divert does not
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0, worker_id=w)
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    held = Packet(key=ck, seq=seq_add(1000, len(GET)),
+                  ack=seq_add(entry.isn_lb_front, 1 + entry.resp_end),
+                  flags=TcpFlags.ACK | TcpFlags.PSH, payload=req2)
+    assert agent.handle_packet(held, 2.0, worker_id=w) == []
+    assert b"GET /api/y" in sim.emitted[-1].payload  # at once, not held
+    assert mgr.stats["install_refusals"] == 1 and len(mgr.pending) == 1
+    sim.run_until(3.0)
+    assert entry.offload_rule is None
 
 
 def test_entry_teardown_enqueues_rule_delete():
