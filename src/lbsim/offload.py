@@ -45,6 +45,12 @@ Rule lifecycle:
   would never see the response complete.  A dedicated deleter batches
   deletions, and a request held meanwhile waits until both rules are
   really gone, so a stale rule never rewrites fresh traffic.
+
+The reach bound.  The worker reads client ACKs and server seqs against the
+last client ACK it saw (`unwrap`), and sees none while the engine carries a
+response, so a response is offloaded only if `resp_end + 1`, its FIN's ACK,
+lies less than `UNWRAP_ABOVE` (4 GiB less 16 MiB) past that ACK.  A kept
+pair whose next response breaks the bound goes at once.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from .flow_engine import (
     Rule,
     RuleConflictError,
 )
-from .packet import Packet, seq_add, seq_sub
+from .packet import UNWRAP_ABOVE, Packet, seq_add, seq_sub
 from .splice import ConnEntry, SpliceAgent
 
 T_PER_PACKET = 1 / 3.0e6  # one worker sustains ~3 Mpps
@@ -166,6 +172,9 @@ class OffloadManager:
     # -- signals from the splice agent -----------------------------------------
 
     def on_resp_len_known(self, entry: ConnEntry, resp_len: int, now: float) -> None:
+        if entry.resp_end + 1 - entry.client_acked >= UNWRAP_ABOVE:
+            self._enqueue_delete(entry, now)  # past the reach bound: a kept pair goes
+            return
         if entry.offload_rule is not None:
             return  # the kept pair carries this response too, or is not yet gone
         if not self.force and resp_len < self.params.formula_threshold:

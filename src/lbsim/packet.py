@@ -1,4 +1,4 @@
-"""Packet data model, wrapping 32-bit sequence arithmetic, and the wire codec.
+"""Packet data model, 32-bit sequence arithmetic, and the wire codec.
 
 Everything else in the package trades in these types.  Packets are immutable
 values: rewriting a header means building a new packet (dataclasses.replace),
@@ -34,7 +34,7 @@ class TcpFlags:
 
 
 # ---------------------------------------------------------------------------
-# Wrapping 32-bit sequence arithmetic (serial-number order).
+# 32-bit sequence arithmetic, for the positions a packet carries.
 
 
 def seq_add(a: int, b: int) -> int:
@@ -45,20 +45,15 @@ def seq_sub(a: int, b: int) -> int:
     return (a - b) & 0xFFFFFFFF
 
 
-def seq_lt(a: int, b: int) -> bool:
-    """True iff a precedes b in modulo-2^32 serial-number order."""
-    return a != b and seq_sub(b, a) < SEQ_HALF
+UNWRAP_BELOW = 1 << 24  # no window is scaled: nothing still in flight lies further back
+UNWRAP_ABOVE = SEQ_MOD - UNWRAP_BELOW
 
 
-def seq_gt(a: int, b: int) -> bool:
-    return seq_lt(b, a)
-
-def seq_ge(a: int, b: int) -> bool:
-    return a == b or seq_lt(b, a)
-
-
-def seq_max(a: int, b: int) -> int:
-    return b if seq_lt(a, b) else a
+def unwrap(x32: int, ref: int) -> int:
+    """The offset congruent to x32 mod 2^32 in [ref - UNWRAP_BELOW, ref +
+    UNWRAP_ABOVE): a packet's seq or ACK read against an offset of its stream."""
+    lo = ref - UNWRAP_BELOW
+    return lo + ((x32 - lo) & 0xFFFFFFFF)
 
 
 class FlowKey(NamedTuple):
@@ -125,7 +120,7 @@ class Packet:
         if len(self.options.sack_blocks) > MAX_SACK_BLOCKS:
             raise MalformedPacketError("too many SACK blocks")
         for l, r in self.options.sack_blocks:
-            if not seq_lt(l, r):
+            if l == r or seq_sub(r, l) >= SEQ_HALF:
                 raise MalformedPacketError(f"SACK block [{l},{r}) not ordered")
         if self.options.mss is not None and not (0 < self.options.mss < (1 << 16)):
             raise MalformedPacketError("MSS out of 16-bit range")

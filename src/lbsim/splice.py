@@ -28,6 +28,18 @@ The client bytes one packet releases leave as one run of segments that is
 contiguous at the server: the client bytes with each insertion woven in
 before its head's final CRLF, cut only at eff_mss.  A short request and
 its insertion are one segment, and the server ACKs it once.
+
+Positions.  Every position an entry keeps is an unbounded offset from the
+byte after an ISN, in the client stream (`fwd_hi`, `body_end`, the head
+buffer, `sender_off`, `client_fin`), the receiver stream, which is the
+client's with the insertions woven in (`recv_start`, `recv_end`), or the
+server stream (`client_acked`, `relayed_hi`, `fold_after`, `server_fin`,
+the response's), which the client sees shifted by a constant.  `unwrap`
+reads a packet's seq or ACK against a reference no later position lies far
+below: `fwd_hi` for client seqs, `fwd_hi + total_inserted` for server ACKs
+and SACK edges, `client_acked` for server seqs and client ACKs.  Modulo-2^32
+arithmetic remains only there, where a packet is built, and in the constant
+deltas the engine's rules share with the worker's rewrite.
 """
 
 from __future__ import annotations
@@ -47,10 +59,8 @@ from .packet import (
     TcpOptions,
     addr_str,
     seq_add,
-    seq_ge,
-    seq_gt,
-    seq_max,
     seq_sub,
+    unwrap,
 )
 
 REQUEST_HEAD_CAP = 16384
@@ -69,28 +79,26 @@ class SpliceState(Enum):
 class InsertionPoint:
     """One content insertion into the client-to-server stream.
 
-    sender_off is a 0-based byte offset in the client's stream (relative to
-    ISN+1).  The receiver sees the inserted bytes at [recv_start, recv_end)
-    where recv_start = sender_off + cum_before.
+    sender_off is a client-stream offset.  The receiver sees the inserted
+    bytes at [recv_start, recv_end) where recv_start = sender_off + cum_before.
 
     The bytes are held until a server ACK reaches recv_end.  When a server
-    ACK first passes recv_end, fold_after records the client-facing
-    sequence number one past the highest server byte the agent has relayed,
-    or the client's ACK if that is higher.  Every server byte at or beyond
-    it reached the client with an ACK at or past sender_off: through the
-    agent, it followed that server ACK on a FIFO link and carries a higher
-    ACK; through the flow engine, it carries the ACK of the whole request,
-    as the server rule hits only packets that ACK the forwarded request's
-    end.
+    ACK first passes recv_end, fold_after records the server-stream offset
+    one past the highest server byte the agent has relayed, or the client's
+    ACK if that is higher.  Every server byte at or beyond it reached the
+    client with an ACK at or past sender_off: through the agent, it followed
+    that server ACK on a FIFO link and carries a higher ACK; through the
+    flow engine, it carries the ACK of the whole request, as the server
+    rule hits only packets that ACK the forwarded request's end.
     So once the client ACKs such a byte, it has taken in an ACK at or past
     sender_off, and a TCP client sends no later segment that starts below
     it; server ACKs only grow, so none falls at or below recv_end again.
     The point can no longer affect a packet and is folded into the entry's
     base shift, unless packets held behind the offload latch, sent before
-    that client ACK, still wait to be replayed.  The server ACK has to pass recv_end, not reach it: one
-    exactly at recv_end is suppressed (classify_ack's "inside"), so the
-    client may still resend the request from its start, and a later ACK
-    there must still be suppressed.
+    that client ACK, still wait to be replayed.  The server ACK has to pass
+    recv_end, not reach it: one exactly at recv_end is suppressed
+    (classify_ack's "inside"), so the client may still resend the request
+    from its start, and a later ACK there must still be suppressed.
     """
 
     sender_off: int
@@ -99,7 +107,7 @@ class InsertionPoint:
     cum_before: int
     sent: bool = False
     dup_ack_count: int = 0
-    fold_after: Optional[int] = None   # absolute client-facing seq
+    fold_after: Optional[int] = None   # server-stream offset, see above
 
     @property
     def acked(self) -> bool:
@@ -115,10 +123,9 @@ class InsertionPoint:
 
 
 # ---------------------------------------------------------------------------
-# Pure mapping helpers.  These work on stream offsets (plain ints); the
-# agent converts to and from absolute sequence numbers at its edges.  `base`
-# is the byte count of folded insertions; the answers hold for offsets past
-# the folded points, which are the only ones that still occur.
+# Pure mapping helpers, on stream offsets.  `base` is the byte count of
+# folded insertions; the answers hold for offsets past the folded points,
+# which are the only ones that still occur.
 
 
 def map_pos_c2s(points: Sequence[InsertionPoint], p: int, base: int = 0) -> int:
@@ -393,14 +400,14 @@ class ConnEntry:
     head_buf: Optional[StreamBuf] = None  # the open head from its base; None: in a body
     body_end: int = 0                  # where the body being passed ends
     heads: int = 0                     # request heads parsed
-    fwd_hi: int = 0                    # highest client offset forwarded
-    client_ack_front: int = 0          # latest cumulative ack from the client
-    relayed_hi: int = 0                # client-facing seq past the server bytes relayed
+    fwd_hi: int = 0                    # past the highest client byte forwarded
     client_window: int = 65535
 
-    # s2c response tracking (offsets in the server stream)
+    # s2c (offsets in the server stream)
+    client_acked: int = 0              # the client's cumulative ACK
+    relayed_hi: int = 0                # past the server bytes and FIN the agent relayed
     resp_head_buf: Optional[StreamBuf] = None  # the next response head from its base
-    resp_end: Optional[int] = None     # stream offset where current response ends
+    resp_end: Optional[int] = None     # where the current response ends
     resp_len: Optional[int] = None     # Content-Length of the current response
     resp_tracker_dead: bool = False    # unparseable/chunked: never offload again
     resp_index: int = 0
@@ -413,10 +420,9 @@ class ConnEntry:
     retarget_due: bool = False         # the pair's response is complete: re-target on the next request
     deferred: list[Packet] = field(default_factory=list)
 
-    client_fin: Optional[int] = None   # absolute client-space FIN seq
-    server_fin: Optional[int] = None   # absolute server-space FIN seq
+    client_fin: Optional[int] = None   # client-stream offset of the client's FIN
+    server_fin: Optional[int] = None   # server-stream offset of the server's FIN
     client_fin_acked: bool = False
-    server_fin_acked: bool = False
     closed: bool = False
 
     @property
@@ -430,23 +436,44 @@ class ConnEntry:
         pts = self.insertions
         return pts[0].cum_before if pts else self.total_inserted
 
+    # A packet's positions as offsets, and back (see "Positions" above).
+    def client_off(self, seq: int) -> int:  # a client seq
+        return unwrap(seq - self.isn_client - 1, self.fwd_hi)
+
+    def recv_off(self, ack: int) -> int:  # a server ACK or SACK edge
+        return unwrap(ack - self.isn_lb_back - 1, self.fwd_hi + self.total_inserted)
+
+    def server_off(self, seq: int) -> int:  # a server seq
+        return unwrap(seq - self.isn_server - 1, self.client_acked)
+
+    def seq_to_server(self, off: int) -> int:  # a client-stream offset, in server space
+        return seq_add(self.isn_lb_back, 1 + map_pos_c2s(self.insertions, off, self.folded))
+
+    def ack_to_server(self) -> int:  # the client's cumulative ACK, in server space
+        return seq_add(self.isn_server, 1 + self.client_acked)
+
+    def ack_to_client(self, a: int) -> int:  # a receiver offset, as the client-space ACK
+        return seq_add(self.isn_client, 1 + client_bytes_below(self.insertions, a, self.folded))
+
 
 def map_seq_c2s(entry: ConnEntry, seq_in: int) -> int:
     """Absolute client-space sequence number -> server-space."""
-    p = seq_sub(seq_in, seq_add(entry.isn_client, 1))
-    return seq_add(seq_add(entry.isn_lb_back, 1),
-                   map_pos_c2s(entry.insertions, p, entry.folded))
+    return entry.seq_to_server(entry.client_off(seq_in))
 
 
 def _note_server_ack(entry: ConnEntry, a: int) -> None:
     """A server ACK at receiver offset a releases the inserted bytes it
-    reaches the end of, and marks the points it passes for folding."""
+    reaches the end of, marks the points it passes for folding, and may
+    show the client's FIN taken in."""
+    if entry.client_fin is not None and \
+            a > map_pos_c2s(entry.insertions, entry.client_fin, entry.folded):
+        entry.client_fin_acked = True
     for pt in entry.insertions:
         if a < pt.recv_end:
             break
         pt.data = None
         if pt.fold_after is None and a > pt.recv_end:
-            pt.fold_after = seq_max(entry.relayed_hi, entry.client_ack_front)
+            pt.fold_after = max(entry.relayed_hi, entry.client_acked)
 
 
 def map_ack_s2c(entry: ConnEntry, ack_in: int) -> tuple[str, int, Optional[int]]:
@@ -454,27 +481,22 @@ def map_ack_s2c(entry: ConnEntry, ack_in: int) -> tuple[str, int, Optional[int]]
     point index, with the forwarded offset as an absolute client-space ACK.
     Besides _note_server_ack's effects, progress past an insertion's start
     ends its run of duplicate ACKs."""
-    a = seq_sub(ack_in, seq_add(entry.isn_lb_back, 1))
+    a = entry.recv_off(ack_in)
     _note_server_ack(entry, a)
     for pt in entry.insertions:
         if a <= pt.recv_start:
             break
         pt.dup_ack_count = 0
     kind, fwd, idx = classify_ack(entry.insertions, a, entry.folded)
-    return kind, seq_add(seq_add(entry.isn_client, 1), fwd), idx
+    return kind, seq_add(entry.isn_client, 1 + fwd), idx
 
 
 def clamped_ack_s2c(entry: ConnEntry, ack_in: int) -> int:
     """ACK-field rewrite for server data segments: never suppressed, the
     value clamps to the last client byte fully covered."""
-    a = seq_sub(ack_in, seq_add(entry.isn_lb_back, 1))
+    a = entry.recv_off(ack_in)
     _note_server_ack(entry, a)
-    return _client_ack(entry, a)
-
-
-def _client_ack(entry: ConnEntry, a: int) -> int:
-    return seq_add(seq_add(entry.isn_client, 1),
-                   client_bytes_below(entry.insertions, a, entry.folded))
+    return entry.ack_to_client(a)
 
 
 def rewrite_s2c(entry: ConnEntry, pkt: Packet) -> Packet:
@@ -484,7 +506,7 @@ def rewrite_s2c(entry: ConnEntry, pkt: Packet) -> Packet:
     client byte fully covered, SACK blocks mapped to client space."""
     return Packet(key=entry.client_key.reverse(),
                   seq=seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
-                  ack=_client_ack(entry, seq_sub(pkt.ack, seq_add(entry.isn_lb_back, 1))),
+                  ack=entry.ack_to_client(entry.recv_off(pkt.ack)),
                   flags=pkt.flags, window=pkt.window,
                   options=_options_s2c(entry, pkt.options), payload=pkt.payload)
 
@@ -494,13 +516,11 @@ def _options_s2c(entry: ConnEntry, options: TcpOptions) -> TcpOptions:
     client space, or the options themselves when they carry none."""
     if not options.sack_blocks:
         return options
-    base = seq_add(entry.isn_lb_back, 1)
-    cbase = seq_add(entry.isn_client, 1)
-    folded = entry.folded
+    cbase = entry.isn_client + 1
     out = []
     for l, r in options.sack_blocks:
-        mapped = map_sack_block_s2c(entry.insertions,
-                                    seq_sub(l, base), seq_sub(r, base), folded)
+        mapped = map_sack_block_s2c(entry.insertions, entry.recv_off(l),
+                                    entry.recv_off(r), entry.folded)
         if mapped is not None:
             out.append((seq_add(cbase, mapped[0]), seq_add(cbase, mapped[1])))
     return TcpOptions(sack_blocks=tuple(out))
@@ -593,7 +613,6 @@ class SpliceAgent:
         )
         entry.head_buf = StreamBuf(base=0, cap=self.head_cap)
         entry.resp_head_buf = StreamBuf(base=0, cap=self.head_cap)
-        entry.client_ack_front = entry.relayed_hi = pkt.ack
         self.table.insert(pkt.key, entry, now)
         self.counters["entries_created"] += 1
         return self._on_client_packet(pkt, entry, now)
@@ -606,25 +625,15 @@ class SpliceAgent:
             return []
         entry.isn_server = pkt.seq
         entry.state = SpliceState.ESTABLISHED
-        out = [Packet(key=entry.server_key, seq=seq_add(entry.isn_lb_back, 1),
-                      ack=seq_add(entry.isn_server, 1), flags=TcpFlags.ACK,
-                      window=entry.client_window)]
         # the parser takes the first head from the buffer it waited in
         buf = entry.head_buf
-        return out + self._ingest_new_data(bytes(buf.data), buf.base, entry, now)
+        return [self._pure_ack_to_server(entry)] + \
+            self._ingest_new_data(bytes(buf.data), buf.base, entry, now)
 
     def _pure_ack_to_server(self, entry: ConnEntry) -> Packet:
-        spliced_next = map_pos_c2s(entry.insertions, entry.fwd_hi, entry.folded)
-        return Packet(key=entry.server_key,
-                      seq=seq_add(seq_add(entry.isn_lb_back, 1), spliced_next),
-                      ack=self._front_to_back_ack(entry),
-                      flags=TcpFlags.ACK, window=entry.client_window)
-
-    def _front_to_back_ack(self, entry: ConnEntry) -> int:
-        if entry.state is not SpliceState.ESTABLISHED:
-            return 0
-        return seq_add(entry.client_ack_front,
-                       seq_sub(entry.isn_server, entry.isn_lb_front))
+        return Packet(key=entry.server_key, seq=entry.seq_to_server(entry.fwd_hi),
+                      ack=entry.ack_to_server(), flags=TcpFlags.ACK,
+                      window=entry.client_window)
 
     def _rst_for(self, pkt: Packet) -> Packet:
         self.counters["resets_tx"] += 1
@@ -637,18 +646,13 @@ class SpliceAgent:
         flags = pkt.flags
         entry.client_window = pkt.window
         if flags & TcpFlags.ACK:
-            entry.client_ack_front = seq_max(entry.client_ack_front, pkt.ack)
+            acked = entry.client_acked = max(entry.client_acked, unwrap(
+                pkt.ack - entry.isn_lb_front - 1, entry.client_acked))
             # fold the points this ACK shows to be past (see InsertionPoint)
             pts = entry.insertions
             while pts and pts[0].fold_after is not None and not entry.deferred \
-                    and seq_gt(entry.client_ack_front, pts[0].fold_after):
+                    and acked > pts[0].fold_after:
                 del pts[0]
-            if (entry.server_fin is not None and not entry.server_fin_acked
-                    and entry.state is SpliceState.ESTABLISHED):
-                fin_front = seq_add(entry.server_fin,
-                                    seq_sub(entry.isn_lb_front, entry.isn_server))
-                if seq_ge(entry.client_ack_front, seq_add(fin_front, 1)):
-                    entry.server_fin_acked = True
         out: list[Packet] = []
         if pkt.payload:
             self.counters["c2s_data_pkts"] += 1
@@ -662,7 +666,7 @@ class SpliceAgent:
         return out
 
     def on_client_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        off = seq_sub(pkt.seq, seq_add(entry.isn_client, 1))
+        off = entry.client_off(pkt.seq)
         end = off + len(pkt.payload)
 
         if entry.state is not SpliceState.ESTABLISHED:
@@ -685,10 +689,11 @@ class SpliceAgent:
             self.counters["deferred_pkts"] += 1
             self.offload.on_request_held(entry, now)
             return []
-        return self._pass_client_data(pkt, entry, now)
+        return self._pass_client_data(pkt, off, entry, now)
 
-    def _pass_client_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        off = seq_sub(pkt.seq, seq_add(entry.isn_client, 1))
+    def _pass_client_data(self, pkt: Packet, off: int, entry: ConnEntry,
+                          now: float) -> list[Packet]:
+        """Client bytes at client-stream offset off, past the latch."""
         if off + len(pkt.payload) <= entry.fwd_hi:
             # pure retransmission: re-fragment; unACKed insertions inside the
             # covered range ride along again
@@ -702,7 +707,7 @@ class SpliceAgent:
         deferred, entry.deferred = entry.deferred, []
         for pkt in deferred:
             if not entry.closed:
-                out += self._pass_client_data(pkt, entry, now)
+                out += self._pass_client_data(pkt, entry.client_off(pkt.seq), entry, now)
         return out
 
     def _try_route(self, entry: ConnEntry, now: float) -> list[Packet]:
@@ -838,7 +843,7 @@ class SpliceAgent:
         at most eff_mss toward the server."""
         mss = entry.eff_mss
         seq = seq_add(entry.isn_lb_back, 1 + recv_off)
-        ack = self._front_to_back_ack(entry)
+        ack = entry.ack_to_server()
         return [Packet(key=entry.server_key, seq=seq_add(seq, i), ack=ack,
                        flags=TcpFlags.ACK | TcpFlags.PSH, window=entry.client_window,
                        payload=data[i:i + mss])
@@ -852,24 +857,18 @@ class SpliceAgent:
         delta = seq_sub(entry.isn_server, entry.isn_lb_front)
         blocks = tuple((seq_add(l, delta), seq_add(r, delta))
                        for l, r in pkt.options.sack_blocks)
-        return [Packet(key=entry.server_key,
-                       seq=seq_add(seq_add(entry.isn_lb_back, 1),
-                                   map_pos_c2s(entry.insertions, entry.fwd_hi,
-                                               entry.folded)),
+        return [Packet(key=entry.server_key, seq=entry.seq_to_server(entry.fwd_hi),
                        ack=seq_add(pkt.ack, delta), flags=TcpFlags.ACK,
-                       window=pkt.window,
-                       options=TcpOptions(sack_blocks=blocks))]
+                       window=pkt.window, options=TcpOptions(sack_blocks=blocks))]
 
     def _on_client_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         if entry.state is not SpliceState.ESTABLISHED:
             # half-open teardown: nothing spliced yet, drop state quietly
             self.remove_entry(entry, now)
             return []
-        fin_seq = seq_add(pkt.seq, len(pkt.payload))
-        entry.client_fin = fin_seq
-        return [Packet(key=entry.server_key, seq=map_seq_c2s(entry, fin_seq),
-                       ack=self._front_to_back_ack(entry),
-                       flags=TcpFlags.FIN | TcpFlags.ACK,
+        entry.client_fin = entry.client_off(pkt.seq) + len(pkt.payload)
+        return [Packet(key=entry.server_key, seq=entry.seq_to_server(entry.client_fin),
+                       ack=entry.ack_to_server(), flags=TcpFlags.FIN | TcpFlags.ACK,
                        window=entry.client_window)]
 
     # -- server-side packets --------------------------------------------------------
@@ -878,11 +877,6 @@ class SpliceAgent:
         if entry.state is not SpliceState.ESTABLISHED:
             return []
         flags = pkt.flags
-        if flags & TcpFlags.ACK and entry.client_fin is not None \
-                and not entry.client_fin_acked:
-            fin_back = map_seq_c2s(entry, entry.client_fin)
-            if seq_ge(pkt.ack, seq_add(fin_back, 1)):
-                entry.client_fin_acked = True
         out: list[Packet] = []
         if pkt.payload:
             self.counters["s2c_data_pkts"] += 1
@@ -897,10 +891,11 @@ class SpliceAgent:
     def on_server_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         """Rewrite a response data segment toward the client (`rewrite_s2c`),
         after noting its ACK and tracking the response."""
-        self._track_response(pkt, entry, now)
+        off = entry.server_off(pkt.seq)
+        self._track_response(pkt, off, entry, now)
         out = rewrite_s2c(entry, pkt)
-        entry.relayed_hi = seq_max(entry.relayed_hi, seq_add(out.seq, len(pkt.payload)))
-        _note_server_ack(entry, seq_sub(pkt.ack, seq_add(entry.isn_lb_back, 1)))
+        entry.relayed_hi = max(entry.relayed_hi, off + len(pkt.payload))
+        _note_server_ack(entry, entry.recv_off(pkt.ack))
         self.counters["forwarded_payload_bytes"] += len(pkt.payload)
         return [out]
 
@@ -923,10 +918,10 @@ class SpliceAgent:
                     return self._segments(entry, pt.data, pt.recv_start)
         return [rewrite_s2c(entry, pkt)]
 
-    def _track_response(self, pkt: Packet, entry: ConnEntry, now: float) -> None:
+    def _track_response(self, pkt: Packet, off: int, entry: ConnEntry, now: float) -> None:
+        """Parse a response head from a server segment at offset off."""
         if entry.resp_tracker_dead or entry.resp_end is not None:
             return
-        off = seq_sub(pkt.seq, seq_add(entry.isn_server, 1))
         buf = entry.resp_head_buf
         # The head must end within head_cap bytes, so only that window is
         # kept: out-of-order body segments past it never reach the buffer.
@@ -959,8 +954,7 @@ class SpliceAgent:
     def _check_response_complete(self, entry: ConnEntry, now: float) -> None:
         if entry.resp_end is None:
             return
-        acked = seq_sub(entry.client_ack_front, seq_add(entry.isn_lb_front, 1))
-        if acked >= entry.resp_end:
+        if entry.client_acked >= entry.resp_end:
             if self.response_observer is not None:
                 self.response_observer(entry, now)
             # re-arm for the next response on this connection
@@ -972,10 +966,10 @@ class SpliceAgent:
                 self.offload.on_response_complete(entry, now)
 
     def _on_server_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        entry.server_fin = seq_add(pkt.seq, len(pkt.payload))
-        fin_front = seq_add(entry.server_fin, seq_sub(entry.isn_lb_front, entry.isn_server))
-        entry.relayed_hi = seq_max(entry.relayed_hi, seq_add(fin_front, 1))
-        return [Packet(key=entry.client_key.reverse(), seq=fin_front,
+        entry.server_fin = entry.server_off(pkt.seq) + len(pkt.payload)
+        entry.relayed_hi = max(entry.relayed_hi, entry.server_fin + 1)
+        return [Packet(key=entry.client_key.reverse(),
+                       seq=seq_add(entry.isn_lb_front, 1 + entry.server_fin),
                        ack=clamped_ack_s2c(entry, pkt.ack),
                        flags=TcpFlags.FIN | TcpFlags.ACK, window=pkt.window)]
 
@@ -997,8 +991,8 @@ class SpliceAgent:
         return out
 
     def _maybe_close(self, entry: ConnEntry, now: float) -> None:
-        if (entry.client_fin is not None and entry.server_fin is not None
-                and entry.client_fin_acked and entry.server_fin_acked):
+        if entry.client_fin_acked and entry.server_fin is not None \
+                and entry.client_acked > entry.server_fin:
             self.remove_entry(entry, now)
 
     def _abort(self, entry: ConnEntry, now: float) -> list[Packet]:
@@ -1012,10 +1006,11 @@ class SpliceAgent:
         with a challenge ACK; the RST is never below a byte the client
         took in."""
         self.counters["resets_tx"] += 1
-        seq = seq_max(entry.relayed_hi, entry.client_ack_front)
+        off = max(entry.relayed_hi, entry.client_acked)
         if entry.offload_rule is not None and entry.resp_end is not None:
-            seq = seq_max(seq, seq_add(entry.isn_lb_front, 1 + entry.resp_end))
-        out = [Packet(key=entry.client_key.reverse(), seq=seq, flags=TcpFlags.RST)]
+            off = max(off, entry.resp_end)
+        out = [Packet(key=entry.client_key.reverse(),
+                      seq=seq_add(entry.isn_lb_front, 1 + off), flags=TcpFlags.RST)]
         if entry.server_key is not None:
             out.append(Packet(key=entry.server_key,
                               seq=seq_add(entry.isn_lb_back, 1), flags=TcpFlags.RST))

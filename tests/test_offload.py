@@ -13,7 +13,7 @@ from lbsim.offload import (
     T_PER_PACKET,
     build_offload_rule,
 )
-from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add, seq_gt
+from lbsim.packet import UNWRAP_ABOVE, FlowKey, Packet, TcpFlags, seq_add, seq_sub
 from lbsim.splice import Backend, ConnEntry, InsertionPoint, SpliceState
 
 from test_splice_agent import (
@@ -114,6 +114,7 @@ def test_the_formula_threshold_is_the_only_offload_boundary(mss, threshold):
     assert math.ceil(mgr.params.formula_threshold) == threshold
     _, below = established_entry(agent, port=40000)
     _, at = established_entry(agent, port=40004)
+    below.resp_end, at.resp_end = threshold - 1, threshold  # as the agent sets them first
     mgr.on_resp_len_known(below, threshold - 1, 1.0)
     assert below.offload_rule is None
     assert mgr.stats["offloads_skipped_small"] == 1
@@ -326,8 +327,9 @@ def test_abort_mid_offload_resets_the_client_past_the_hairpinned_bytes():
     rst = agent._abort(entry, 2.0)[0]
     assert (rst.key, rst.flags) == (ck.reverse(), TcpFlags.RST)
     assert rst.seq == seq_add(entry.isn_lb_front, 1 + resp_end)
-    assert seq_gt(rst.seq, hairpinned.packet.seq_end())
-    assert seq_gt(rst.seq, entry.relayed_hi)
+    # in server-stream offsets, past the hairpinned segment and the relayed bytes
+    hairpinned_end = seq_sub(hairpinned.packet.seq_end(), seq_add(entry.isn_lb_front, 1))
+    assert resp_end > hairpinned_end and resp_end > entry.relayed_hi
 
 
 def test_unframed_later_response_deletes_the_kept_pair_at_once():
@@ -361,6 +363,94 @@ def test_unframed_later_response_deletes_the_kept_pair_at_once():
     sim.run_until(3.0 + 100e-6 + 2 * 24.48e-6)  # the flush timer, then a batch of 2
     assert entry.offload_rule is None and not entry.deferred
     assert mgr.stats["latch_waits"] == 2
+    assert b"GET /api/z" in sim.emitted[-1].payload
+
+
+REQ2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+
+
+def response_head(body_len):
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % body_len
+
+
+@pytest.mark.parametrize("slack, offloads", [(-1, True), (0, False)])
+def test_a_response_past_the_reach_bound_stays_on_the_worker(slack, offloads):
+    """While the engine carries a response the worker sees no client ACK, so
+    a response is offloaded only when the ACK one past its end lies within
+    unwrap's reach above the client's last ACK; past that the response stays
+    on the worker, and the next request leaves at once."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    body_len = UNWRAP_ABOVE + slack - 1 - len(response_head(UNWRAP_ABOVE))
+    agent.handle_packet(first_response_pkt(entry, body_len), 1.0, worker_id=w)
+    assert entry.resp_end + 1 == UNWRAP_ABOVE + slack
+    assert (entry.offload_rule is not None) == offloads
+    out = agent.handle_packet(Packet(key=ck, seq=seq_add(1000, len(GET)),
+                                     ack=seq_add(entry.isn_lb_front, 1),
+                                     flags=TcpFlags.ACK | TcpFlags.PSH, payload=REQ2),
+                              2.0, worker_id=w)
+    assert (b"GET /api/y" in b"".join(p.payload for p in out)) is not offloads
+
+
+def retargeted_at_req2(agent, engine, sim, mgr, body_len):
+    """A connection whose first response of body_len bytes was offloaded and
+    completed, and whose pair was re-targeted at its second request."""
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    agent.handle_packet(first_response_pkt(entry, body_len), 1.0, worker_id=w)
+    assert entry.offload_rule is not None
+    agent.handle_packet(Packet(key=ck, seq=seq_add(1000, len(GET)),
+                               ack=seq_add(entry.isn_lb_front, 1 + entry.resp_end),
+                               flags=TcpFlags.ACK | TcpFlags.PSH, payload=REQ2),
+                        2.0, worker_id=w)
+    sim.run_until(2.5)
+    assert mgr.stats["retargets"] == 1 and b"GET /api/y" in sim.emitted[-1].payload
+    return ck, entry
+
+
+def diverted_head(engine, entry, payload):
+    """The next response's first segment, which the re-targeted server rule
+    diverts to the worker."""
+    return Packet(key=entry.server_in_key,
+                  seq=seq_add(entry.isn_server, 1 + entry.resp_head_buf.base),
+                  ack=engine.rules[entry.server_in_key].ack,
+                  flags=TcpFlags.ACK | TcpFlags.PSH, payload=payload)
+
+
+def test_kept_pair_goes_at_once_when_the_next_response_passes_the_reach_bound():
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = retargeted_at_req2(agent, engine, sim, mgr, 4 << 20)
+    agent.handle_packet(diverted_head(engine, entry, response_head(UNWRAP_ABOVE)), 3.0,
+                        worker_id=shard_of(ck.src_port))
+    assert entry.resp_len == UNWRAP_ABOVE and len(mgr.pending) == 1
+    sim.run_until(3.0 + 100e-6 + 2 * 24.48e-6)  # the flush timer, then a batch of 2
+    assert entry.offload_rule is None
+
+
+def test_a_response_stream_past_4_gib_completes_and_retargets():
+    """Two offloaded 2.5 GiB responses on one connection: the second ends
+    past 2^32 in the server stream, the client's ACK of its end completes it,
+    and the pair is re-targeted at the third request."""
+    agent, engine, sim, mgr = offload_setup()
+    body_len = 5 << 29
+    ck, entry = retargeted_at_req2(agent, engine, sim, mgr, body_len)
+    w = shard_of(ck.src_port)
+    start = entry.resp_head_buf.base
+    agent.handle_packet(diverted_head(engine, entry, response_head(body_len)), 3.0,
+                        worker_id=w)
+    resp_end = entry.resp_end
+    assert resp_end == 2 * start > 1 << 32 and entry.offload_rule is not None
+    req3 = b"GET /api/z HTTP/1.1\r\nHost: h\r\n\r\n"
+    c_off = len(GET + REQ2)
+    agent.handle_packet(Packet(key=ck, seq=seq_add(1000, c_off),
+                               ack=seq_add(entry.isn_lb_front, 1 + resp_end),
+                               flags=TcpFlags.ACK | TcpFlags.PSH, payload=req3),
+                        4.0, worker_id=w)
+    assert entry.resp_index == 2 and entry.client_acked == resp_end
+    sim.run_until(4.5)
+    assert mgr.stats["retargets"] == 2 and not entry.deferred
+    assert engine.rules[ck].seq == seq_add(1000, c_off + len(req3))
     assert b"GET /api/z" in sim.emitted[-1].payload
 
 

@@ -15,20 +15,11 @@ from lbsim.packet import (
     decode,
     encode,
     seq_add,
-    seq_lt,
     seq_sub,
+    unwrap,
 )
 
 K = FlowKey(0x0A000001, 0x0A000002, 1234, 80)
-
-
-def test_seq_order_basics():
-    assert seq_lt(5, 10)
-    assert not seq_lt(10, 5)
-    assert not seq_lt(7, 7)
-    # wraparound: 0xFFFFFFF0 precedes 0x10
-    assert seq_lt(0xFFFFFFF0, 0x10)
-    assert not seq_lt(0x10, 0xFFFFFFF0)
 
 
 def test_seq_sub_against_bigint_oracle():
@@ -42,13 +33,16 @@ def test_seq_sub_against_bigint_oracle():
         assert seq_add(a, b) == (a + b) % (1 << 32)
 
 
-def test_seq_order_antisymmetric_within_half_window():
-    rng = random.Random(11)
-    for _ in range(2000):
-        a = rng.getrandbits(32)
-        d = rng.randrange(1, 1 << 31)
-        b = (a + d) % (1 << 32)
-        assert seq_lt(a, b) != seq_lt(b, a)
+@given(st.integers(0, 1 << 62), st.integers(-(1 << 24), (1 << 32) - (1 << 24) - 1))
+def test_unwrap_recovers_every_offset_within_its_reach(ref, d):
+    assert unwrap((ref + d) % (1 << 32), ref) == ref + d
+
+
+def test_unwrap_reach_edges():
+    ref = (1 << 32) + 5
+    assert unwrap(ref - (1 << 24), ref) == ref - (1 << 24)
+    assert unwrap(ref - (1 << 24) - 1, ref) == ref + (1 << 32) - (1 << 24) - 1
+    assert unwrap(0x10, 0xFFFFFFF0) == (1 << 32) + 0x10  # across the wrap
 
 
 def test_flowkey_reverse_involution_and_order():

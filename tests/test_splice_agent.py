@@ -45,16 +45,16 @@ def client_key(port=40000, addr=0x0A000001):
     return FlowKey(addr, VIP, port, 80)
 
 
-def do_syn(agent, ck, now=0.0, mss=1460):
-    syn = Packet(key=ck, seq=999, flags=TcpFlags.SYN,
+def do_syn(agent, ck, now=0.0, mss=1460, isn=999):
+    syn = Packet(key=ck, seq=isn, flags=TcpFlags.SYN,
                  options=TcpOptions(mss=mss, sack_permitted=True))
     out = agent.handle_packet(syn, now, worker_id=shard_of(ck.src_port))
     assert len(out) == 1 and out[0].syn and (out[0].flags & TcpFlags.ACK)
     return out[0]  # the SYNACK
 
 
-def send_request(agent, ck, synack, payload, now=0.0, seq_off=0):
-    pkt = Packet(key=ck, seq=seq_add(1000, seq_off), ack=seq_add(synack.seq, 1),
+def send_request(agent, ck, synack, payload, now=0.0, seq_off=0, isn=999):
+    pkt = Packet(key=ck, seq=seq_add(isn + 1, seq_off), ack=seq_add(synack.seq, 1),
                  flags=TcpFlags.ACK | TcpFlags.PSH, payload=payload)
     return agent.handle_packet(pkt, now, worker_id=shard_of(ck.src_port))
 
@@ -610,21 +610,26 @@ def pipelined_streams(draw):
     return reqs, stream, segments, draw(st.integers(first, len(segments) - 1))
 
 
+NEAR_WRAP = st.integers((1 << 32) - 4096, (1 << 32) - 1)  # ISNs whose streams wrap
+
+
 @settings(max_examples=200, deadline=None)
-@given(pipelined_streams())
-def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case):
+@given(pipelined_streams(), NEAR_WRAP, NEAR_WRAP)
+def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case, isn_client,
+                                                                   isn_server):
     reqs, stream, segments, synack_after = case
     agent = make_agent()
     ck = client_key()
     worker = shard_of(ck.src_port)
-    synack = do_syn(agent, ck)
+    synack = do_syn(agent, ck, isn=isn_client)
     calls = []  # what each packet into the agent sent out
     for k, (lo, hi) in enumerate(segments):
-        calls.append(send_request(agent, ck, synack, stream[lo:hi], seq_off=lo))
+        calls.append(send_request(agent, ck, synack, stream[lo:hi], seq_off=lo,
+                                  isn=isn_client))
         if k == synack_after:
             backend_syn = next(p for call in calls for p in call)
             calls.append(agent.handle_packet(Packet(
-                key=backend_syn.key.reverse(), seq=7_000_000,
+                key=backend_syn.key.reverse(), seq=isn_server,
                 ack=seq_add(backend_syn.seq, 1), flags=TcpFlags.SYN | TcpFlags.ACK),
                 0.0, worker_id=worker))
     entry = agent.table.lookup(ck, 0.0)
@@ -646,6 +651,33 @@ def test_every_head_gets_its_insertion_and_every_byte_leaves_once(case):
         covered[off:off + n] = b"\x01" * n
         sent[off:off + n] = p.payload
     assert all(covered) and sent == expected
+
+
+def test_request_body_past_4_gib_leaves_the_next_head_parsed():
+    """Client offsets are unbounded: the body segments of a POST longer than
+    2^32 bytes pass through at their place, the request after it gets its
+    insertion, and the server's ACK of both maps back.  The agent passes a
+    body through as it arrives, so most of it never has to be sent."""
+    agent = make_agent()
+    ck = client_key()
+    body_len = (1 << 32) + 3000
+    head = b"POST /api/p HTTP/1.1\r\nHost: h\r\nContent-Length: %d\r\n\r\n" % body_len
+    entry, _ = establish(agent, ck, payload=head + bytes(1000))
+    end = len(head) + body_len  # client offset past the body
+    for off in (1 << 30, 2 << 30, 3 << 30, (1 << 32) - 700, (1 << 32) + 760, end - 1460):
+        out = agent.handle_packet(from_client(entry, off, 0, bytes(1460)), 0.0,
+                                  worker_id=shard_of(ck.src_port))
+        assert [(p.seq, len(p.payload)) for p in out] == \
+            [(seq_add(entry.isn_lb_back, 1 + off + len(XFF)), 1460)]
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    out = agent.handle_packet(from_client(entry, end, 0, req2), 0.0,
+                              worker_id=shard_of(ck.src_port))
+    assert entry.heads == 2 and entry.fwd_hi == end + len(req2)
+    assert [(p.seq, p.payload) for p in out] == \
+        [(seq_add(entry.isn_lb_back, 1 + end + len(XFF)), req2[:-2] + XFF + req2[-2:])]
+    out = agent.handle_packet(from_server(entry, 0, end + len(req2) + 2 * len(XFF)), 0.0,
+                              worker_id=shard_of(ck.src_port))
+    assert [p.ack for p in out] == [seq_add(entry.isn_client, 1 + end + len(req2))]
 
 
 @pytest.mark.parametrize("fields, length", [
