@@ -335,6 +335,54 @@ def test_seeded_lossy_offload_run_is_pinned():
     assert h.hexdigest() == "9a9c891385f05253d4085e31c608a7f6"
 
 
+def test_seeded_keepalive_worker_run_is_pinned():
+    """A run in which every packet misses the engine and reaches the worker:
+    keep-alive connections whose responses are all below the offload
+    threshold, in a table small enough that inserts relocate keys.  Pinned
+    to exact counts and to a digest of every packet the LB emits, so a
+    change to the worker path that means to leave behaviour alone must
+    leave all of these as they are."""
+    params = SimParams(
+        topology=TopologyParams(table_buckets=16),
+        workload=WorkloadParams(connections=30,
+                                sizes=((1 << 10, 1.0), (16 << 10, 1.0)),
+                                requests_per_connection=(8, 32)))
+    sim = Simulation(params, seed=11)
+    h = hashlib.blake2b(digest_size=16)
+    emit = sim._emit
+
+    def hashed_emit(pkt, now):
+        k, o = pkt.key, pkt.options
+        h.update(_EGRESS_RECORD.pack(now, k.src_addr, k.dst_addr, k.src_port,
+                                     k.dst_port, k.proto, pkt.seq, pkt.ack,
+                                     pkt.flags, pkt.window, len(pkt.payload)))
+        h.update(repr((o.mss, o.sack_permitted, o.sack_blocks)).encode())
+        h.update(pkt.payload)
+        emit(pkt, now)
+
+    sim._emit = hashed_emit
+    sim.run()
+    assert_streams_equal(sim)
+    assert sim.queue.processed == 19686
+    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (0, 9828)
+    ts = sim.table.stats
+    assert (ts.lookups, ts.hits, ts.relocations) == (9798, 9738, 3)
+    endpoint_stats = {}
+    for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
+        for name, n in ep.stats.items():
+            endpoint_stats[name] = endpoint_stats.get(name, 0) + n
+    assert endpoint_stats == {
+        "retransmits": 0, "rto_fires": 0, "fast_retransmits": 0,
+        "segments_tx": 4809, "acks_tx": 4899, "bytes_delivered": 5685950}
+    assert sim.agent.counters == {
+        "syn_rx": 30, "synack_tx": 30, "entries_created": 30, "resets_tx": 0,
+        "c2s_data_pkts": 628, "s2c_data_pkts": 4181, "acks_suppressed": 0,
+        "inserted_bytes_tx": 16956, "inserted_bytes_retx": 0,
+        "forwarded_payload_bytes": 5668994, "entries_removed": 30,
+        "cookie_failures": 0, "deferred_pkts": 0, "ttl_sweeps": 0}
+    assert h.hexdigest() == "13665292f2a8ecb8d44dea31f7fb3e57"
+
+
 def _hairpins_checked(sim) -> tuple[int, int]:
     """Run `sim`, checking every hairpin against what the worker would emit
     from the live entry at that moment: `on_client_ack` for the client's
