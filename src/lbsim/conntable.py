@@ -11,6 +11,12 @@ that fails verification is abandoned and the chain is re-discovered.
 Completed moves are never rolled back — a key sitting in either of its two
 candidate buckets keeps the cuckoo invariant.
 
+A lookup's probe, the key packed and the bases of its two candidate
+buckets, depends on the key alone, so each table memoises it per FlowKey
+(`_probes`): a flow's packets repeat its key, and its later lookups skip the
+packing and the hashing.  The memo holds at most _HASH_CACHE_SIZE keys, and
+is emptied and refilled when it reaches that bound.
+
 Two storages back the same algorithm:
 
   ListStorage        plain Python lists + threading locks; values are
@@ -39,8 +45,9 @@ from .packet import FlowKey
 _M64 = (1 << 64) - 1
 _OCCUPIED = 1 << 63
 _SLOT_WORDS = 5  # version, key_hi, key_lo, value, ttl
-# Packed keys whose bucket hashes are memoised.  A flow's packets repeat its
-# key, so the cache needs to hold the live flows of one table, not all keys.
+# Keys whose bucket hashes (`_hash_pair`) and probes (`CuckooTable._probes`)
+# are memoised.  A flow's packets repeat its key, so each cache needs to hold
+# the live flows of one table, not all keys.
 _HASH_CACHE_SIZE = 1 << 12
 
 
@@ -235,6 +242,8 @@ class CuckooTable:
         self._mask = config.bucket_count - 1
         self._spb = config.slots_per_bucket
         self._stripe_mask = config.lock_stripes - 1
+        # FlowKey -> (packed key, bucket 1, bucket 2, bases of the distinct buckets)
+        self._probes: dict[FlowKey, tuple[int, int, int, tuple[int, ...]]] = {}
         self.stats = TableStats()
 
     # -- bucket helpers ----------------------------------------------------
@@ -242,6 +251,20 @@ class CuckooTable:
     def _buckets(self, kp: int) -> tuple[int, int]:
         h1, h2 = _hash_pair(kp)
         return h1 & self._mask, h2 & self._mask
+
+    def _probe(self, key: FlowKey) -> tuple[int, int, int, tuple[int, ...]]:
+        """The key packed, its two buckets, and the slot bases to read: one
+        base when both hashes pick the same bucket.  Memoised per key."""
+        probe = self._probes.get(key)
+        if probe is None:
+            if len(self._probes) >= _HASH_CACHE_SIZE:
+                self._probes.clear()
+            kp = key.pack()
+            b1, b2 = self._buckets(kp)
+            spb = self._spb
+            bases = (b1 * spb, b2 * spb) if b2 != b1 else (b1 * spb,)
+            probe = self._probes[key] = (kp, b1, b2, bases)
+        return probe
 
     def _alt_bucket(self, kp: int, b: int) -> int:
         b1, b2 = self._buckets(kp)
@@ -270,12 +293,11 @@ class CuckooTable:
         The TTL store happens before the final version check; if the check
         fails the (possibly spurious) refresh stands and the lookup retries.
         """
-        kp = key.pack()
-        b1, b2 = self._buckets(kp)
+        probe = self._probes.get(key) or self._probe(key)
+        kp, b1, b2, bases = probe
         st = self.storage
         spb = self._spb
         self.stats.lookups += 1
-        bases = (b1 * spb, b2 * spb) if b2 != b1 else (b1 * spb,)
 
         for _ in range(self._READ_RETRIES):
             snapshot = []
@@ -329,12 +351,11 @@ class CuckooTable:
     def insert(self, key: FlowKey, value: Any, now: float = 0.0) -> None:
         """Insert or replace.  Raises TableFullError when no relocation path
         of length <= max_relocation_path frees a candidate slot."""
-        kp = key.pack()
+        kp, b1, b2, _ = self._probe(key)
         if kp == 0:
             raise ValueError("all-zero key is reserved for empty slots")
         if self.storage.values_are_ints and not isinstance(value, int):
             raise TypeError("shared-memory table stores int handles only")
-        b1, b2 = self._buckets(kp)
         ttl = now + self.config.ttl_delta
         st = self.storage
 
@@ -441,8 +462,7 @@ class CuckooTable:
         return True
 
     def remove(self, key: FlowKey) -> bool:
-        kp = key.pack()
-        b1, b2 = self._buckets(kp)
+        kp, b1, b2, _ = self._probe(key)
         locks = self._acquire(b1, b2)
         try:
             i = self._find_slot(kp, b1, b2)

@@ -145,15 +145,23 @@ class PortShardSteering:
     """Custom RSS: the port space is partitioned into per-worker shards.
     Client packets steer by source port, server-side packets by destination
     port; the splice agent picks backend ports in the client's shard, so a
-    connection's two directions always reach the same worker."""
+    connection's two directions always reach the same worker.
+
+    A port's shard never changes, so it is remembered the first time the
+    port is seen (`shards`), as a NIC's RSS indirection table holds it.  The
+    memo fills lazily and is bounded by the port space."""
 
     def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
+        self.shards: dict[int, int] = {}
 
     def shard_of(self, port: int) -> int:
-        return mix64(port ^ _SHARD_SALT) % self.n_workers
+        shard = self.shards.get(port)
+        if shard is None:
+            shard = self.shards[port] = mix64(port ^ _SHARD_SALT) % self.n_workers
+        return shard
 
 
 # -- engine ----------------------------------------------------------------------
@@ -200,9 +208,10 @@ class FlowEngine:
         return self.steering.shard_of(port)
 
     def _steer(self, pkt: Packet) -> int:
-        if (pkt.key.dst_addr, pkt.key.dst_port) in self.vips:
-            return self.steering.shard_of(pkt.key.src_port)
-        return self.steering.shard_of(pkt.key.dst_port)
+        key = pkt.key
+        port = key.src_port if (key.dst_addr, key.dst_port) in self.vips else key.dst_port
+        shard = self.steering.shards.get(port)
+        return self.steering.shard_of(port) if shard is None else shard
 
     # -- rule lifecycle -----------------------------------------------------------
 
@@ -306,14 +315,14 @@ class FlowEngine:
                     rule.last_hit = now
                     rw = rule.rewrite
                     self.stats.matched += 1
-                    return EngineResult(ResultKind.HAIRPIN, packet=Packet(
-                        key=rw.key, seq=(pkt.seq + rw.seq_delta) & 0xFFFFFFFF,
-                        ack=(pkt.ack + rw.ack_delta) & 0xFFFFFFFF, flags=pkt.flags,
-                        window=pkt.window, options=pkt.options, payload=pkt.payload))
+                    return EngineResult(ResultKind.HAIRPIN, Packet(
+                        rw.key, (pkt.seq + rw.seq_delta) & 0xFFFFFFFF,
+                        (pkt.ack + rw.ack_delta) & 0xFFFFFFFF, pkt.flags,
+                        pkt.window, pkt.options, pkt.payload))
                 if pkt.options.sack_blocks:
                     self.stats.sack_diverted += 1
         self.stats.missed += 1
-        return EngineResult(ResultKind.MISSED, packet=pkt, worker=self._steer(pkt))
+        return EngineResult(ResultKind.MISSED, pkt, self._steer(pkt))
 
     def poll_aged(self, now: float) -> list[int]:
         """Effective rules, not being deleted, idle past their idle_timeout;

@@ -59,10 +59,9 @@ from ..packet import (
     TcpFlags,
     TcpOptions,
     seq_add,
-    seq_sub,
+    unwrap,
 )
 
-_STALE_WINDOW = 1 << 30  # offsets beyond this are stale/corrupt; ignore
 _span_hi = itemgetter(1)
 
 
@@ -285,8 +284,7 @@ class MiniTcpEndpoint:
             return
 
         if flags & TcpFlags.ACK:
-            if self.synack_unacked and \
-                    seq_sub(pkt.ack, seq_add(self.isn, 1)) <= _STALE_WINDOW:
+            if self.synack_unacked and self._ack_off(pkt.ack) >= 0:
                 self.synack_unacked = False
                 self.syn_retries = 0
                 self._reset_rto(now)
@@ -340,9 +338,14 @@ class MiniTcpEndpoint:
                              ack=self._ack_value(), flags=TcpFlags.FIN | TcpFlags.ACK),
                       now)
 
+    def _ack_off(self, x32: int) -> int:
+        """A peer's ACK or SACK edge as an offset in the sent stream, read
+        against snd_una (`unwrap`); below 0 it is stale."""
+        return unwrap(x32 - self.isn - 1, self.snd_una)
+
     def _process_ack(self, pkt: Packet, now: float) -> None:
-        ack_off = seq_sub(pkt.ack, seq_add(self.isn, 1))
-        if ack_off > _STALE_WINDOW:
+        ack_off = self._ack_off(pkt.ack)
+        if ack_off < 0:
             return
         if self.fin_sent and ack_off >= self.tx.length + 1:
             if not self.fin_acked:
@@ -355,15 +358,11 @@ class MiniTcpEndpoint:
         advanced = ack_off > self.snd_una
         if advanced:
             self._ack_through(ack_off)
-        if pkt.options.sack_blocks:
-            base = seq_add(self.isn, 1)
-            for l, r in pkt.options.sack_blocks:
-                lo = seq_sub(l, base)
-                hi = seq_sub(r, base)
-                if lo < hi <= _STALE_WINDOW:
-                    lo, hi = max(lo, self.snd_una), min(hi, self.snd_nxt)
-                    if lo < hi:
-                        self._merge_sacked(lo, hi)
+        for l, r in pkt.options.sack_blocks:
+            lo = max(self._ack_off(l), self.snd_una)
+            hi = min(self._ack_off(r), self.snd_nxt)
+            if lo < hi:
+                self._merge_sacked(lo, hi)
 
         if advanced:
             self.dup_acks = 0
@@ -592,9 +591,14 @@ class MiniTcpEndpoint:
 
     # -- receiver ------------------------------------------------------------------------
 
+    def _seq_off(self, seq: int) -> int:
+        """A peer's seq as an offset in the received stream, read against
+        rcv_nxt (`unwrap`); below 0 it is stale."""
+        return unwrap(seq - self.rcv_isn - 1, self.rcv_nxt)
+
     def _process_data(self, pkt: Packet, now: float) -> None:
-        off = seq_sub(pkt.seq, seq_add(self.rcv_isn, 1))
-        if off > _STALE_WINDOW:
+        off = self._seq_off(pkt.seq)
+        if off < 0:
             return
         data = pkt.payload
         if off < self.rcv_nxt:
@@ -638,8 +642,8 @@ class MiniTcpEndpoint:
             self.app.on_peer_fin(now)
 
     def _process_fin(self, pkt: Packet, now: float) -> None:
-        fin_off = seq_sub(pkt.seq_end(), seq_add(self.rcv_isn, 1)) - 1
-        if fin_off > _STALE_WINDOW:
+        fin_off = self._seq_off(pkt.seq) + len(pkt.payload)
+        if fin_off < 0:
             return
         self.peer_fin_off = fin_off
         if self.rcv_nxt >= fin_off and not self.peer_fin_rcvd:

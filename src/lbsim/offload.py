@@ -5,7 +5,8 @@ deleting the engine rules of one offload costs P.  Offloading a response of
 B bytes takes its B / MSS data segments off the worker, and the client's
 ACKs of them, about one per segment, so it saves 2 * (B / MSS) * T of
 worker time and pays off only when B >= (P / 2T) * MSS, the one threshold
-`auto` uses.  P prices the rule work of a connection's first offload: one
+`auto` uses.  `OffloadParams.formula_threshold` computes it once per params,
+on first use, not once per response.  P prices the rule work of a connection's first offload: one
 install and one delete of the pair, at the deleter's batch size.  Each
 later response on that connection pays a re-target instead (three rule
 slots, see below) and no delete; the formula does not price that
@@ -56,6 +57,7 @@ pair whose next response breaks the bound goes at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .flow_engine import (
@@ -87,11 +89,12 @@ class OffloadParams:
         return 2 * (model.insert_per_rule_us(self.delete_batch_max)
                     + model.delete_per_rule_us(self.delete_batch_max)) * 1e-6
 
-    @property
+    @cached_property
     def formula_threshold(self) -> float:
         """Response bytes from which an offload pays for its rule update:
         each offloaded data segment saves two worker packets, the segment
-        and the client's ACK of it."""
+        and the client's ACK of it.  It depends on the frozen params alone,
+        so it is computed once, on first use, and kept on the instance."""
         return (self.p_rule_update / (2 * T_PER_PACKET)) * self.mss
 
 

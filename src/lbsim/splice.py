@@ -53,6 +53,7 @@ from typing import Callable, Optional, Sequence
 
 from .conntable import CuckooTable
 from .packet import (
+    EMPTY_OPTIONS,
     FlowKey,
     Packet,
     TcpFlags,
@@ -499,16 +500,20 @@ def clamped_ack_s2c(entry: ConnEntry, ack_in: int) -> int:
     return entry.ack_to_client(a)
 
 
-def rewrite_s2c(entry: ConnEntry, pkt: Packet) -> Packet:
+def rewrite_s2c(entry: ConnEntry, pkt: Packet, a: Optional[int] = None) -> Packet:
     """A server data segment or relayed pure ACK as the worker sends it to
     the client, computed without changing the entry: address swap, constant
     seq shift (no insertions server->client), the ACK clamped to the last
-    client byte fully covered, SACK blocks mapped to client space."""
-    return Packet(key=entry.client_key.reverse(),
-                  seq=seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
-                  ack=entry.ack_to_client(entry.recv_off(pkt.ack)),
-                  flags=pkt.flags, window=pkt.window,
-                  options=_options_s2c(entry, pkt.options), payload=pkt.payload)
+    client byte fully covered, SACK blocks mapped to client space.  `a` is
+    the packet's ACK as a receiver offset, when the caller has read it."""
+    if a is None:
+        a = entry.recv_off(pkt.ack)
+    # fields in order (key, seq, ack, flags, window, options, payload): the
+    # per-packet paths skip the keyword parsing of the dataclass's __init__
+    return Packet(entry.client_key.reverse(),
+                  seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
+                  entry.ack_to_client(a), pkt.flags, pkt.window,
+                  _options_s2c(entry, pkt.options), pkt.payload)
 
 
 def _options_s2c(entry: ConnEntry, options: TcpOptions) -> TcpOptions:
@@ -653,12 +658,13 @@ class SpliceAgent:
             while pts and pts[0].fold_after is not None and not entry.deferred \
                     and acked > pts[0].fold_after:
                 del pts[0]
-        out: list[Packet] = []
         if pkt.payload:
             self.counters["c2s_data_pkts"] += 1
-            out += self.on_client_data(pkt, entry, now)
+            out = self.on_client_data(pkt, entry, now)
         elif (flags & (TcpFlags.ACK | TcpFlags.FIN)) == TcpFlags.ACK:
-            out += self.on_client_ack(pkt, entry, now)
+            out = self.on_client_ack(pkt, entry, now)
+        else:
+            out = []
         if flags & TcpFlags.FIN:
             out += self._on_client_fin(pkt, entry, now)
         self._check_response_complete(entry, now)
@@ -844,9 +850,9 @@ class SpliceAgent:
         mss = entry.eff_mss
         seq = seq_add(entry.isn_lb_back, 1 + recv_off)
         ack = entry.ack_to_server()
-        return [Packet(key=entry.server_key, seq=seq_add(seq, i), ack=ack,
-                       flags=TcpFlags.ACK | TcpFlags.PSH, window=entry.client_window,
-                       payload=data[i:i + mss])
+        flags, window = TcpFlags.ACK | TcpFlags.PSH, entry.client_window
+        return [Packet(entry.server_key, seq_add(seq, i), ack, flags, window,
+                       EMPTY_OPTIONS, data[i:i + mss])  # positional, see rewrite_s2c
                 for i in range(0, len(data), mss)]
 
     def on_client_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
@@ -855,11 +861,11 @@ class SpliceAgent:
         if entry.state is not SpliceState.ESTABLISHED:
             return []
         delta = seq_sub(entry.isn_server, entry.isn_lb_front)
-        blocks = tuple((seq_add(l, delta), seq_add(r, delta))
-                       for l, r in pkt.options.sack_blocks)
-        return [Packet(key=entry.server_key, seq=entry.seq_to_server(entry.fwd_hi),
-                       ack=seq_add(pkt.ack, delta), flags=TcpFlags.ACK,
-                       window=pkt.window, options=TcpOptions(sack_blocks=blocks))]
+        blocks = pkt.options.sack_blocks
+        options = TcpOptions(sack_blocks=tuple((seq_add(l, delta), seq_add(r, delta))
+                                               for l, r in blocks)) if blocks else EMPTY_OPTIONS
+        return [Packet(entry.server_key, entry.seq_to_server(entry.fwd_hi),  # positional,
+                       seq_add(pkt.ack, delta), TcpFlags.ACK, pkt.window, options)]  # see rewrite_s2c
 
     def _on_client_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         if entry.state is not SpliceState.ESTABLISHED:
@@ -877,12 +883,13 @@ class SpliceAgent:
         if entry.state is not SpliceState.ESTABLISHED:
             return []
         flags = pkt.flags
-        out: list[Packet] = []
         if pkt.payload:
             self.counters["s2c_data_pkts"] += 1
-            out += self.on_server_data(pkt, entry, now)
+            out = self.on_server_data(pkt, entry, now)
         elif (flags & (TcpFlags.ACK | TcpFlags.FIN)) == TcpFlags.ACK:
-            out += self.on_server_ack(pkt, entry, now)
+            out = self.on_server_ack(pkt, entry, now)
+        else:
+            out = []
         if flags & TcpFlags.FIN:
             out += self._on_server_fin(pkt, entry, now)
         self._maybe_close(entry, now)
@@ -890,12 +897,15 @@ class SpliceAgent:
 
     def on_server_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         """Rewrite a response data segment toward the client (`rewrite_s2c`),
-        after noting its ACK and tracking the response."""
+        after tracking the response while its head may be open, and note
+        its ACK."""
         off = entry.server_off(pkt.seq)
-        self._track_response(pkt, off, entry, now)
-        out = rewrite_s2c(entry, pkt)
+        if entry.resp_end is None and not entry.resp_tracker_dead:
+            self._track_response(pkt, off, entry, now)
+        a = entry.recv_off(pkt.ack)
+        out = rewrite_s2c(entry, pkt, a)
         entry.relayed_hi = max(entry.relayed_hi, off + len(pkt.payload))
-        _note_server_ack(entry, entry.recv_off(pkt.ack))
+        _note_server_ack(entry, a)
         self.counters["forwarded_payload_bytes"] += len(pkt.payload)
         return [out]
 
@@ -919,9 +929,8 @@ class SpliceAgent:
         return [rewrite_s2c(entry, pkt)]
 
     def _track_response(self, pkt: Packet, off: int, entry: ConnEntry, now: float) -> None:
-        """Parse a response head from a server segment at offset off."""
-        if entry.resp_tracker_dead or entry.resp_end is not None:
-            return
+        """Parse a response head from a server segment at offset off; the
+        caller checks that a head may be open (no `resp_end`, tracker live)."""
         buf = entry.resp_head_buf
         # The head must end within head_cap bytes, so only that window is
         # kept: out-of-order body segments past it never reach the buffer.

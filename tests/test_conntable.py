@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbsim.conntable import CuckooTable, TableConfig, TableFullError, _hash_pair, mix64
+from lbsim.conntable import (
+    _HASH_CACHE_SIZE,
+    CuckooTable,
+    TableConfig,
+    TableFullError,
+    _hash_pair,
+    mix64,
+)
 from lbsim.packet import FlowKey
 
 DELTA = 60.0
@@ -170,6 +177,42 @@ def test_memoised_hash_pair_matches_mix64_formula(kp):
                 mix64(hi ^ mix64(lo ^ 0xC2B2AE3D27D4EB4F)))
     assert _hash_pair(kp) == expected
     assert _hash_pair(kp) == expected  # second call is served by the cache
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_probe_memo_past_its_size_keeps_every_answer(shared):
+    """More distinct keys than the probe memo holds, among them keys that
+    differ only in their addresses and keys that differ only in their
+    ports: every answer is the table's, the memo stays within its bound
+    and keeps refilling, and the counters count each lookup once."""
+    t = CuckooTable(TableConfig(bucket_count=4096, ttl_delta=DELTA), shared=shared)
+    grid = [FlowKey(0x0A020000 + a, 0x0A0000FE + a % 3, 10000 + p, 80 + p % 5)
+            for a in range(90) for p in range(90)]
+    keys, absent = grid[:80 * 90], grid[80 * 90:]
+    assert len(keys) > _HASH_CACHE_SIZE
+    for k in keys:
+        t.insert(k, handle_for(k), now=0.0)
+
+    def probe_memoised(k):
+        kp = k.pack()
+        return t._probes[k][:3] == (kp, *t._buckets(kp))
+
+    for k in keys:
+        assert t.lookup(k, now=1.0) == handle_for(k)
+        assert probe_memoised(k)
+    for k in absent:
+        assert t.lookup(k, now=1.0) is None
+        assert probe_memoised(k)
+    assert 0 < len(t._probes) <= _HASH_CACHE_SIZE
+    removed = set(keys[::2])
+    for k in keys[::2]:
+        assert t.remove(k)
+    for k in keys:
+        assert t.lookup(k, now=2.0) == (None if k in removed else handle_for(k))
+    assert 0 < len(t._probes) <= _HASH_CACHE_SIZE
+    n = len(keys)
+    assert (t.stats.lookups, t.stats.hits) == (2 * n + len(absent), n + n - len(removed))
+    assert len(t) == n - len(removed)
 
 
 def test_sweep_evicts_expired_entry():

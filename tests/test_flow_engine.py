@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lbsim.conntable import mix64
 from lbsim.flow_engine import (
+    _SHARD_SALT,
     EngineCapacityError,
     FlowEngine,
     LatencyModel,
@@ -13,6 +15,8 @@ from lbsim.flow_engine import (
     Rewrite,
     RuleConflictError,
 )
+from lbsim.netsim import Simulation, SimParams, TopologyParams, WorkloadParams
+from lbsim.netsim.sim import LB_ADDR, VIP_ADDR, VIP_PORT
 from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, seq_add
 
 VIP = (0x0A0000FE, 80)
@@ -189,6 +193,32 @@ def test_port_shard_steering_covers_all_ports_and_pairs_directions():
     c2s = Packet(key=FlowKey(0x0A000001, VIP[0], 5000, VIP[1]))
     s2c = Packet(key=FlowKey(0x0A000010, 0x0A010001, 8080, 5000))
     assert e.process(c2s, 0.0).worker == e.process(s2c, 0.0).worker
+
+
+@pytest.fixture(scope="module")
+def every_port_packets():
+    """A client packet from each port to the VIP, and a backend packet to
+    each port of the LB."""
+    ports = range(1 << 16)
+    return ([Packet(key=FlowKey(0x0A020001, VIP_ADDR, p, VIP_PORT)) for p in ports],
+            [Packet(key=FlowKey(0x0A030001, LB_ADDR, 8080, p)) for p in ports])
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+def test_remembered_shards_follow_the_formula_on_every_port(n_workers, every_port_packets):
+    """Client packets steer by source port and backend packets by
+    destination port to mix64(port ^ salt) % n_workers, whichever direction
+    first shows the engine a port, on a cold engine and a warm one; the
+    agent's shard_of, which picks backend ports, agrees."""
+    expected = [mix64(p ^ _SHARD_SALT) % n_workers for p in range(1 << 16)]
+    client, backend = every_port_packets
+    for first, second in ((client, backend), (backend, client)):
+        sim = Simulation(SimParams(topology=TopologyParams(n_workers=n_workers),
+                                   workload=WorkloadParams(connections=0)), seed=1)
+        for pkts in (first, second):  # the first pass is cold, the second warm
+            assert [sim.engine.process(pkt, 0.0).worker for pkt in pkts] == expected
+        assert [sim.agent.shard_of(p) for p in range(1 << 16)] == expected
+    assert sim.engine.stats.missed == 2 << 16
 
 
 def test_poll_aged_reports_idle_rules_and_hits_reset_clock():

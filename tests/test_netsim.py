@@ -10,8 +10,8 @@ from lbsim.flow_engine import ResultKind
 from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, WorkloadParams
 from lbsim.netsim.apps import request_bytes
 from lbsim.netsim.events import EventQueue
-from lbsim.netsim.tcp import MiniTcpEndpoint
-from lbsim.packet import FlowKey, Packet, TcpFlags, addr_str, seq_add, seq_sub
+from lbsim.netsim.tcp import AppCallbacks, MiniTcpEndpoint
+from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, addr_str, seq_add, seq_sub
 from lbsim.splice import classify_ack, rewrite_s2c
 
 
@@ -143,6 +143,61 @@ def test_pure_acks_after_own_fin_carry_fin_seq_plus_one():
     assert all(not p.payload and p.flags == TcpFlags.ACK and p.seq == fin.seq + 1
                for p in sent)
     assert ep.closed_cleanly
+
+
+def _established_endpoint(sent, received=None):
+    """A client endpoint past its handshake with a peer whose ISN is 9000."""
+    key = FlowKey(1, 2, 3, 4)
+    app = None
+    if received is not None:
+        app = AppCallbacks()
+        app.on_data = lambda chunk, now: received.append(chunk)
+    ep = MiniTcpEndpoint(EventQueue(), key, mss=1460, isn=500,
+                         transmit=lambda pkt, now: sent.append(pkt), app=app)
+    ep.connect(0.0)
+    ep.on_segment(Packet(key=key.reverse(), seq=9000, ack=501,
+                         flags=TcpFlags.SYN | TcpFlags.ACK), 0.0)
+    return ep
+
+
+@pytest.mark.parametrize("off", [(1 << 30) - 100, (1 << 30) + 100, (1 << 32) + 100])
+def test_receiver_delivers_in_order_segments_past_1_gib_and_4_gib(off):
+    """The receiver reads a segment's seq against rcv_nxt, so an in-order
+    segment is delivered wherever in the stream it lies."""
+    sent, received = [], []
+    ep = _established_endpoint(sent, received)
+    ep.rcv_nxt = off
+    ep.on_segment(Packet(key=ep.key.reverse(), seq=seq_add(9001, off), ack=501,
+                         flags=TcpFlags.ACK, payload=b"y" * 100), 1.0)
+    assert received == [b"y" * 100]
+    assert ep.rcv_nxt == off + 100
+    assert sent[-1].ack == seq_add(9001, off + 100)
+    # a segment below the stream's first byte is stale
+    ep.rcv_nxt = 0
+    ep.on_segment(Packet(key=ep.key.reverse(), seq=seq_sub(9001, 100), ack=501,
+                         flags=TcpFlags.ACK, payload=b"z" * 50), 1.0)
+    assert received == [b"y" * 100] and ep.rcv_nxt == 0
+
+
+def test_sender_reads_acks_and_sack_blocks_past_4_gib():
+    """The sender reads an ACK and its SACK edges against snd_una, so both
+    advance it and the scoreboard past 2^32."""
+    sent = []
+    ep = _established_endpoint(sent)
+    seg = ep.seg
+    base = (1 << 32) - 3 * seg
+    ep.tx.append_generated(lambda off, n: b"x" * n, base + 100 * seg)
+    ep.snd_una = ep.snd_nxt = ep.high_rxt = ep.lost_to = base
+    ep._pump(1.0)
+    assert ep.snd_nxt == base + 10 * seg  # one window, across 2^32
+    ack_off, sack = base + 4 * seg, (base + 6 * seg, base + 8 * seg)
+    assert ack_off > 1 << 32
+    ep.on_segment(Packet(key=ep.key.reverse(), seq=9001, ack=seq_add(501, ack_off),
+                         flags=TcpFlags.ACK,
+                         options=TcpOptions(sack_blocks=(
+                             (seq_add(501, sack[0]), seq_add(501, sack[1])),))), 1.0)
+    assert ep.snd_una == ack_off
+    assert ep.sacked == [list(sack)] and ep.sacked_bytes == 2 * seg
 
 
 def test_unacked_synack_is_resent_with_backoff_until_the_endpoint_gives_up():
