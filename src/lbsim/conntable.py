@@ -293,8 +293,7 @@ class CuckooTable:
         The TTL store happens before the final version check; if the check
         fails the (possibly spurious) refresh stands and the lookup retries.
         """
-        probe = self._probes.get(key) or self._probe(key)
-        kp, b1, b2, bases = probe
+        kp, b1, b2, bases = self._probes.get(key) or self._probe(key)
         st = self.storage
         spb = self._spb
         self.stats.lookups += 1

@@ -5,17 +5,17 @@ deleting the engine rules of one offload costs P.  Offloading a response of
 B bytes takes its B / MSS data segments off the worker, and the client's
 ACKs of them, about one per segment, so it saves 2 * (B / MSS) * T of
 worker time and pays off only when B >= (P / 2T) * MSS, the one threshold
-`auto` uses.  `OffloadParams.formula_threshold` computes it once per params,
-on first use, not once per response.  P prices the rule work of a connection's first offload: one
-install and one delete of the pair, at the deleter's batch size.  Each
-later response on that connection pays a re-target instead (three rule
-slots, see below) and no delete; the formula does not price that
-difference, and its threshold is unchanged.  The first response's install
-window, during which a warm connection's open window of data and ACKs
-still passes through the worker, is not priced either.  A later response
-has no such window: the latch holds its request until the re-targeted
-rules are ready, so a re-target costs the request latency, not worker
-packets.
+`auto` uses.  `OffloadParams.formula_threshold` computes it once per
+params, on first use, not once per response.  P prices the rule work of a
+connection's first offload: one install and one delete of the pair, at the
+deleter's batch size.  Each later response on that connection pays a
+re-target instead (three rule slots, see below) and no delete; the formula
+does not price that difference, and its threshold is unchanged.  The first
+response's install window, during which a warm connection's open window of
+data and ACKs still passes through the worker, is not priced either.  A
+later response has no such window: the latch holds its request until the
+re-targeted rules are ready, so a re-target costs the request latency, not
+worker packets.
 
 An offload is a pair of rules, installed in one batch: the server rule
 rewrites the response's data toward the client, and the client rule

@@ -851,8 +851,9 @@ class SpliceAgent:
         seq = seq_add(entry.isn_lb_back, 1 + recv_off)
         ack = entry.ack_to_server()
         flags, window = TcpFlags.ACK | TcpFlags.PSH, entry.client_window
+        # positional fields, as in rewrite_s2c
         return [Packet(entry.server_key, seq_add(seq, i), ack, flags, window,
-                       EMPTY_OPTIONS, data[i:i + mss])  # positional, see rewrite_s2c
+                       EMPTY_OPTIONS, data[i:i + mss])
                 for i in range(0, len(data), mss)]
 
     def on_client_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
@@ -862,10 +863,11 @@ class SpliceAgent:
             return []
         delta = seq_sub(entry.isn_server, entry.isn_lb_front)
         blocks = pkt.options.sack_blocks
-        options = TcpOptions(sack_blocks=tuple((seq_add(l, delta), seq_add(r, delta))
-                                               for l, r in blocks)) if blocks else EMPTY_OPTIONS
-        return [Packet(entry.server_key, entry.seq_to_server(entry.fwd_hi),  # positional,
-                       seq_add(pkt.ack, delta), TcpFlags.ACK, pkt.window, options)]  # see rewrite_s2c
+        options = EMPTY_OPTIONS if not blocks else TcpOptions(
+            sack_blocks=tuple((seq_add(l, delta), seq_add(r, delta)) for l, r in blocks))
+        # positional fields, as in rewrite_s2c
+        return [Packet(entry.server_key, entry.seq_to_server(entry.fwd_hi),
+                       seq_add(pkt.ack, delta), TcpFlags.ACK, pkt.window, options)]
 
     def _on_client_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         if entry.state is not SpliceState.ESTABLISHED:
