@@ -15,7 +15,9 @@ A lookup's probe, the key packed and the bases of its two candidate
 buckets, depends on the key alone, so each table memoises it per FlowKey
 (`_probes`): a flow's packets repeat its key, and its later lookups skip the
 packing and the hashing.  The memo holds at most _HASH_CACHE_SIZE keys, and
-is emptied and refilled when it reaches that bound.
+is emptied and refilled when it reaches that bound.  Its entries depend on
+the key alone, so threads that race on it at worst compute a probe twice or
+hold a few keys past the bound until the next emptying.
 
 Two storages back the same algorithm:
 
