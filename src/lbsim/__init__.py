@@ -1,7 +1,7 @@
 """lbsim: a packet-level L7 load balancer with a deterministic network simulator.
 
 Core pieces:
-  packet       packet/flow-key data model, wrapping seq arithmetic, wire codec
+  packet       packet/flow-key data model, wrapping seq arithmetic
   conntable    concurrent cuckoo connection table (version-checked lock-free reads)
   splice       TCP splicing agent: handshake, header insertion, seq/ACK rewriting
   flow_engine  simulated match-action engine with rule-update latency model

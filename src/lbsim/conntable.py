@@ -51,6 +51,8 @@ _SLOT_WORDS = 5  # version, key_hi, key_lo, value, ttl
 # are memoised.  A flow's packets repeat its key, so each cache needs to hold
 # the live flows of one table, not all keys.
 _HASH_CACHE_SIZE = 1 << 12
+# Writer lock stripes; a power of two, so a bucket's stripe is a mask of it.
+LOCK_STRIPES = 64
 
 
 class TableFullError(RuntimeError):
@@ -63,15 +65,12 @@ class TableConfig:
     slots_per_bucket: int = 4
     max_relocation_path: int = 5
     ttl_delta: float = 60.0
-    lock_stripes: int = 64
 
     def __post_init__(self):
         if self.bucket_count < 2 or self.bucket_count & (self.bucket_count - 1):
             raise ValueError("bucket_count must be a power of two >= 2")
         if self.slots_per_bucket < 1:
             raise ValueError("slots_per_bucket must be >= 1")
-        if self.lock_stripes & (self.lock_stripes - 1):
-            raise ValueError("lock_stripes must be a power of two")
 
 
 def mix64(x: int) -> int:
@@ -100,12 +99,12 @@ class ListStorage:
 
     values_are_ints = False
 
-    def __init__(self, n_slots: int, n_stripes: int):
+    def __init__(self, n_slots: int):
         self.versions = [0] * n_slots
         self.keys = [0] * n_slots
         self.values: list[Any] = [None] * n_slots
         self.ttls = [0.0] * n_slots
-        self._locks = [threading.Lock() for _ in range(n_stripes)]
+        self._locks = [threading.Lock() for _ in range(LOCK_STRIPES)]
 
     def version(self, i: int) -> int:
         return self.versions[i]
@@ -157,12 +156,12 @@ class SharedMemStorage:
 
     values_are_ints = True
 
-    def __init__(self, n_slots: int, n_stripes: int):
+    def __init__(self, n_slots: int):
         self._mm = mmap.mmap(-1, n_slots * _SLOT_WORDS * 8)
         self._q = memoryview(self._mm).cast("Q")
         self._d = memoryview(self._mm).cast("d")
         ctx = mp.get_context("fork")
-        self._locks = [ctx.Lock() for _ in range(n_stripes)]
+        self._locks = [ctx.Lock() for _ in range(LOCK_STRIPES)]
 
     def version(self, i: int) -> int:
         return self._q[i * _SLOT_WORDS]
@@ -240,10 +239,9 @@ class CuckooTable:
         self.config = config
         n_slots = config.bucket_count * config.slots_per_bucket
         cls = SharedMemStorage if shared else ListStorage
-        self.storage = cls(n_slots, config.lock_stripes)
+        self.storage = cls(n_slots)
         self._mask = config.bucket_count - 1
         self._spb = config.slots_per_bucket
-        self._stripe_mask = config.lock_stripes - 1
         # FlowKey -> (packed key, bucket 1, bucket 2, bases of the distinct buckets)
         self._probes: dict[FlowKey, tuple[int, int, int, tuple[int, ...]]] = {}
         self.stats = TableStats()
@@ -273,7 +271,7 @@ class CuckooTable:
         return b2 if b == b1 else b1
 
     def _stripe(self, bucket: int) -> int:
-        return bucket & self._stripe_mask
+        return bucket & (LOCK_STRIPES - 1)
 
     def _acquire(self, *buckets: int) -> list:
         stripes = sorted({self._stripe(b) for b in buckets})

@@ -136,35 +136,9 @@ def diverts(pkt: Packet) -> bool:
     return bool(pkt.flags & (TcpFlags.FIN | TcpFlags.RST) or pkt.options.sack_blocks)
 
 
-# -- steering ----------------------------------------------------------------------
-
-_SHARD_SALT = 0x5EED0001
-
-
-class PortShardSteering:
-    """Custom RSS: the port space is partitioned into per-worker shards.
-    Client packets steer by source port, server-side packets by destination
-    port; the splice agent picks backend ports in the client's shard, so a
-    connection's two directions always reach the same worker.
-
-    A port's shard never changes, so it is remembered the first time the
-    port is seen (`shards`), as a NIC's RSS indirection table holds it.  The
-    memo fills lazily and is bounded by the port space."""
-
-    def __init__(self, n_workers: int):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-        self.shards: dict[int, int] = {}
-
-    def shard_of(self, port: int) -> int:
-        shard = self.shards.get(port)
-        if shard is None:
-            shard = self.shards[port] = mix64(port ^ _SHARD_SALT) % self.n_workers
-        return shard
-
-
 # -- engine ----------------------------------------------------------------------
+
+_SHARD_SALT = 0x5EED0001  # of the port -> worker hash (FlowEngine.shard_of)
 
 
 class ResultKind(Enum):
@@ -197,21 +171,35 @@ class FlowEngine:
         self.model = LatencyModel()
         self.capacity = capacity
         self.vips = set(vips)
-        self.steering = PortShardSteering(n_workers)
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        self.n_workers = n_workers
+        self.shards: dict[int, int] = {}
         self.rules: dict[FlowKey, Rule] = {}
         self.stats = EngineStats()
         self._next_id = 1
 
     # -- steering ---------------------------------------------------------------
+    # Custom RSS: the port space is partitioned into per-worker shards.
+    # Client packets steer by source port, server-side packets by destination
+    # port; the splice agent picks backend ports in the client's shard, so a
+    # connection's two directions always reach the same worker.
+    #
+    # A port's shard never changes, so it is remembered the first time the
+    # port is seen (`shards`), as a NIC's RSS indirection table holds it.  The
+    # memo fills lazily and is bounded by the port space.
 
     def shard_of(self, port: int) -> int:
-        return self.steering.shard_of(port)
+        shard = self.shards.get(port)
+        if shard is None:
+            shard = self.shards[port] = mix64(port ^ _SHARD_SALT) % self.n_workers
+        return shard
 
     def _steer(self, pkt: Packet) -> int:
         key = pkt.key
         port = key.src_port if (key.dst_addr, key.dst_port) in self.vips else key.dst_port
-        shard = self.steering.shards.get(port)
-        return self.steering.shard_of(port) if shard is None else shard
+        shard = self.shards.get(port)
+        return self.shard_of(port) if shard is None else shard
 
     # -- rule lifecycle -----------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Point-to-point simplex link: propagation latency, serialization delay
-from bandwidth, seeded per-packet Bernoulli loss.  FIFO per direction."""
+from bandwidth, seeded per-packet Bernoulli loss.  FIFO per direction.
+
+Every link has the same LATENCY (50 us of propagation) and BYTES_PER_SEC
+(10 Gbps); only its loss rate is set per link, in LinkParams."""
 
 from __future__ import annotations
 
@@ -11,12 +14,12 @@ from ..packet import Packet
 from .events import EventQueue
 
 WIRE_OVERHEAD_BYTES = 58  # Ethernet + IP + TCP framing approximation
+LATENCY = 50e-6  # propagation, seconds
+BYTES_PER_SEC = 10e9 / 8
 
 
 @dataclass(frozen=True)
 class LinkParams:
-    latency: float = 50e-6        # propagation, seconds
-    gbps: float = 10.0
     loss: float = 0.0             # per-packet drop probability
 
 
@@ -31,7 +34,6 @@ class Link:
         self.params = params
         self.deliver = deliver
         self._rng = random.Random(seed)
-        self._bytes_per_sec = params.gbps * 1e9 / 8
         self._free_at = 0.0
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -39,7 +41,7 @@ class Link:
         self.dropped_bytes = 0
 
     def wire_time(self, pkt: Packet) -> float:
-        return (len(pkt.payload) + WIRE_OVERHEAD_BYTES) / self._bytes_per_sec
+        return (len(pkt.payload) + WIRE_OVERHEAD_BYTES) / BYTES_PER_SEC
 
     def send(self, pkt: Packet, now: float) -> None:
         self.tx_packets += 1
@@ -51,4 +53,4 @@ class Link:
         start = max(now, self._free_at)
         ser = self.wire_time(pkt)
         self._free_at = start + ser
-        self.queue.schedule(self._free_at + self.params.latency, self.deliver, pkt)
+        self.queue.schedule(self._free_at + LATENCY, self.deliver, pkt)

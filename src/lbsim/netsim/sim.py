@@ -16,7 +16,7 @@ from ..conntable import CuckooTable, TableConfig, mix64
 from ..flow_engine import FlowEngine, ResultKind
 from ..offload import OffloadManager, OffloadParams
 from ..packet import FlowKey, Packet, TcpFlags
-from ..splice import Backend, RouteTable, SpliceAgent
+from ..splice import Backend, HeaderEdit, RouteRule, RouteTable, SpliceAgent
 from .apps import HttpClientSession, HttpServerSession, RequestSpec
 from .events import EventQueue
 from .link import Link, LinkParams
@@ -27,6 +27,8 @@ VIP_PORT = 80
 LB_ADDR = 0x0A010001           # 10.1.0.1
 CLIENT_ADDR_BASE = 0x0A020000  # 10.2.x.x
 CLIENT_PORT_BASE = 10000
+URL_PREFIX = b"/api"           # every request's path starts with it; its route edits the head
+BACKENDS = (Backend(0x0A030001, 8080), Backend(0x0A030002, 8080))
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class TopologyParams:
     client_link: LinkParams = LinkParams()
     server_link: LinkParams = LinkParams()
     table_buckets: int = 4096
-    ttl_delta: float = 60.0
     sweep_interval: float = 30.0
     aged_poll_interval: float = 1.0
 
@@ -47,7 +48,6 @@ class WorkloadParams:
     requests_per_connection: tuple[int, int] = (1, 1)  # inclusive range
     sizes: tuple[tuple[int, float], ...] = ((1024, 1.0),)  # (bytes, weight)
     start_spacing: float = 200e-6
-    url_prefix: bytes = b"/api"
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ class SimParams:
     topology: TopologyParams = TopologyParams()
     workload: WorkloadParams = WorkloadParams()
     offload_mode: str = "auto"          # auto | always | never
-    backends: tuple[Backend, ...] = (Backend(0x0A030001, 8080),
-                                     Backend(0x0A030002, 8080))
     until: float = 300.0                # hard sim-time cap
     drain: float = 0.0                  # extra time after every endpoint has closed
 
@@ -118,9 +116,8 @@ class Simulation:
 
         self.engine = FlowEngine(n_workers=topo.n_workers, vips=[(VIP_ADDR, VIP_PORT)])
 
-        self.table = CuckooTable(TableConfig(bucket_count=topo.table_buckets,
-                                             ttl_delta=topo.ttl_delta))
-        self.routes = self._default_routes(params)
+        self.table = CuckooTable(TableConfig(bucket_count=topo.table_buckets))
+        self.routes = self._default_routes()
         self.agent = SpliceAgent(
             self.table, self.routes, vip_addr=VIP_ADDR, vip_port=VIP_PORT,
             lb_addr=LB_ADDR, mss=topo.mss,
@@ -156,12 +153,11 @@ class Simulation:
 
     # -- construction ----------------------------------------------------------
 
-    def _default_routes(self, params: SimParams) -> RouteTable:
-        from ..splice import HeaderEdit, RouteRule
+    def _default_routes(self) -> RouteTable:
         return RouteTable(
-            rules=[RouteRule(params.workload.url_prefix, "main",
+            rules=[RouteRule(URL_PREFIX, "main",
                              (HeaderEdit("x-forwarded-for", "$client_addr"),))],
-            pools={"main": list(params.backends)},
+            pools={"main": list(BACKENDS)},
             default_pool="main", seed=self.seed)
 
     def _build_workload(self) -> None:
@@ -176,7 +172,7 @@ class Simulation:
             for j in range(n_req):
                 size = rng.choices(sizes, weights=weights)[0]
                 body_seed = mix64((self.seed << 1) ^ (i * 131071 + j))
-                path = b"%s/s/%d/%d/%d" % (wl.url_prefix, size, body_seed, j)
+                path = b"%s/s/%d/%d/%d" % (URL_PREFIX, size, body_seed, j)
                 specs.append(RequestSpec(path=path, size=size, body_seed=body_seed))
             session = HttpClientSession(specs)
             self.sessions.append(session)

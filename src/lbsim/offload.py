@@ -72,13 +72,13 @@ from .packet import UNWRAP_ABOVE, Packet, seq_add, seq_sub
 from .splice import ConnEntry, SpliceAgent
 
 T_PER_PACKET = 1 / 3.0e6  # one worker sustains ~3 Mpps
+DELETE_FLUSH_TIMEOUT = 100e-6  # a partial delete batch waits at most this long
 
 
 @dataclass(frozen=True)
 class OffloadParams:
     mss: int = 1460
     delete_batch_max: int = 16
-    delete_flush_timeout: float = 100e-6
     rule_idle_timeout: float = 10.0
 
     @property
@@ -158,7 +158,7 @@ class OffloadManager:
         self.schedule = schedule
         self.emit = emit
         agent.offload = self
-        self.force = False  # bench knob: offload regardless of size
+        self.force = False  # offload regardless of size: offload_mode="always"
         self._batch_pairs = max(1, params.delete_batch_max // 2)
         # rule pairs waiting for the deleter, in order; each counts 2 rules
         self.pending: list[tuple[tuple[int, int], ConnEntry]] = []
@@ -284,7 +284,7 @@ class OffloadManager:
     def _arm_timer(self, now: float) -> None:
         self._timer_gen += 1
         gen = self._timer_gen
-        self.schedule(now + self.params.delete_flush_timeout,
+        self.schedule(now + DELETE_FLUSH_TIMEOUT,
                       lambda t, g=gen: self._on_timer(g, t))
 
     def _on_timer(self, gen: int, now: float) -> None:

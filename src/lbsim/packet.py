@@ -1,14 +1,14 @@
-"""Packet data model, 32-bit sequence arithmetic, and the wire codec.
+"""Packet data model and 32-bit sequence arithmetic.
 
 Everything else in the package trades in these types.  Packets are immutable
 values: rewriting a header means building a new packet (dataclasses.replace),
-so they can be freely shared across simulated cores.
+so they can be freely shared across simulated cores.  No packet is ever
+turned into bytes: the simulator passes these values from hop to hop.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 SEQ_MOD = 1 << 32
@@ -19,7 +19,8 @@ PROTO_TCP = 6
 
 
 class MalformedPacketError(ValueError):
-    """Raised when decode() is fed bytes that are not a valid encoded packet."""
+    """Raised by Packet.validate() for a packet whose fields no TCP header
+    could carry."""
 
 
 class TcpFlags:
@@ -86,9 +87,6 @@ class TcpOptions:
     sack_permitted: bool = False
     sack_blocks: tuple[tuple[int, int], ...] = ()
 
-    def __bool__(self) -> bool:
-        return bool(self.mss is not None or self.sack_permitted or self.sack_blocks)
-
 
 EMPTY_OPTIONS = TcpOptions()
 
@@ -97,7 +95,7 @@ EMPTY_OPTIONS = TcpOptions()
 class Packet:
     """One simplified TCP/IP datagram.
 
-    Invariants (checked by validate(), enforced by the codec):
+    Invariants (checked by validate()):
       * non-empty payload implies SYN and RST are clear
       * every SACK block satisfies left < right in wrapping order
     """
@@ -145,83 +143,6 @@ class Packet:
         if self.flags & (TcpFlags.SYN | TcpFlags.FIN):
             n += 1
         return seq_add(self.seq, n)
-
-    def with_(self, **kw) -> "Packet":
-        return replace(self, **kw)
-
-
-# ---------------------------------------------------------------------------
-# Binary codec.  Fixed 32-byte big-endian header (`_HDR`), then TLV
-# options, then payload.
-
-_HDR = struct.Struct(">IIHHBBHIIIHH")
-HEADER_SIZE = _HDR.size  # 32
-assert HEADER_SIZE == 32
-
-_OPT_MSS = 1
-_OPT_SACK_PERMITTED = 2
-_OPT_SACK_BLOCKS = 3
-
-
-def encode(p: Packet) -> bytes:
-    p.validate()
-    opts = bytearray()
-    if p.options.mss is not None:
-        opts += struct.pack(">BBH", _OPT_MSS, 2, p.options.mss)
-    if p.options.sack_permitted:
-        opts += struct.pack(">BB", _OPT_SACK_PERMITTED, 0)
-    if p.options.sack_blocks:
-        opts += struct.pack(">BB", _OPT_SACK_BLOCKS, 8 * len(p.options.sack_blocks))
-        for l, r in p.options.sack_blocks:
-            opts += struct.pack(">II", l, r)
-    hdr = _HDR.pack(p.key.src_addr, p.key.dst_addr, p.key.src_port,
-                    p.key.dst_port, p.key.proto, p.flags, p.window,
-                    p.seq, p.ack, len(p.payload), len(opts), 0)
-    return hdr + bytes(opts) + p.payload
-
-
-def decode(buf: bytes) -> Packet:
-    if len(buf) < HEADER_SIZE:
-        raise MalformedPacketError(f"short packet: {len(buf)} bytes")
-    (src, dst, sport, dport, proto, flags, window,
-     seq, ack, plen, optlen, _rsvd) = _HDR.unpack_from(buf)
-    if len(buf) != HEADER_SIZE + optlen + plen:
-        raise MalformedPacketError("length fields disagree with buffer size")
-    if flags & ~0x1F:
-        raise MalformedPacketError(f"unknown flag bits 0x{flags:02x}")
-    mss = None
-    sack_permitted = False
-    sack_blocks: tuple[tuple[int, int], ...] = ()
-    off, end = HEADER_SIZE, HEADER_SIZE + optlen
-    while off < end:
-        if end - off < 2:
-            raise MalformedPacketError("truncated option header")
-        t, ln = buf[off], buf[off + 1]
-        off += 2
-        if end - off < ln:
-            raise MalformedPacketError("truncated option value")
-        if t == _OPT_MSS:
-            if ln != 2:
-                raise MalformedPacketError("bad MSS option length")
-            (mss,) = struct.unpack_from(">H", buf, off)
-        elif t == _OPT_SACK_PERMITTED:
-            if ln != 0:
-                raise MalformedPacketError("bad SACK-permitted option length")
-            sack_permitted = True
-        elif t == _OPT_SACK_BLOCKS:
-            if ln % 8 or ln // 8 > MAX_SACK_BLOCKS:
-                raise MalformedPacketError("bad SACK blocks option length")
-            sack_blocks = tuple(struct.unpack_from(">II", buf, off + 8 * i)
-                                for i in range(ln // 8))
-        else:
-            raise MalformedPacketError(f"unknown option type {t}")
-        off += ln
-    pkt = Packet(key=FlowKey(src, dst, sport, dport, proto), seq=seq, ack=ack,
-                 flags=flags, window=window,
-                 options=TcpOptions(mss, sack_permitted, sack_blocks),
-                 payload=bytes(buf[end:end + plen]))
-    pkt.validate()
-    return pkt
 
 
 def addr_str(addr: int) -> str:

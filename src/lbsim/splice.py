@@ -14,7 +14,9 @@ The agent buffers only what it must: a request head until it is complete
 (the first one until the backend answers), and the inserted bytes until the
 server ACKs them.  Everything else is forwarded as it arrives, and endpoint
 TCP recovers it.  The only payload this agent ever retransmits is inserted
-bytes.
+bytes, and only when the client resends the bytes around them: a client
+segment that covers an unACKed insertion's point carries it again
+(`_emit_spliced`).
 
 The request parser's state is the entry's `head_buf`: while it is set, a
 head is open and its bytes collect there; once the head is complete, it
@@ -66,7 +68,6 @@ from .packet import (
 
 REQUEST_HEAD_CAP = 16384
 MAX_LENGTH_DIGITS = 18  # significant digits of a valid Content-Length; every such value fits 63 bits
-DUP_ACK_RETRANSMIT_THRESHOLD = 3
 HEAD_TERMINATOR = b"\r\n\r\n"
 
 
@@ -83,7 +84,9 @@ class InsertionPoint:
     sender_off is a client-stream offset.  The receiver sees the inserted
     bytes at [recv_start, recv_end) where recv_start = sender_off + cum_before.
 
-    The bytes are held until a server ACK reaches recv_end.  When a server
+    The bytes are held until a server ACK reaches recv_end, for the one
+    path that resends them: a client segment that covers sender_off again
+    before then carries them again (`_emit_spliced`).  When a server
     ACK first passes recv_end, fold_after records the server-stream offset
     one past the highest server byte the agent has relayed, or the client's
     ACK if that is higher.  Every server byte at or beyond it reached the
@@ -107,7 +110,6 @@ class InsertionPoint:
     length: int
     cum_before: int
     sent: bool = False
-    dup_ack_count: int = 0
     fold_after: Optional[int] = None   # server-stream offset, see above
 
     @property
@@ -280,7 +282,6 @@ class HeaderEdit:
 class Backend:
     addr: int
     port: int
-    weight: int = 1
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ class RouteRule:
 
 class RouteTable:
     """Longest-prefix URL routing over configured pools; deterministic
-    weighted round-robin inside a pool (rotation offset from the seed)."""
+    round-robin over a pool's members (rotation offset from the seed)."""
 
     def __init__(self, rules: Sequence[RouteRule], pools: dict[str, Sequence[Backend]],
                  default_pool: str, seed: int = 0):
@@ -307,12 +308,7 @@ class RouteTable:
         self.rules = sorted(rules, key=lambda r: -len(r.prefix))  # longest first, stable
         self.pools = {name: list(members) for name, members in pools.items()}
         self.default_pool = default_pool
-        self._rr: dict[str, int] = {}
-        self._expanded: dict[str, list[Backend]] = {}
-        for name, members in self.pools.items():
-            expanded = [b for b in members for _ in range(max(1, b.weight))]
-            self._expanded[name] = expanded
-            self._rr[name] = seed % len(expanded)
+        self._rr = {name: seed % len(members) for name, members in self.pools.items()}
 
     def match(self, path: bytes) -> RouteRule:
         for rule in self.rules:
@@ -321,10 +317,10 @@ class RouteTable:
         return RouteRule(prefix=b"", pool=self.default_pool)
 
     def pick_backend(self, pool: str) -> Backend:
-        expanded = self._expanded[pool]
+        members = self.pools[pool]
         i = self._rr[pool]
-        self._rr[pool] = (i + 1) % len(expanded)
-        return expanded[i]
+        self._rr[pool] = (i + 1) % len(members)
+        return members[i]
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +471,6 @@ def _note_server_ack(entry: ConnEntry, a: int) -> None:
         pt.data = None
         if pt.fold_after is None and a > pt.recv_end:
             pt.fold_after = max(entry.relayed_hi, entry.client_acked)
-
-
-def map_ack_s2c(entry: ConnEntry, ack_in: int) -> tuple[str, int, Optional[int]]:
-    """Map a server pure ACK into client space: classify_ack's kind and
-    point index, with the forwarded offset as an absolute client-space ACK.
-    Besides _note_server_ack's effects, progress past an insertion's start
-    ends its run of duplicate ACKs."""
-    a = entry.recv_off(ack_in)
-    _note_server_ack(entry, a)
-    for pt in entry.insertions:
-        if a <= pt.recv_start:
-            break
-        pt.dup_ack_count = 0
-    kind, fwd, idx = classify_ack(entry.insertions, a, entry.folded)
-    return kind, seq_add(entry.isn_client, 1 + fwd), idx
 
 
 def clamped_ack_s2c(entry: ConnEntry, ack_in: int) -> int:
@@ -913,22 +894,18 @@ class SpliceAgent:
 
     def on_server_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         """Pure ACK from the server.  One inside or at the end of an inserted
-        region is suppressed; the third in a row parked at an unACKed
-        insertion's start retransmits that insertion; the rest are relayed
-        (`rewrite_s2c`)."""
-        kind, _, idx = map_ack_s2c(entry, pkt.ack)
-        if kind == "inside":
+        region is suppressed; the rest are relayed (`rewrite_s2c`).  One
+        parked at an unACKed insertion's start reaches the client as a
+        duplicate ACK at its sender_off, so the client's own fast
+        retransmit or RTO resends from there, and `_emit_spliced` weaves
+        the insertion back in: the agent resends inserted bytes on that
+        path only."""
+        a = entry.recv_off(pkt.ack)
+        _note_server_ack(entry, a)
+        if classify_ack(entry.insertions, a, entry.folded)[0] == "inside":
             self.counters["acks_suppressed"] += 1
             return []
-        if kind == "at_start":
-            pt = entry.insertions[idx]
-            if not pt.acked:
-                pt.dup_ack_count += 1
-                if pt.dup_ack_count >= DUP_ACK_RETRANSMIT_THRESHOLD:
-                    pt.dup_ack_count = 0
-                    self.counters["inserted_bytes_retx"] += pt.length
-                    return self._segments(entry, pt.data, pt.recv_start)
-        return [rewrite_s2c(entry, pkt)]
+        return [rewrite_s2c(entry, pkt, a)]
 
     def _track_response(self, pkt: Packet, off: int, entry: ConnEntry, now: float) -> None:
         """Parse a response head from a server segment at offset off; the

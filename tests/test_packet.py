@@ -1,19 +1,19 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbsim.packet import (
-    EMPTY_OPTIONS,
+    MAX_SACK_BLOCKS,
+    SEQ_MOD,
     FlowKey,
     MalformedPacketError,
     Packet,
     TcpFlags,
     TcpOptions,
     addr_str,
-    decode,
-    encode,
     seq_add,
     seq_sub,
     unwrap,
@@ -50,33 +50,6 @@ def test_flowkey_reverse_involution_and_order():
     assert K.reverse() != K
     assert sorted([K.reverse(), K]) == sorted([K, K.reverse()])
     assert FlowKey.unpack(K.pack()) == K
-
-
-def test_roundtrip_syn_with_mss():
-    p = Packet(key=K, seq=1000, flags=TcpFlags.SYN,
-               options=TcpOptions(mss=1460, sack_permitted=True))
-    assert decode(encode(p)) == p
-
-
-def test_roundtrip_data_with_sack_blocks():
-    p = Packet(key=K, seq=5, ack=77, flags=TcpFlags.ACK | TcpFlags.PSH,
-               options=TcpOptions(sack_blocks=((100, 200), (300, 400))),
-               payload=b"hello world")
-    assert decode(encode(p)) == p
-
-
-def test_decode_rejects_garbage():
-    with pytest.raises(MalformedPacketError):
-        decode(b"short")
-    good = encode(Packet(key=K, payload=b"x", flags=TcpFlags.ACK))
-    with pytest.raises(MalformedPacketError):
-        decode(good[:-1])
-    with pytest.raises(MalformedPacketError):
-        decode(good + b"\x00")
-    bad = bytearray(good)
-    bad[13] = 0xFF  # flags byte: unknown bits
-    with pytest.raises(MalformedPacketError):
-        decode(bytes(bad))
 
 
 def test_payload_on_syn_rejected():
@@ -120,34 +93,28 @@ def valid_packets(draw):
                   options=options, payload=payload)
 
 
-@settings(max_examples=300, deadline=None)
+def _corruptions(p):
+    """Copies of p that each break one field's range: seq or ACK past 32
+    bits, window past 16 bits, five SACK blocks, an empty or a reversed
+    block, MSS 0 or past 16 bits."""
+    opts = p.options
+    yield replace(p, seq=SEQ_MOD)
+    yield replace(p, ack=SEQ_MOD + p.ack)
+    yield replace(p, window=1 << 16)
+    yield replace(p, options=replace(opts, sack_blocks=((1, 2),) * (MAX_SACK_BLOCKS + 1)))
+    yield replace(p, options=replace(opts, sack_blocks=opts.sack_blocks[:3] + ((p.seq, p.seq),)))
+    yield replace(p, options=replace(opts, sack_blocks=((seq_add(p.seq, 10), p.seq),)))
+    yield replace(p, options=replace(opts, mss=0))
+    yield replace(p, options=replace(opts, mss=1 << 16))
+
+
+@settings(max_examples=200, deadline=None)
 @given(valid_packets())
-def test_roundtrip_property(p):
-    assert decode(encode(p)) == p
-
-
-@settings(max_examples=100, deadline=None)
-@given(valid_packets())
-def test_decoded_flags_are_plain_ints(p):
-    assert type(decode(encode(p)).flags) is int
-
-
-def test_roundtrip_10k_random_packets():
-    rng = random.Random(123)
-    for _ in range(10_000):
-        flags = TcpFlags.ACK | (TcpFlags.PSH if rng.random() < 0.5 else 0)
-        blocks = []
-        for _ in range(rng.randrange(0, 3)):
-            l = rng.getrandbits(32)
-            blocks.append((l, (l + rng.randrange(1, 9000)) % (1 << 32)))
-        p = Packet(
-            key=FlowKey(rng.getrandbits(32), rng.getrandbits(32),
-                        rng.getrandbits(16), rng.getrandbits(16)),
-            seq=rng.getrandbits(32), ack=rng.getrandbits(32), flags=flags,
-            window=rng.getrandbits(16),
-            options=TcpOptions(sack_blocks=tuple(blocks)),
-            payload=rng.randbytes(rng.randrange(0, 100)))
-        assert decode(encode(p)) == p
+def test_validate_accepts_valid_packets_and_rejects_each_corruption(p):
+    p.validate()
+    for bad in _corruptions(p):
+        with pytest.raises(MalformedPacketError):
+            bad.validate()
 
 
 def test_addr_helpers():

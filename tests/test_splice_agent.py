@@ -1,6 +1,8 @@
 """Splice agent behavior: handshake statelessness, buffering and routing,
 flush with insertions, keep-alive, teardown."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,6 +373,30 @@ def test_resend_from_offset_0_after_ack_at_insertion_end():
     assert spliced_payloads(entry, out) == [(0, 30), (57, 2)]
 
 
+def test_acks_at_insertion_start_are_relayed_and_the_client_resend_carries_it():
+    # server ACKs parked at an unACKed insertion's start reach the client as
+    # duplicate ACKs at its sender_off; the agent resends nothing itself
+    agent = make_agent()
+    ck = client_key()
+    entry, _ = establish(agent, ck)
+    def handle(pkt):
+        return agent.handle_packet(pkt, 0.0, worker_id=shard_of(ck.src_port))
+
+    ins = entry.insertions[0]
+    assert (ins.sender_off, ins.recv_start, ins.length) == (30, 30, 27)
+    retx = agent.counters["inserted_bytes_retx"]
+    at_start = seq_add(entry.isn_client, 1 + ins.sender_off)
+    for _ in range(3):
+        out = handle(from_server(entry, 0, ins.recv_start))
+        assert [(p.ack, p.payload) for p in out] == [(at_start, b"")]
+    assert agent.counters["inserted_bytes_retx"] == retx
+    # the client's resend from sender_off carries the insertion before the CRLF
+    out = handle(from_client(entry, ins.sender_off, 0, GET[ins.sender_off:]))
+    assert spliced_payloads(entry, out) == [(30, 29)]
+    assert out[0].payload == XFF + b"\r\n"
+    assert agent.counters["inserted_bytes_retx"] == retx + ins.length
+
+
 def test_ack_at_insertion_end_stays_suppressed_after_client_acks_data():
     # a server that answers before the request's last bytes arrive: the
     # point is reached but not passed, so it must stay live
@@ -417,7 +443,7 @@ def test_server_ack_and_sack_map_past_a_folded_insertion():
     assert entry.insertions == [] and entry.folded == 27
     b, cb = seq_add(entry.isn_lb_back, 1), seq_add(entry.isn_client, 1)
     sack = TcpOptions(sack_blocks=((seq_add(b, 69), seq_add(b, 79)),))
-    out = handle(from_server(entry, len(RESP), 59).with_(options=sack))
+    out = handle(replace(from_server(entry, len(RESP), 59), options=sack))
     assert [(p.ack, p.options.sack_blocks) for p in out] == \
         [(seq_add(cb, 32), ((seq_add(cb, 42), seq_add(cb, 52)),))]
 

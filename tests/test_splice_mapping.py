@@ -17,7 +17,6 @@ from lbsim.splice import (
     classify_ack,
     clamped_ack_s2c,
     client_bytes_below,
-    map_ack_s2c,
     map_pos_c2s,
     map_sack_block_s2c,
     map_seq_c2s,
@@ -69,63 +68,42 @@ def server_ack(agent, e, a):
                                       flags=TcpFlags.ACK), e, 0.0)
 
 
+def relayed_acks(agent, e, a):
+    """The ACK of each packet the agent relays for a pure server ACK at a."""
+    return [p.ack for p in server_ack(agent, e, a)]
+
+
 def test_ack_beyond_all_insertions_forwards_with_total_offset():
-    e = two_insertion_entry()
-    assert map_ack_s2c(e, 1700) == ("forward", 1500, None)
+    assert relayed_acks(make_agent(), two_insertion_entry(), 1700) == [1500]
 
 
 def test_ack_in_gap_uses_previous_insertion_offset():
-    e = two_insertion_entry()
-    assert map_ack_s2c(e, 700) == ("forward", 600, None)
-
-
-def test_third_duplicate_at_insertion_start_retransmits():
-    agent, e = make_agent(), two_insertion_entry()
-    assert map_ack_s2c(e, 100) == ("at_start", 100, 0)
-    first = server_ack(agent, e, 100)
-    second = server_ack(agent, e, 100)
-    assert [p.ack for p in first] == [p.ack for p in second] == [100]
-    assert not first[0].payload
-    third = server_ack(agent, e, 100)
-    assert [(p.seq, len(p.payload)) for p in third] == [(100, 100)]
-    assert agent.counters["inserted_bytes_retx"] == 100
-    # the counter reset: the cycle repeats
-    assert not server_ack(agent, e, 100)[0].payload
-    assert not server_ack(agent, e, 100)[0].payload
-    assert server_ack(agent, e, 100)[0].payload == bytes(100)
+    assert relayed_acks(make_agent(), two_insertion_entry(), 700) == [600]
 
 
 def test_ack_at_region_end_suppressed_and_releases_buffer():
     agent, e = make_agent(), two_insertion_entry()
     assert not e.insertions[0].acked
-    assert map_ack_s2c(e, 200) == ("inside", 100, 0)
+    assert classify_ack(e.insertions, e.recv_off(200), e.folded) == ("inside", 100, 0)
+    assert server_ack(agent, e, 200) == []
     assert e.insertions[0].acked
     assert e.insertions[0].data is None
     assert not e.insertions[1].acked
-    assert server_ack(agent, e, 200) == []
     assert agent.counters["acks_suppressed"] == 1
 
 
 def test_ack_inside_region_suppressed():
-    e = two_insertion_entry()
-    assert map_ack_s2c(e, 150)[0] == "inside"
-    assert map_ack_s2c(e, 1150)[0] == "inside"
-
-
-def test_ack_advance_resets_duplicate_counter():
     agent, e = make_agent(), two_insertion_entry()
-    server_ack(agent, e, 100)
-    server_ack(agent, e, 100)
-    assert e.insertions[0].dup_ack_count == 2
-    map_ack_s2c(e, 700)  # progress past the region start
-    assert e.insertions[0].dup_ack_count == 0
+    assert server_ack(agent, e, 150) == []
+    assert server_ack(agent, e, 1150) == []
+    assert agent.counters["acks_suppressed"] == 2
 
 
 def test_zero_insertions_is_pure_isn_delta():
     e = make_entry([], isn_client=1000, isn_lb_back=5000)
     assert map_seq_c2s(e, seq_add(1000 + 1, 0)) == 5001
     assert map_seq_c2s(e, seq_add(1000 + 1, 777)) == 5001 + 777
-    assert map_ack_s2c(e, seq_add(5000 + 1, 321)) == ("forward", seq_add(1000 + 1, 321), None)
+    assert relayed_acks(make_agent(), e, seq_add(5000 + 1, 321)) == [seq_add(1000 + 1, 321)]
 
 
 def test_sack_block_s2c_inverse():
@@ -150,8 +128,8 @@ def test_mapping_survives_sequence_wraparound():
     isn_b = 0xFFFFFFF0
     e = make_entry([(100, 100), (1000, 100)], isn_client=isn_c, isn_lb_back=isn_b)
     assert map_seq_c2s(e, seq_add(isn_c + 1, 500)) == seq_add(seq_add(isn_b, 1), 600)
-    assert map_ack_s2c(e, seq_add(seq_add(isn_b, 1), 1700)) == \
-        ("forward", seq_add(isn_c + 1, 1500), None)
+    assert relayed_acks(make_agent(), e, seq_add(seq_add(isn_b, 1), 1700)) == \
+        [seq_add(isn_c + 1, 1500)]
 
 
 def random_layout(rng):
