@@ -93,28 +93,46 @@ def valid_packets(draw):
                   options=options, payload=payload)
 
 
-def _corruptions(p):
-    """Copies of p that each break one field's range: seq or ACK past 32
-    bits, window past 16 bits, five SACK blocks, an empty or a reversed
-    block, MSS 0 or past 16 bits."""
-    opts = p.options
-    yield replace(p, seq=SEQ_MOD)
-    yield replace(p, ack=SEQ_MOD + p.ack)
-    yield replace(p, window=1 << 16)
-    yield replace(p, options=replace(opts, sack_blocks=((1, 2),) * (MAX_SACK_BLOCKS + 1)))
-    yield replace(p, options=replace(opts, sack_blocks=opts.sack_blocks[:3] + ((p.seq, p.seq),)))
-    yield replace(p, options=replace(opts, sack_blocks=((seq_add(p.seq, 10), p.seq),)))
-    yield replace(p, options=replace(opts, mss=0))
-    yield replace(p, options=replace(opts, mss=1 << 16))
+# Copies of a valid packet that each break one field's range.
+CORRUPTIONS = {
+    "seq_past_32_bits": lambda p: replace(p, seq=SEQ_MOD),
+    "ack_past_32_bits": lambda p: replace(p, ack=SEQ_MOD + p.ack),
+    "window_past_16_bits": lambda p: replace(p, window=1 << 16),
+    "five_sack_blocks": lambda p: replace(p, options=replace(
+        p.options, sack_blocks=((1, 2),) * (MAX_SACK_BLOCKS + 1))),
+    "empty_sack_block": lambda p: replace(p, options=replace(
+        p.options, sack_blocks=p.options.sack_blocks[:3] + ((p.seq, p.seq),))),
+    "reversed_sack_block": lambda p: replace(p, options=replace(
+        p.options, sack_blocks=((seq_add(p.seq, 10), p.seq),))),
+    "mss_zero": lambda p: replace(p, options=replace(p.options, mss=0)),
+    "mss_past_16_bits": lambda p: replace(p, options=replace(p.options, mss=1 << 16)),
+    "payload_on_rst": lambda p: replace(
+        p, flags=p.flags | TcpFlags.RST, payload=p.payload or b"x"),
+}
 
 
 @settings(max_examples=200, deadline=None)
 @given(valid_packets())
-def test_validate_accepts_valid_packets_and_rejects_each_corruption(p):
+def test_validate_accepts_valid_packets(p):
     p.validate()
-    for bad in _corruptions(p):
-        with pytest.raises(MalformedPacketError):
-            bad.validate()
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@settings(max_examples=50, deadline=None)
+@given(p=valid_packets())
+def test_validate_rejects_corruption(corruption, p):
+    with pytest.raises(MalformedPacketError):
+        CORRUPTIONS[corruption](p).validate()
+
+
+def test_validate_accepts_range_boundaries():
+    top = SEQ_MOD - 1
+    blocks = tuple((l, seq_add(l, 1)) for l in (0, 10, 20, top))
+    Packet(key=K, seq=top, ack=top, flags=TcpFlags.ACK, window=(1 << 16) - 1,
+           options=TcpOptions(mss=(1 << 16) - 1, sack_blocks=blocks)).validate()
+    Packet(key=K, flags=TcpFlags.SYN, options=TcpOptions(mss=1)).validate()
+    Packet(key=K, flags=TcpFlags.ACK,
+           options=TcpOptions(sack_blocks=((0, SEQ_MOD // 2 - 1),))).validate()
 
 
 def test_addr_helpers():
