@@ -53,17 +53,17 @@ _SLOT_WORDS = 5  # version, key_hi, key_lo, value, ttl
 _HASH_CACHE_SIZE = 1 << 12
 # Writer lock stripes; a power of two, so a bucket's stripe is a mask of it.
 LOCK_STRIPES = 64
+MAX_RELOCATION_PATH = 5  # moves an insert may make to free a slot
 
 
 class TableFullError(RuntimeError):
-    """No relocation path exists within the configured depth bound."""
+    """No relocation path exists within MAX_RELOCATION_PATH moves."""
 
 
 @dataclass(frozen=True)
 class TableConfig:
     bucket_count: int = 4096
     slots_per_bucket: int = 4
-    max_relocation_path: int = 5
     ttl_delta: float = 60.0
 
     def __post_init__(self):
@@ -349,7 +349,7 @@ class CuckooTable:
 
     def insert(self, key: FlowKey, value: Any, now: float = 0.0) -> None:
         """Insert or replace.  Raises TableFullError when no relocation path
-        of length <= max_relocation_path frees a candidate slot."""
+        of length <= MAX_RELOCATION_PATH frees a candidate slot."""
         kp, b1, b2, _ = self._probe(key)
         if kp == 0:
             raise ValueError("all-zero key is reserved for empty slots")
@@ -384,7 +384,7 @@ class CuckooTable:
             if path is None:
                 self.stats.insert_failures += 1
                 raise TableFullError(
-                    f"no relocation path within {self.config.max_relocation_path} moves")
+                    f"no relocation path within {MAX_RELOCATION_PATH} moves")
             if self._execute_path(path):
                 continue  # a candidate slot should now be free; retry placement
         raise TableFullError("insert livelock: relocation kept failing verification")
@@ -404,12 +404,11 @@ class CuckooTable:
         expectation is re-verified under locks at execution time.
         """
         st = self.storage
-        depth_limit = self.config.max_relocation_path
         frontier: list[tuple[int, list[tuple[int, int]]]] = [(b1, [])]
         if b2 != b1:
             frontier.append((b2, []))
         seen = {b1, b2}
-        for _ in range(depth_limit):
+        for _ in range(MAX_RELOCATION_PATH):
             nxt: list[tuple[int, list[tuple[int, int]]]] = []
             for b, chain in frontier:
                 base = b * self._spb

@@ -73,13 +73,13 @@ from .splice import ConnEntry, SpliceAgent
 
 T_PER_PACKET = 1 / 3.0e6  # one worker sustains ~3 Mpps
 DELETE_FLUSH_TIMEOUT = 100e-6  # a partial delete batch waits at most this long
+RULE_IDLE_TIMEOUT = 10.0  # seconds without a hit before the engine reports a rule aged
 
 
 @dataclass(frozen=True)
 class OffloadParams:
     mss: int = 1460
     delete_batch_max: int = 16
-    rule_idle_timeout: float = 10.0
 
     @property
     def p_rule_update(self) -> float:
@@ -183,9 +183,8 @@ class OffloadManager:
         if not self.force and resp_len < self.params.formula_threshold:
             self.stats["offloads_skipped_small"] += 1
             return
-        idle = self.params.rule_idle_timeout
-        pair = (build_offload_rule(self.engine, entry, idle),
-                build_client_ack_rule(self.engine, entry, idle))
+        pair = (build_offload_rule(self.engine, entry, RULE_IDLE_TIMEOUT),
+                build_client_ack_rule(self.engine, entry, RULE_IDLE_TIMEOUT))
         try:
             self.engine.insert_rules(pair, now)
         except (RuleConflictError, EngineCapacityError):
@@ -244,12 +243,11 @@ class OffloadManager:
             self.emit(out, now)
             return
         if entry.heads - heads <= 1:
-            idle = self.params.rule_idle_timeout
             divert = seq_add(entry.isn_server, 1 + entry.resp_head_buf.base)
             try:
                 done = self.engine.retarget_rules(
-                    (build_offload_rule(self.engine, entry, idle, divert),
-                     build_client_ack_rule(self.engine, entry, idle)), now)
+                    (build_offload_rule(self.engine, entry, RULE_IDLE_TIMEOUT, divert),
+                     build_client_ack_rule(self.engine, entry, RULE_IDLE_TIMEOUT)), now)
             except EngineCapacityError:
                 self.stats["install_refusals"] += 1
             else:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Callable, Optional, Sequence
 
-from .conntable import CuckooTable
+from .conntable import CuckooTable, TableFullError, mix64
 from .packet import (
     EMPTY_OPTIONS,
     FlowKey,
@@ -292,8 +292,9 @@ class RouteRule:
 
 
 class RouteTable:
-    """Longest-prefix URL routing over configured pools; deterministic
-    round-robin over a pool's members (rotation offset from the seed)."""
+    """Longest-prefix URL routing over configured pools.  A flow's backend
+    is a seeded hash of its client's address and port, as in Maglev
+    (Eisenbud et al., NSDI 2016): no routing state changes after __init__."""
 
     def __init__(self, rules: Sequence[RouteRule], pools: dict[str, Sequence[Backend]],
                  default_pool: str, seed: int = 0):
@@ -308,7 +309,7 @@ class RouteTable:
         self.rules = sorted(rules, key=lambda r: -len(r.prefix))  # longest first, stable
         self.pools = {name: list(members) for name, members in pools.items()}
         self.default_pool = default_pool
-        self._rr = {name: seed % len(members) for name, members in self.pools.items()}
+        self.seed = seed
 
     def match(self, path: bytes) -> RouteRule:
         for rule in self.rules:
@@ -316,11 +317,11 @@ class RouteTable:
                 return rule
         return RouteRule(prefix=b"", pool=self.default_pool)
 
-    def pick_backend(self, pool: str) -> Backend:
+    def pick_backend(self, pool: str, key: FlowKey) -> Backend:
         members = self.pools[pool]
-        i = self._rr[pool]
-        self._rr[pool] = (i + 1) % len(members)
-        return members[i]
+        # mix64 reads 64 bits: the address and port fit them, key.pack() does not
+        h = mix64(((key.src_addr << 16) | key.src_port) ^ self.seed)
+        return members[h % len(members)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +516,12 @@ def _options_s2c(entry: ConnEntry, options: TcpOptions) -> TcpOptions:
 class SpliceAgent:
     """Per-LB forwarding logic.  One instance serves all simulated workers;
     entries are confined to their owner worker by the port-shard steering,
-    which handle_packet checks (ShardViolation)."""
+    which handle_packet checks (ShardViolation).  A flow's output depends
+    only on its own packets and on NIC-wide rule state."""
 
     def __init__(self, table: CuckooTable, routes: RouteTable, vip_addr: int,
                  vip_port: int, lb_addr: int, mss: int, cookie_secret: bytes,
-                 shard_of: Callable[[int], int], head_cap: int = REQUEST_HEAD_CAP):
+                 shard_of: Callable[[int], int]):
         self.table = table
         self.routes = routes
         self.vip_addr = vip_addr
@@ -528,7 +530,6 @@ class SpliceAgent:
         self.mss = mss
         self.cookie = SynCookie(cookie_secret)
         self.shard_of = shard_of
-        self.head_cap = head_cap
         self.offload = None  # wired by the simulator when offload is enabled
         self.response_observer = None  # optional (entry, now) metrics hook
         self._used_ports: set[tuple[int, int, int]] = set()
@@ -597,9 +598,12 @@ class SpliceAgent:
             eff_mss=min(cookie_mss, self.mss),
             owner_worker=self.shard_of(pkt.key.src_port),
         )
-        entry.head_buf = StreamBuf(base=0, cap=self.head_cap)
-        entry.resp_head_buf = StreamBuf(base=0, cap=self.head_cap)
-        self.table.insert(pkt.key, entry, now)
+        entry.head_buf = StreamBuf(base=0, cap=REQUEST_HEAD_CAP)
+        entry.resp_head_buf = StreamBuf(base=0, cap=REQUEST_HEAD_CAP)
+        try:
+            self.table.insert(pkt.key, entry, now)
+        except TableFullError:
+            return [self._rst_for(pkt)]
         self.counters["entries_created"] += 1
         return self._on_client_packet(pkt, entry, now)
 
@@ -701,7 +705,8 @@ class SpliceAgent:
         """Once the first head is complete, its path picks the backend: open
         the server side with a SYN.  The head stays buffered until the
         SYNACK, which hands it to the parser.  A head whose framing is
-        invalid resets the client and opens no backend connection."""
+        invalid resets the client and opens no backend connection, and so
+        does a table with no room for the server's key."""
         buf = entry.head_buf
         head_end = self._head_complete(buf)
         if head_end is None:
@@ -712,13 +717,16 @@ class SpliceAgent:
         except FramingError:
             return self._abort(entry, now)
         path = _request_path(head)
-        backend = self.routes.pick_backend(self.routes.match(path).pool)
+        backend = self.routes.pick_backend(self.routes.match(path).pool, entry.client_key)
         entry.backend = backend
         port = self._alloc_port(entry.client_key.src_port, backend)
         entry.server_key = FlowKey(self.lb_addr, backend.addr, port, backend.port)
         entry.isn_lb_back = self._backend_isn(entry)
         entry.state = SpliceState.SYN_SENT
-        self.table.insert(entry.server_in_key, entry, now)
+        try:
+            self.table.insert(entry.server_in_key, entry, now)
+        except TableFullError:
+            return self._abort(entry, now)
         return [self._backend_syn(entry)]
 
     def _backend_syn(self, entry: ConnEntry) -> Packet:
@@ -759,7 +767,7 @@ class SpliceAgent:
         forwarded as it arrives.  The bytes that leave are contiguous in
         the client stream, each head's buffer starting where the body
         before it ends, so they leave in one `_emit_spliced` run.  A head
-        over head_cap or with invalid framing resets the connection."""
+        over REQUEST_HEAD_CAP or with invalid framing resets the connection."""
         pieces: list[bytes] = []
         start, base, end = off, off, off + len(data)
         try:
@@ -780,7 +788,7 @@ class SpliceAgent:
                     pieces.append(data[off - base:take - base])
                     off = take
                 else:
-                    entry.head_buf = StreamBuf(base=entry.body_end, cap=self.head_cap)
+                    entry.head_buf = StreamBuf(base=entry.body_end, cap=REQUEST_HEAD_CAP)
         except (BufferCapExceeded, FramingError):
             return self._abort(entry, now)
         if not pieces:
@@ -911,9 +919,9 @@ class SpliceAgent:
         """Parse a response head from a server segment at offset off; the
         caller checks that a head may be open (no `resp_end`, tracker live)."""
         buf = entry.resp_head_buf
-        # The head must end within head_cap bytes, so only that window is
-        # kept: out-of-order body segments past it never reach the buffer.
-        limit = buf.base + self.head_cap
+        # The head must end within REQUEST_HEAD_CAP bytes, so only that window
+        # is kept: out-of-order body segments past it never reach the buffer.
+        limit = buf.base + REQUEST_HEAD_CAP
         if off + len(pkt.payload) <= buf.base or off >= limit:
             return
         buf.add(off, pkt.payload[:limit - off])
@@ -946,7 +954,7 @@ class SpliceAgent:
             if self.response_observer is not None:
                 self.response_observer(entry, now)
             # re-arm for the next response on this connection
-            entry.resp_head_buf = StreamBuf(base=entry.resp_end, cap=self.head_cap)
+            entry.resp_head_buf = StreamBuf(base=entry.resp_end, cap=REQUEST_HEAD_CAP)
             entry.resp_end = None
             entry.resp_len = None
             entry.resp_index += 1

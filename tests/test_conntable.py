@@ -112,8 +112,7 @@ def test_constructed_collision_depth1_move():
 
 
 def test_fill_until_full_preserves_prior_keys():
-    t = CuckooTable(TableConfig(bucket_count=16, slots_per_bucket=2,
-                                max_relocation_path=5))
+    t = CuckooTable(TableConfig(bucket_count=16, slots_per_bucket=2))
     rng = random.Random(3)
     inserted = []
     with pytest.raises(TableFullError):

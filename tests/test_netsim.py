@@ -1,6 +1,7 @@
 """End-to-end simulator tests: stream equality under loss, endpoint TCP
 behavior, offload interplay, determinism."""
 
+import dataclasses
 import hashlib
 import struct
 
@@ -11,6 +12,7 @@ from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, Work
 from lbsim.netsim.apps import request_bytes
 from lbsim.netsim.events import EventQueue
 from lbsim.netsim.tcp import AppCallbacks, MiniTcpEndpoint
+from lbsim.offload import RULE_IDLE_TIMEOUT
 from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, addr_str, seq_add, seq_sub
 from lbsim.splice import classify_ack, rewrite_s2c
 
@@ -342,34 +344,58 @@ def test_lossy_runs_resend_about_once_per_dropped_segment(loss, seed):
     assert retransmits <= 1.25 * dropped_segments
 
 
+def record_egress(sim) -> list[tuple[float, Packet]]:
+    """Every packet `sim`'s LB emits from now on, with its emit time.  The
+    simulator looks `_emit` up on each call, the offload manager's releases
+    included."""
+    egress = []
+    emit = sim._emit
+
+    def recorded(pkt, now):
+        egress.append((now, pkt))
+        emit(pkt, now)
+
+    sim._emit = recorded
+    return egress
+
+
 _EGRESS_RECORD = struct.Struct(">dIIHHBIIBHI")
 
 
-def test_seeded_lossy_offload_run_is_pinned():
-    """Loss recovery, SACK mapping and engine hits on one seeded run, pinned
-    to exact counts and to a digest of every packet the LB emits.  A change
-    meant to leave behaviour alone must leave all of these as they are."""
-    params = SimParams(
-        topology=TopologyParams(client_link=LinkParams(loss=0.01),
-                                server_link=LinkParams(loss=0.01)),
-        workload=WorkloadParams(connections=3,
-                                sizes=((256 << 10, 1.0), (2 << 20, 1.0)),
-                                requests_per_connection=(1, 2)),
-        drain=30.0)
-    sim = Simulation(params, seed=7)
+def egress_digest(egress: list[tuple[float, Packet]]) -> str:
+    """A digest of emitted packets, each with its emit time."""
     h = hashlib.blake2b(digest_size=16)
-    emit = sim._emit
-
-    def hashed_emit(pkt, now):
+    for now, pkt in egress:
         k, o = pkt.key, pkt.options
         h.update(_EGRESS_RECORD.pack(now, k.src_addr, k.dst_addr, k.src_port,
                                      k.dst_port, k.proto, pkt.seq, pkt.ack,
                                      pkt.flags, pkt.window, len(pkt.payload)))
         h.update(repr((o.mss, o.sack_permitted, o.sack_blocks)).encode())
         h.update(pkt.payload)
-        emit(pkt, now)
+    return h.hexdigest()
 
-    sim._emit = hashed_emit
+
+# (params, seed) of the two pinned runs below
+LOSSY_PIN = (SimParams(
+    topology=TopologyParams(client_link=LinkParams(loss=0.01),
+                            server_link=LinkParams(loss=0.01)),
+    workload=WorkloadParams(connections=3,
+                            sizes=((256 << 10, 1.0), (2 << 20, 1.0)),
+                            requests_per_connection=(1, 2)),
+    drain=30.0), 7)
+KEEPALIVE_PIN = (SimParams(
+    topology=TopologyParams(table_buckets=16),
+    workload=WorkloadParams(connections=30,
+                            sizes=((1 << 10, 1.0), (16 << 10, 1.0)),
+                            requests_per_connection=(8, 32))), 11)
+
+
+def test_seeded_lossy_offload_run_is_pinned():
+    """Loss recovery, SACK mapping and engine hits on one seeded run, pinned
+    to exact counts and to a digest of every packet the LB emits.  A change
+    meant to leave behaviour alone must leave all of these as they are."""
+    sim = Simulation(*LOSSY_PIN)
+    egress = record_egress(sim)
     sim.run()
     assert_streams_equal(sim)
     assert sim.queue.processed == 17868
@@ -387,7 +413,7 @@ def test_seeded_lossy_offload_run_is_pinned():
         "inserted_bytes_tx": 108, "inserted_bytes_retx": 0,
         "forwarded_payload_bytes": 44051, "entries_removed": 3,
         "cookie_failures": 0, "deferred_pkts": 1, "ttl_sweeps": 1}
-    assert h.hexdigest() == "9a9c891385f05253d4085e31c608a7f6"
+    assert egress_digest(egress) == "03354eab5114e54f70f937d708fa569f"
 
 
 def test_seeded_keepalive_worker_run_is_pinned():
@@ -397,31 +423,14 @@ def test_seeded_keepalive_worker_run_is_pinned():
     to exact counts and to a digest of every packet the LB emits, so a
     change to the worker path that means to leave behaviour alone must
     leave all of these as they are."""
-    params = SimParams(
-        topology=TopologyParams(table_buckets=16),
-        workload=WorkloadParams(connections=30,
-                                sizes=((1 << 10, 1.0), (16 << 10, 1.0)),
-                                requests_per_connection=(8, 32)))
-    sim = Simulation(params, seed=11)
-    h = hashlib.blake2b(digest_size=16)
-    emit = sim._emit
-
-    def hashed_emit(pkt, now):
-        k, o = pkt.key, pkt.options
-        h.update(_EGRESS_RECORD.pack(now, k.src_addr, k.dst_addr, k.src_port,
-                                     k.dst_port, k.proto, pkt.seq, pkt.ack,
-                                     pkt.flags, pkt.window, len(pkt.payload)))
-        h.update(repr((o.mss, o.sack_permitted, o.sack_blocks)).encode())
-        h.update(pkt.payload)
-        emit(pkt, now)
-
-    sim._emit = hashed_emit
+    sim = Simulation(*KEEPALIVE_PIN)
+    egress = record_egress(sim)
     sim.run()
     assert_streams_equal(sim)
     assert sim.queue.processed == 19686
     assert (sim.engine.stats.matched, sim.engine.stats.missed) == (0, 9828)
     ts = sim.table.stats
-    assert (ts.lookups, ts.hits, ts.relocations) == (9798, 9738, 3)
+    assert (ts.lookups, ts.hits, ts.relocations) == (9798, 9738, 1)
     endpoint_stats = {}
     for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
         for name, n in ep.stats.items():
@@ -435,7 +444,92 @@ def test_seeded_keepalive_worker_run_is_pinned():
         "inserted_bytes_tx": 16956, "inserted_bytes_retx": 0,
         "forwarded_payload_bytes": 5668994, "entries_removed": 30,
         "cookie_failures": 0, "deferred_pkts": 0, "ttl_sweeps": 0}
-    assert h.hexdigest() == "13665292f2a8ecb8d44dea31f7fb3e57"
+    assert egress_digest(egress) == "c751ee529ed7db4620a2d6087f074b00"
+
+
+def _replay_alone(params, seed, ingress, sweeps, polls, until):
+    """Feed `ingress`, (time, packet) pairs, at their times into a fresh LB
+    built as the live run's was but with no clients and no housekeeping
+    of its own; fire the live run's TTL sweeps and aged-rule polls at
+    their times.  Returns what the LB emits, with emit times."""
+    inf = float("inf")
+    lb = Simulation(dataclasses.replace(
+        params, workload=dataclasses.replace(params.workload, connections=0),
+        topology=dataclasses.replace(params.topology, sweep_interval=inf,
+                                     aged_poll_interval=inf)), seed)
+    egress = []
+    lb._emit = lambda pkt, now: egress.append((now, pkt))
+
+    def poll(now):  # the live run's housekeeping, without rescheduling
+        aged = lb.engine.poll_aged(now)
+        if aged:
+            lb.offload_mgr.on_rules_aged(aged, now)
+
+    for now, pkt in ingress:
+        lb.queue.schedule(now, lb._lb_ingress, pkt)
+    for now in sweeps:
+        lb.queue.schedule(now, lb.agent.sweep)
+    for now in polls:
+        lb.queue.schedule(now, poll)
+    lb.queue.run(until=until)
+    return egress
+
+
+def _by_flow(egress):
+    flows = {}
+    for now, pkt in egress:
+        flows.setdefault(pkt.key, []).append((now, pkt))
+    return flows
+
+
+@pytest.mark.parametrize("params, seed", [
+    LOSSY_PIN,
+    KEEPALIVE_PIN,
+    (SimParams(workload=WorkloadParams(connections=4, sizes=((512 << 10, 1.0),),
+                                       requests_per_connection=(2, 3))), 5),
+], ids=["lossy_pin", "keepalive_pin", "offload"])
+def test_each_worker_shard_replayed_alone_emits_the_live_packets(params, seed):
+    """Record a live run's LB ingress, split it by the engine's steering,
+    and replay each worker's shard into an LB of its own.  Merged, the
+    shards' egress equals the live egress flow by flow: times, packets and
+    order.  So no state the workers share reaches a packet: a flow's table
+    entry is its own, and its backend is a hash of the flow, not a turn
+    of a rotation all workers advance.  The engine's rules and the
+    batching deleter are NIC-wide, though: when two shards' rule pairs
+    share a delete batch, the batch's timing can couple them.  These runs
+    replay alike regardless."""
+    live = Simulation(params, seed)
+    ingress, sweeps, polls = [], [], []
+    process, sweep, poll_aged = live.engine.process, live.agent.sweep, live.engine.poll_aged
+
+    def recorded_process(pkt, now):
+        ingress.append((now, pkt))
+        return process(pkt, now)
+
+    def recorded_sweep(now):
+        sweeps.append(now)
+        return sweep(now)
+
+    def recorded_poll(now):
+        polls.append(now)
+        return poll_aged(now)
+
+    # `_lb_ingress` and the housekeeping look these up on each call
+    live.engine.process = recorded_process
+    live.agent.sweep, live.engine.poll_aged = recorded_sweep, recorded_poll
+    egress = record_egress(live)
+    live.run()
+    assert_streams_equal(live)
+
+    shards = {}
+    for now, pkt in ingress:
+        shards.setdefault(live.engine._steer(pkt), []).append((now, pkt))
+    assert len(shards) > 1
+    merged = []
+    for shard in shards.values():
+        merged += _replay_alone(params, seed, shard, sweeps, polls, live.queue.now)
+    want, got = _by_flow(egress), _by_flow(merged)
+    assert [k for k in want.keys() | got.keys() if want.get(k) != got.get(k)] == []
 
 
 def _hairpins_checked(sim) -> tuple[int, int]:
@@ -613,7 +707,7 @@ def test_idle_keepalive_connection_frees_its_rule_pair_by_aging():
     assert all(s.clean for s in sim.sessions)
     assert sim.offload_mgr.stats["rules_installed"] == 4 == len(entries)
     now = sim.queue.now
-    assert now > sim.offload_mgr.params.rule_idle_timeout
+    assert now > RULE_IDLE_TIMEOUT
     assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
     assert not sim.offload_mgr.pending
     assert all(e.offload_rule is None for e in entries)

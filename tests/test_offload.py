@@ -9,6 +9,7 @@ from lbsim.flow_engine import FlowEngine, LatencyModel, ResultKind
 from lbsim.netsim import Simulation, SimParams, WorkloadParams
 from lbsim.offload import (
     OffloadManager,
+    RULE_IDLE_TIMEOUT,
     OffloadParams,
     T_PER_PACKET,
     build_offload_rule,
@@ -511,7 +512,7 @@ def test_aged_rule_reported_and_deletable():
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
-    aged = engine.poll_aged(now=1.0 + mgr.params.rule_idle_timeout * 2)
+    aged = engine.poll_aged(now=1.0 + RULE_IDLE_TIMEOUT * 2)
     assert aged == list(entry.offload_rule)  # both rules of the pair
     mgr.on_rules_aged(aged, now=30.0)
     sim.run_until(31.0)

@@ -141,6 +141,27 @@ def test_unmatched_prefix_falls_to_default_pool():
     assert out[0].key.dst_addr == POOL_D[0].addr
 
 
+def test_backend_is_a_function_of_the_client_flow():
+    """A flow's backend does not depend on the calls made before: a table
+    asked in the opposite order gives every flow the same one.  Over 64
+    flows both members of a 2-member pool are picked, also when the flows
+    differ in their address alone; a 1-member pool always gives its
+    member."""
+    def routes():
+        return RouteTable(rules=[], pools={"a": POOL_A, "d": POOL_D},
+                          default_pool="d", seed=7)
+
+    keys = [client_key(port=1024 + 7 * i) for i in range(64)]
+    picks = [routes().pick_backend("a", k) for k in keys]
+    table = routes()
+    assert [table.pick_backend("a", k) for k in reversed(keys)] == picks[::-1]
+    assert [table.pick_backend("a", k) for k in keys] == picks
+    assert set(picks) == set(POOL_A)
+    assert {table.pick_backend("a", client_key(addr=0x0A000001 + i))
+            for i in range(64)} == set(POOL_A)
+    assert {table.pick_backend("d", k) for k in keys} == {POOL_D[0]}
+
+
 def test_cookie_failure_resets():
     agent = make_agent()
     ck = client_key()
@@ -148,6 +169,28 @@ def test_cookie_failure_resets():
     out = agent.handle_packet(pkt, 0.0, worker_id=shard_of(ck.src_port))
     assert len(out) == 1 and out[0].rst
     assert len(agent.table) == 0
+
+
+@pytest.mark.parametrize("first_head", [GET, GET[:10]], ids=["routed", "in_head"])
+def test_a_full_table_resets_the_connection_it_refuses(first_head):
+    """Two slots in all.  A first connection that is routed holds both, its
+    client and server keys, so the second connection's client key finds
+    no room; one still in its head holds one, so the second's server key
+    finds none.  Either way the second connection is reset, and neither
+    the table nor the backend ports keep anything of it."""
+    agent = make_agent()
+    agent.table = CuckooTable(TableConfig(bucket_count=2, slots_per_bucket=1))
+    first, second = client_key(port=40000), client_key(port=40001)
+    send_request(agent, first, do_syn(agent, first), first_head)
+    kept, ports = dict(agent.table.items()), set(agent._used_ports)
+    assert len(kept) == (2 if first_head == GET else 1)
+    out = send_request(agent, second, do_syn(agent, second), GET)
+    assert out and all(p.rst for p in out)
+    assert out[0].key == second.reverse()
+    assert agent.counters["resets_tx"] == 1
+    assert agent.table.stats.insert_failures == 1
+    assert dict(agent.table.items()) == kept
+    assert agent._used_ports == ports
 
 
 def test_oversized_head_resets_connection():
