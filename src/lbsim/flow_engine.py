@@ -37,6 +37,10 @@ then.  A re-target modifies live rules in place.  No modify cost was
 measured, so it is priced as an insert batch of the rules it changes, each
 divert counted as one more, and the rules miss to the workers until its
 `ready_at`.
+
+A rule is named by its match.  The engine holds at most one rule per
+5-tuple, live or being deleted, so a re-target and a delete name the rules
+they act on by their matches, and an aging poll reports matches.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ class Rewrite(NamedTuple):
 
 @dataclass
 class Rule:
-    id: int
     match: FlowKey
     rewrite: Rewrite
     idle_timeout: Optional[float] = None
@@ -177,7 +180,6 @@ class FlowEngine:
         self.shards: dict[int, int] = {}
         self.rules: dict[FlowKey, Rule] = {}
         self.stats = EngineStats()
-        self._next_id = 1
 
     # -- steering ---------------------------------------------------------------
     # Custom RSS: the port space is partitioned into per-worker shards.
@@ -203,14 +205,6 @@ class FlowEngine:
 
     # -- rule lifecycle -----------------------------------------------------------
 
-    def make_rule(self, match: FlowKey, rewrite: Rewrite,
-                  idle_timeout: Optional[float] = None, seq: Optional[int] = None,
-                  ack: Optional[int] = None, divert_seq: Optional[int] = None) -> Rule:
-        rule = Rule(id=self._next_id, match=match, rewrite=rewrite,
-                    idle_timeout=idle_timeout, seq=seq, ack=ack, divert_seq=divert_seq)
-        self._next_id += 1
-        return rule
-
     def insert_rules(self, batch: Sequence[Rule], now: float) -> float:
         """Install a batch.  Every rule becomes matchable at the returned
         completion time.  Duplicate live match -> RuleConflictError; no room
@@ -222,10 +216,9 @@ class FlowEngine:
         for rule in batch:
             existing = self.rules.get(rule.match)
             if existing is not None and existing.gone_at is None:
-                raise RuleConflictError(f"live rule {existing.id} matches {rule.match}")
+                raise RuleConflictError(f"a live rule matches {rule.match}")
             if existing is not None:
-                raise RuleConflictError(
-                    f"rule {existing.id} for {rule.match} still being deleted")
+                raise RuleConflictError(f"the rule for {rule.match} is still being deleted")
         done = now + self.model.insert_batch_seconds(len(batch))
         for rule in batch:
             rule.ready_at = done
@@ -236,7 +229,7 @@ class FlowEngine:
 
     def retarget_rules(self, batch: Sequence[Rule], now: float) -> float:
         """Modify live rules in one batch: each rule of `batch` takes the
-        place, and the id, of the live rule with its match.  Priced as an
+        place of the live rule with its match.  Priced as an
         insert batch of its slots (see the module docstring); every packet
         the rules match misses to the worker until the returned time.  No
         live rule for a match -> KeyError; no room for the slots it adds ->
@@ -249,25 +242,24 @@ class FlowEngine:
         slots = sum(r.slots for r in batch)
         self._check_capacity(slots - sum(old.slots for old in olds), now)
         done = now + self.model.insert_batch_seconds(slots)
-        for old, rule in zip(olds, batch):
-            rule.id = old.id
+        for rule in batch:
             rule.ready_at = rule.last_hit = done
             self.rules[rule.match] = rule
         self.stats.rules_retargeted += slots
         return done
 
-    def delete_rules(self, rule_ids: Sequence[int], now: float) -> float:
-        """Symmetric to insert; unknown ids are idempotent successes.  Rules
-        stay matchable while the delete is in flight and vanish at the
-        returned completion time."""
-        if not rule_ids:
+    def delete_rules(self, matches: Sequence[FlowKey], now: float) -> float:
+        """Symmetric to insert; a match with no rule is an idempotent
+        success.  Rules stay matchable while the delete is in flight and
+        vanish at the returned completion time."""
+        if not matches:
             raise ValueError("empty batch")
-        done = now + self.model.delete_batch_seconds(len(rule_ids))
-        wanted = set(rule_ids)
-        for rule in self.rules.values():
-            if rule.id in wanted:
+        done = now + self.model.delete_batch_seconds(len(matches))
+        for match in matches:
+            rule = self.rules.get(match)
+            if rule is not None:
                 rule.gone_at = done
-        self.stats.rules_deleted += len(rule_ids)
+        self.stats.rules_deleted += len(matches)
         return done
 
     def _check_capacity(self, added: int, now: float) -> None:
@@ -312,10 +304,10 @@ class FlowEngine:
         self.stats.missed += 1
         return EngineResult(ResultKind.MISSED, pkt, self._steer(pkt))
 
-    def poll_aged(self, now: float) -> list[int]:
-        """Effective rules, not being deleted, idle past their idle_timeout;
-        the caller decides deletion."""
+    def poll_aged(self, now: float) -> list[FlowKey]:
+        """The matches of effective rules, not being deleted, idle past their
+        idle_timeout; the caller decides deletion."""
         self._expire_deleted(now)
-        return [r.id for r in self.rules.values()
+        return [r.match for r in self.rules.values()
                 if r.gone_at is None and now >= r.ready_at
                 and r.idle_timeout is not None and now - r.last_hit > r.idle_timeout]

@@ -58,6 +58,10 @@ class SimParams:
     until: float = 300.0                # hard sim-time cap
     drain: float = 0.0                  # extra time after every endpoint has closed
 
+    def __post_init__(self):
+        if self.offload_mode not in ("auto", "always", "never"):
+            raise ValueError(f"unknown offload_mode {self.offload_mode!r}")
+
 
 @dataclass
 class ResponseEvent:
@@ -246,7 +250,7 @@ class Simulation:
             conn=entry.client_key.src_port - CLIENT_PORT_BASE,
             index=entry.resp_index,
             resp_len=entry.resp_len or 0,
-            offloaded=entry.offload_rule is not None,
+            offloaded=entry.offloaded,
             t=now))
 
     # -- running -----------------------------------------------------------------

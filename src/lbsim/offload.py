@@ -24,6 +24,11 @@ the request bytes the worker has forwarded: the client rule the seq of
 ACKs sent after them, the server rule the ACK of packets sent after the
 server took them in.  So only packets the worker would map with the
 rules' constants hit them (`build_offload_rule`, `build_client_ack_rule`).
+The rules are named by their matches, the entry's `server_in_key` and
+`client_key`: the engine holds one rule per match, and refuses a new rule
+for a match until the old one is gone, so over a pair's life its keys name
+its rules and no others.  `ConnEntry.offloaded` is set from install until
+the deleter has seen both rules go.
 
 Rule lifecycle:
 
@@ -68,7 +73,7 @@ from .flow_engine import (
     Rule,
     RuleConflictError,
 )
-from .packet import UNWRAP_ABOVE, Packet, seq_add, seq_sub
+from .packet import UNWRAP_ABOVE, FlowKey, Packet, seq_add, seq_sub
 from .splice import ConnEntry, SpliceAgent
 
 T_PER_PACKET = 1 / 3.0e6  # one worker sustains ~3 Mpps
@@ -98,9 +103,7 @@ class OffloadParams:
         return (self.p_rule_update / (2 * T_PER_PACKET)) * self.mss
 
 
-def build_offload_rule(engine: FlowEngine, entry: ConnEntry,
-                       idle_timeout: Optional[float],
-                       divert_seq: Optional[int] = None) -> Rule:
+def build_offload_rule(entry: ConnEntry, divert_seq: Optional[int] = None) -> Rule:
     """The server rule of an offload's pair; `build_client_ack_rule` builds
     the client rule.  Match server->LB packets of this connection that ACK
     the end of the forwarded request bytes; shift seq/ack by the same
@@ -116,14 +119,13 @@ def build_offload_rule(engine: FlowEngine, entry: ConnEntry,
         seq_delta=seq_sub(entry.isn_lb_front, entry.isn_server),
         ack_delta=seq_sub(seq_sub(entry.isn_client, entry.isn_lb_back),
                           entry.total_inserted))
-    return engine.make_rule(
-        match=entry.server_in_key, rewrite=rewrite, idle_timeout=idle_timeout,
+    return Rule(
+        match=entry.server_in_key, rewrite=rewrite, idle_timeout=RULE_IDLE_TIMEOUT,
         ack=seq_add(entry.isn_lb_back, 1 + entry.fwd_hi + entry.total_inserted),
         divert_seq=divert_seq)
 
 
-def build_client_ack_rule(engine: FlowEngine, entry: ConnEntry,
-                          idle_timeout: Optional[float]) -> Rule:
+def build_client_ack_rule(entry: ConnEntry) -> Rule:
     """The client rule of an offload's pair: rewrite the client's pure ACKs
     toward the server, as `SpliceAgent.on_client_ack` does in the response
     phase.  Its deltas are the negatives of the server rule's ack and seq
@@ -136,9 +138,8 @@ def build_client_ack_rule(engine: FlowEngine, entry: ConnEntry,
         seq_delta=seq_sub(seq_add(entry.isn_lb_back, entry.total_inserted),
                           entry.isn_client),
         ack_delta=seq_sub(entry.isn_server, entry.isn_lb_front))
-    return engine.make_rule(match=entry.client_key, rewrite=rewrite,
-                            idle_timeout=idle_timeout,
-                            seq=seq_add(entry.isn_client, 1 + entry.fwd_hi))
+    return Rule(match=entry.client_key, rewrite=rewrite, idle_timeout=RULE_IDLE_TIMEOUT,
+                seq=seq_add(entry.isn_client, 1 + entry.fwd_hi))
 
 
 class OffloadManager:
@@ -160,9 +161,10 @@ class OffloadManager:
         agent.offload = self
         self.force = False  # offload regardless of size: offload_mode="always"
         self._batch_pairs = max(1, params.delete_batch_max // 2)
-        # rule pairs waiting for the deleter, in order; each counts 2 rules
-        self.pending: list[tuple[tuple[int, int], ConnEntry]] = []
-        self._by_rule: dict[int, ConnEntry] = {}  # ids of pairs not yet queued for deletion
+        # entries whose pairs wait for the deleter, in order; each counts 2 rules
+        self.pending: list[ConnEntry] = []
+        # the two matches of each pair not yet queued for deletion
+        self._by_rule: dict[FlowKey, ConnEntry] = {}
         self._timer_gen = 0
         self.stats = {
             # rules_installed counts offloads: one per installed pair;
@@ -178,21 +180,19 @@ class OffloadManager:
         if entry.resp_end + 1 - entry.client_acked >= UNWRAP_ABOVE:
             self._enqueue_delete(entry, now)  # past the reach bound: a kept pair goes
             return
-        if entry.offload_rule is not None:
+        if entry.offloaded:
             return  # the kept pair carries this response too, or is not yet gone
         if not self.force and resp_len < self.params.formula_threshold:
             self.stats["offloads_skipped_small"] += 1
             return
-        pair = (build_offload_rule(self.engine, entry, RULE_IDLE_TIMEOUT),
-                build_client_ack_rule(self.engine, entry, RULE_IDLE_TIMEOUT))
         try:
-            self.engine.insert_rules(pair, now)
+            self.engine.insert_rules(
+                (build_offload_rule(entry), build_client_ack_rule(entry)), now)
         except (RuleConflictError, EngineCapacityError):
             self.stats["install_refusals"] += 1
             return  # the response stays on the worker path
-        entry.offload_rule = (pair[0].id, pair[1].id)
-        for rule in pair:
-            self._by_rule[rule.id] = entry
+        entry.offloaded = True
+        self._by_rule[entry.server_in_key] = self._by_rule[entry.client_key] = entry
         self.stats["rules_installed"] += 1
 
     def on_response_complete(self, entry: ConnEntry, now: float) -> None:
@@ -215,9 +215,9 @@ class OffloadManager:
     def on_entry_removed(self, entry: ConnEntry, now: float) -> None:
         self._enqueue_delete(entry, now)
 
-    def on_rules_aged(self, rule_ids: list[int], now: float) -> None:
-        for rid in rule_ids:
-            entry = self._by_rule.get(rid)
+    def on_rules_aged(self, matches: list[FlowKey], now: float) -> None:
+        for match in matches:
+            entry = self._by_rule.get(match)
             if entry is not None:
                 self._enqueue_delete(entry, now)
 
@@ -225,8 +225,7 @@ class OffloadManager:
 
     def _kept(self, entry: ConnEntry) -> bool:
         """The entry has a pair not queued for deletion."""
-        pair = entry.offload_rule
-        return pair is not None and self._by_rule.get(pair[0]) is entry
+        return self._by_rule.get(entry.client_key) is entry
 
     def _release(self, entry: ConnEntry, now: float) -> None:
         """Run the held client bytes.  Once they complete a request, re-target
@@ -246,8 +245,7 @@ class OffloadManager:
             divert = seq_add(entry.isn_server, 1 + entry.resp_head_buf.base)
             try:
                 done = self.engine.retarget_rules(
-                    (build_offload_rule(self.engine, entry, RULE_IDLE_TIMEOUT, divert),
-                     build_client_ack_rule(self.engine, entry, RULE_IDLE_TIMEOUT)), now)
+                    (build_offload_rule(entry, divert), build_client_ack_rule(entry)), now)
             except EngineCapacityError:
                 self.stats["install_refusals"] += 1
             else:
@@ -268,11 +266,10 @@ class OffloadManager:
 
     def _enqueue_delete(self, entry: ConnEntry, now: float) -> None:
         """Queue the entry's rule pair once; later signals for it are no-ops."""
-        pair = entry.offload_rule
-        if pair is None or self._by_rule.pop(pair[0], None) is None:
+        if not self._kept(entry):
             return
-        self._by_rule.pop(pair[1], None)
-        self.pending.append((pair, entry))
+        del self._by_rule[entry.server_in_key], self._by_rule[entry.client_key]
+        self.pending.append(entry)
         self.stats["deletes_enqueued"] += 1
         if len(self.pending) >= self._batch_pairs:
             self._flush(now)
@@ -295,20 +292,18 @@ class OffloadManager:
         self._timer_gen += 1  # cancel any armed timer
         batch = self.pending[:self._batch_pairs]
         self.pending = self.pending[len(batch):]
-        done = self.engine.delete_rules([rid for pair, _ in batch for rid in pair], now)
+        done = self.engine.delete_rules(
+            [key for e in batch for key in (e.server_in_key, e.client_key)], now)
         self.stats["delete_batches"] += 1
         self.schedule(done, lambda t, b=tuple(batch): self._deletion_done(b, t))
         if self.pending:
             self._arm_timer(now)
 
-    def _deletion_done(self, batch: tuple[tuple[tuple[int, int], ConnEntry], ...],
-                       now: float) -> None:
-        for pair, entry in batch:
-            if entry.offload_rule == pair:
-                entry.offload_rule = None
-                entry.retarget_due = False
-                if entry.deferred and not entry.closed:
-                    self.stats["latch_waits"] += 1
-                    out = self.agent.replay_deferred(entry, now)
-                    if out:
-                        self.emit(out, now)
+    def _deletion_done(self, batch: tuple[ConnEntry, ...], now: float) -> None:
+        for entry in batch:
+            entry.offloaded = entry.retarget_due = False
+            if entry.deferred and not entry.closed:
+                self.stats["latch_waits"] += 1
+                out = self.agent.replay_deferred(entry, now)
+                if out:
+                    self.emit(out, now)

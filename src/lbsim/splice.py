@@ -66,6 +66,9 @@ from .packet import (
     unwrap,
 )
 
+_SYN_ACK_RST = TcpFlags.SYN | TcpFlags.ACK | TcpFlags.RST
+_SYN_RST = TcpFlags.SYN | TcpFlags.RST
+
 REQUEST_HEAD_CAP = 16384
 MAX_LENGTH_DIGITS = 18  # significant digits of a valid Content-Length; every such value fits 63 bits
 HEAD_TERMINATOR = b"\r\n\r\n"
@@ -410,11 +413,12 @@ class ConnEntry:
     resp_tracker_dead: bool = False    # unparseable/chunked: never offload again
     resp_index: int = 0
 
-    # offload rule lifecycle (driven by the offload manager).  The pair's ids
-    # are set from install until both rules are gone, and while they are set
-    # the connection is latched: client bytes past fwd_hi are held in
-    # `deferred` until the pair is re-targeted at them or gone.
-    offload_rule: Optional[tuple[int, int]] = None  # ids of the server and client rules
+    # offload rule lifecycle (driven by the offload manager).  The pair's
+    # rules match `server_in_key` and `client_key`, so the keys name them.
+    # `offloaded` is set from install until both rules are gone, and while
+    # it is set the connection is latched: client bytes past fwd_hi are held
+    # in `deferred` until the pair is re-targeted at them or gone.
+    offloaded: bool = False
     retarget_due: bool = False         # the pair's response is complete: re-target on the next request
     deferred: list[Packet] = field(default_factory=list)
 
@@ -544,28 +548,27 @@ class SpliceAgent:
     # -- dispatch --------------------------------------------------------------
 
     def handle_packet(self, pkt: Packet, now: float, worker_id: int = 0) -> list[Packet]:
+        """A client SYN is answered statelessly.  Every other packet is
+        looked up once; a packet of a known, open flow must reach the
+        entry's owner, and then goes to its handler."""
         flags = pkt.flags
-        if flags & TcpFlags.RST:
-            return self._on_rst(pkt, now)
-        if flags & TcpFlags.SYN:
-            if not flags & TcpFlags.ACK:
-                self.counters["syn_rx"] += 1
-                return [self.on_client_syn(pkt, now)]
-            entry = self.table.lookup(pkt.key, now)
-            if entry is None or entry.closed:
-                return []  # SYNACK for an unknown flow
-            return self.on_backend_synack(pkt, entry, now)
-
+        if flags & _SYN_ACK_RST == TcpFlags.SYN:
+            self.counters["syn_rx"] += 1
+            return [self.on_client_syn(pkt, now)]
         entry = self.table.lookup(pkt.key, now)
         if entry is None:
-            if pkt.payload and self._is_to_vip(pkt.key):
+            if pkt.payload and not flags & _SYN_RST and self._is_to_vip(pkt.key):
                 return self._on_first_client_data(pkt, now)
-            return []  # pre-data handshake ACKs and stale packets: stateless
+            return []  # handshake ACKs, and stray or stale packets: stateless
         if entry.closed:
             return []
         if entry.owner_worker != worker_id:
             raise ShardViolation(
                 f"flow {pkt.key} reached worker {worker_id}, owned by {entry.owner_worker}")
+        if flags & _SYN_RST:
+            if flags & TcpFlags.RST:
+                return self._on_rst(pkt, entry, now)
+            return self.on_backend_synack(pkt, entry, now)
         if pkt.key == entry.client_key:
             return self._on_client_packet(pkt, entry, now)
         return self._on_server_packet(pkt, entry, now)
@@ -673,7 +676,7 @@ class SpliceAgent:
                 return self._try_route(entry, now)
             return []
 
-        if entry.offload_rule is not None and end > entry.fwd_hi:
+        if entry.offloaded and end > entry.fwd_hi:
             # the offload pair still matches the previous request's end; hold
             # the next request (its piggybacked ACK effects already ran)
             entry.deferred.append(pkt)
@@ -706,7 +709,8 @@ class SpliceAgent:
         the server side with a SYN.  The head stays buffered until the
         SYNACK, which hands it to the parser.  A head whose framing is
         invalid resets the client and opens no backend connection, and so
-        does a table with no room for the server's key."""
+        do a backend with no free port in the client's shard and a table
+        with no room for the server's key."""
         buf = entry.head_buf
         head_end = self._head_complete(buf)
         if head_end is None:
@@ -720,13 +724,15 @@ class SpliceAgent:
         backend = self.routes.pick_backend(self.routes.match(path).pool, entry.client_key)
         entry.backend = backend
         port = self._alloc_port(entry.client_key.src_port, backend)
+        if port is None:
+            return self._abort(entry, now)
         entry.server_key = FlowKey(self.lb_addr, backend.addr, port, backend.port)
         entry.isn_lb_back = self._backend_isn(entry)
-        entry.state = SpliceState.SYN_SENT
         try:
             self.table.insert(entry.server_in_key, entry, now)
         except TableFullError:
             return self._abort(entry, now)
+        entry.state = SpliceState.SYN_SENT
         return [self._backend_syn(entry)]
 
     def _backend_syn(self, entry: ConnEntry) -> Packet:
@@ -971,10 +977,7 @@ class SpliceAgent:
 
     # -- teardown ---------------------------------------------------------------
 
-    def _on_rst(self, pkt: Packet, now: float) -> list[Packet]:
-        entry = self.table.lookup(pkt.key, now)
-        if entry is None or entry.closed:
-            return []
+    def _on_rst(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         if pkt.key == entry.client_key:
             out = [] if entry.server_key is None else \
                 [Packet(key=entry.server_key, seq=map_seq_c2s(entry, pkt.seq),
@@ -992,22 +995,22 @@ class SpliceAgent:
             self.remove_entry(entry, now)
 
     def _abort(self, entry: ConnEntry, now: float) -> list[Packet]:
-        """Reset both sides and drop the entry.  The client's RST carries
-        the highest client-facing seq that may have been sent: past the
-        server bytes the agent relayed, or the client's ACK if that is
-        higher, or, while an offload pair lives and the response's end is
-        known, past that end, the last byte the server rule may have
-        hairpinned.  Mid-response the client's RCV.NXT may lie below that,
-        so a client that checks an RST's seq exactly (RFC 5961) answers it
-        with a challenge ACK; the RST is never below a byte the client
-        took in."""
+        """Reset the client, and the backend once its SYN went out, and drop
+        the entry.  The client's RST carries the highest client-facing seq
+        that may have been sent: past the server bytes the agent relayed, or
+        the client's ACK if that is higher, or, while an offload pair lives
+        and the response's end is known, past that end, the last byte the
+        server rule may have hairpinned.  Mid-response the client's RCV.NXT
+        may lie below that, so a client that checks an RST's seq exactly
+        (RFC 5961) answers it with a challenge ACK; the RST is never below
+        a byte the client took in."""
         self.counters["resets_tx"] += 1
         off = max(entry.relayed_hi, entry.client_acked)
-        if entry.offload_rule is not None and entry.resp_end is not None:
+        if entry.offloaded and entry.resp_end is not None:
             off = max(off, entry.resp_end)
         out = [Packet(key=entry.client_key.reverse(),
                       seq=seq_add(entry.isn_lb_front, 1 + off), flags=TcpFlags.RST)]
-        if entry.server_key is not None:
+        if entry.state is not SpliceState.FRONT_ESTABLISHED:
             out.append(Packet(key=entry.server_key,
                               seq=seq_add(entry.isn_lb_back, 1), flags=TcpFlags.RST))
         self.remove_entry(entry, now)
@@ -1039,10 +1042,11 @@ class SpliceAgent:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _alloc_port(self, client_port: int, backend: Backend) -> int:
+    def _alloc_port(self, client_port: int, backend: Backend) -> Optional[int]:
         """Backend-facing source port in the same steering shard as the
         client's port, so both directions of the spliced connection land on
-        one worker.  Prefers the client's own port (NAT-style preservation)."""
+        one worker.  Prefers the client's own port (NAT-style preservation).
+        None when every port of the shard is in use toward this backend."""
         shard = self.shard_of(client_port)
         p = client_port
         for _ in range(65536):
@@ -1051,7 +1055,7 @@ class SpliceAgent:
                 self._used_ports.add((p, backend.addr, backend.port))
                 return p
             p = p + 1 if p < 65535 else 1024
-        raise RuntimeError("backend port space exhausted")
+        return None
 
     def _backend_isn(self, entry: ConnEntry) -> int:
         h = hashlib.blake2b(struct.pack(">IHIH", entry.client_key.src_addr,

@@ -13,6 +13,7 @@ from lbsim.flow_engine import (
     LatencyModel,
     ResultKind,
     Rewrite,
+    Rule,
     RuleConflictError,
 )
 from lbsim.netsim import Simulation, SimParams, TopologyParams, WorkloadParams
@@ -60,7 +61,7 @@ def test_latency_model_interpolation_monotone_and_clamped():
 
 def test_blocking_single_insert_ready_at_305us():
     e = make_engine()
-    rule = e.make_rule(S2C, shift(seq=5))
+    rule = Rule(S2C, shift(seq=5))
     done = e.insert_rules([rule], now=1.0)
     assert done == pytest.approx(1.0 + 305.40e-6)
     assert rule.ready_at == done
@@ -68,14 +69,14 @@ def test_blocking_single_insert_ready_at_305us():
 
 def test_batch16_insert_per_rule_latency():
     e = make_engine()
-    rules = [e.make_rule(FlowKey(1, 2, 3, 1000 + i), shift()) for i in range(16)]
+    rules = [Rule(FlowKey(1, 2, 3, 1000 + i), shift()) for i in range(16)]
     done = e.insert_rules(rules, now=0.0)
     assert done == pytest.approx(16 * 25.39e-6)
 
 
 def test_packet_during_install_window_misses_to_worker():
     e = make_engine()
-    rule = e.make_rule(S2C, shift(seq=1))
+    rule = Rule(S2C, shift(seq=1))
     done = e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, seq=100, ack=5, flags=TcpFlags.ACK, payload=b"x")
     r = e.process(pkt, now=done / 2)
@@ -88,9 +89,9 @@ def test_packet_during_install_window_misses_to_worker():
 
 def test_delete_batch_latencies_and_unmatchable_after():
     e = make_engine()
-    rule = e.make_rule(S2C, shift())
+    rule = Rule(S2C, shift())
     e.insert_rules([rule], now=0.0)
-    done = e.delete_rules([rule.id], now=1.0)
+    done = e.delete_rules([rule.match], now=1.0)
     assert done == pytest.approx(1.0 + 57.49e-6)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK)
     # still matchable while the delete is in flight
@@ -98,38 +99,38 @@ def test_delete_batch_latencies_and_unmatchable_after():
     assert e.process(pkt, now=done).kind is ResultKind.MISSED
     assert S2C not in e.rules
 
-    rules = [e.make_rule(FlowKey(9, 9, 9, i), shift()) for i in range(8)]
+    rules = [Rule(FlowKey(9, 9, 9, i), shift()) for i in range(8)]
     e.insert_rules(rules, now=2.0)
-    done = e.delete_rules([r.id for r in rules], now=3.0)
+    done = e.delete_rules([r.match for r in rules], now=3.0)
     assert done == pytest.approx(3.0 + 8 * 19.42e-6)
 
 
 def test_delete_unknown_rule_is_idempotent():
     e = make_engine()
-    done = e.delete_rules([12345], now=0.0)
+    done = e.delete_rules([S2C], now=0.0)
     assert done > 0.0
 
 
 def test_duplicate_active_match_conflicts():
     e = make_engine()
-    e.insert_rules([e.make_rule(S2C, shift())], now=0.0)
+    e.insert_rules([Rule(S2C, shift())], now=0.0)
     with pytest.raises(RuleConflictError):
-        e.insert_rules([e.make_rule(S2C, shift())], now=1.0)
+        e.insert_rules([Rule(S2C, shift())], now=1.0)
 
 
 def test_match_being_deleted_conflicts_until_gone():
     e = make_engine()
-    rule = e.make_rule(S2C, shift())
+    rule = Rule(S2C, shift())
     e.insert_rules([rule], now=0.0)
-    done = e.delete_rules([rule.id], now=1.0)
+    done = e.delete_rules([rule.match], now=1.0)
     with pytest.raises(RuleConflictError, match="still being deleted"):
-        e.insert_rules([e.make_rule(S2C, shift())], now=1.0)
-    e.insert_rules([e.make_rule(S2C, shift())], now=done)
+        e.insert_rules([Rule(S2C, shift())], now=1.0)
+    e.insert_rules([Rule(S2C, shift())], now=done)
 
 
 def test_full_action_chain_rewrites_and_hairpins():
     e = make_engine()
-    rule = e.make_rule(S2C, shift(seq=1000, ack=(1 << 32) - 7))
+    rule = Rule(S2C, shift(seq=1000, ack=(1 << 32) - 7))
     e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, seq=5, ack=10, flags=TcpFlags.ACK | TcpFlags.PSH,
                  payload=b"abc")
@@ -145,7 +146,7 @@ def test_full_action_chain_rewrites_and_hairpins():
 
 def test_sack_bearing_packet_diverts_to_worker():
     e = make_engine()
-    e.insert_rules([e.make_rule(S2C, shift(seq=1))], now=0.0)
+    e.insert_rules([Rule(S2C, shift(seq=1))], now=0.0)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK,
                  options=TcpOptions(sack_blocks=((5, 10),)))
     r = e.process(pkt, now=1.0)
@@ -157,7 +158,7 @@ def test_sack_bearing_packet_diverts_to_worker():
 @pytest.mark.parametrize("flag", [TcpFlags.FIN, TcpFlags.RST])
 def test_fin_and_rst_divert_to_worker(flag):
     e = make_engine()
-    rule = e.make_rule(S2C, shift(seq=1))
+    rule = Rule(S2C, shift(seq=1))
     e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK | flag)
     r = e.process(pkt, now=1.0)
@@ -170,8 +171,8 @@ def test_fin_and_rst_divert_to_worker(flag):
 
 def test_conservation_over_random_packets():
     e = make_engine()
-    e.insert_rules([e.make_rule(FlowKey(1, 1, 1, 1), shift()),
-                    e.make_rule(FlowKey(2, 2, 2, 2), shift())], now=0.0)
+    e.insert_rules([Rule(FlowKey(1, 1, 1, 1), shift()),
+                    Rule(FlowKey(2, 2, 2, 2), shift())], now=0.0)
     rng = random.Random(5)
     keys = [FlowKey(1, 1, 1, 1), FlowKey(2, 2, 2, 2),
             FlowKey(rng.getrandbits(32), rng.getrandbits(32), 5, 6)]
@@ -223,70 +224,70 @@ def test_remembered_shards_follow_the_formula_on_every_port(n_workers, every_por
 
 def test_poll_aged_reports_idle_rules_and_hits_reset_clock():
     e = make_engine()
-    rule = e.make_rule(S2C, shift(), idle_timeout=1.0)
+    rule = Rule(S2C, shift(), idle_timeout=1.0)
     e.insert_rules([rule], now=0.0)
     assert e.poll_aged(now=0.5) == []
-    assert e.poll_aged(now=2.5) == [rule.id]
+    assert e.poll_aged(now=2.5) == [rule.match]
     e.process(Packet(key=S2C), now=3.0)  # hit resets the idle clock
     assert e.poll_aged(now=3.9) == []
-    assert e.poll_aged(now=4.5) == [rule.id]
-    e.delete_rules([rule.id], now=4.5)
+    assert e.poll_aged(now=4.5) == [rule.match]
+    e.delete_rules([rule.match], now=4.5)
     assert e.poll_aged(now=4.5) == []  # a rule being deleted is not reported
 
 
 def test_capacity_cap():
     e = FlowEngine(n_workers=1, capacity=4)
-    rules = [e.make_rule(FlowKey(1, 2, 3, i), shift()) for i in range(5)]
+    rules = [Rule(FlowKey(1, 2, 3, i), shift()) for i in range(5)]
     with pytest.raises(EngineCapacityError):
         e.insert_rules(rules, now=0.0)
 
 
 def test_capacity_counts_no_rule_past_its_gone_at():
     e = FlowEngine(n_workers=1, capacity=1)
-    first = e.make_rule(S2C, shift())
+    first = Rule(S2C, shift())
     e.insert_rules([first], now=0.0)
-    e.delete_rules([first.id], now=1.0)  # gone at 1.0 + 57.49 us
-    second = e.make_rule(S2C.reverse(), shift())
+    e.delete_rules([first.match], now=1.0)  # gone at 1.0 + 57.49 us
+    second = Rule(S2C.reverse(), shift())
     e.insert_rules([second], now=2.0)
     assert list(e.rules.values()) == [second]
     with pytest.raises(EngineCapacityError):  # a refused batch installs nothing
-        e.insert_rules([e.make_rule(FlowKey(1, 2, 3, 4), shift())], now=3.0)
+        e.insert_rules([Rule(FlowKey(1, 2, 3, 4), shift())], now=3.0)
     assert list(e.rules.values()) == [second]
 
 
 def installed_pair(e, now=0.0):
     """A server rule matching ack 500 and a client rule matching seq 900,
     installed as one batch and ready at the returned time."""
-    server = e.make_rule(S2C, shift(seq=10, ack=20), ack=500)
-    client = e.make_rule(S2C.reverse(), Rewrite(S2C, 30, 40), seq=900)
+    server = Rule(S2C, shift(seq=10, ack=20), ack=500)
+    client = Rule(S2C.reverse(), Rewrite(S2C, 30, 40), seq=900)
     return server, client, e.insert_rules([server, client], now)
 
 
-def test_retarget_costs_an_insert_batch_of_its_slots_and_keeps_the_ids():
+def test_retarget_costs_an_insert_batch_of_its_slots_and_replaces_the_rules_in_place():
     e = make_engine()
-    server, client, ready = installed_pair(e)
-    done = e.retarget_rules([e.make_rule(S2C, shift(seq=10, ack=-7), ack=600, divert_seq=77),
-                             e.make_rule(S2C.reverse(), Rewrite(S2C, 37, 40), seq=950)],
-                            now=1.0)
+    installed_pair(e)
+    batch = [Rule(S2C, shift(seq=10, ack=-7), ack=600, divert_seq=77),
+             Rule(S2C.reverse(), Rewrite(S2C, 37, 40), seq=950)]
+    done = e.retarget_rules(batch, now=1.0)
     # three slots, the divert counted as one: 3 x 90.19 us, interpolated
     # between the batch-2 and batch-8 anchors
     per_rule = 100.48 + (38.72 - 100.48) / 6
     assert LatencyModel().insert_per_rule_us(3) == pytest.approx(per_rule)
     assert done == pytest.approx(1.0 + 3 * per_rule * 1e-6)
-    assert [(r.id, r.ready_at) for r in e.rules.values()] == \
-        [(server.id, done), (client.id, done)]
+    assert list(e.rules.items()) == [(S2C, batch[0]), (S2C.reverse(), batch[1])]
+    assert [r.ready_at for r in batch] == [done, done]
     assert (e.stats.rules_inserted, e.stats.rules_retargeted) == (2, 3)
     with pytest.raises(KeyError):  # only a live rule is re-targeted
-        e.retarget_rules([e.make_rule(FlowKey(1, 2, 3, 4), shift())], now=2.0)
-    e.delete_rules([server.id], now=2.0)
+        e.retarget_rules([Rule(FlowKey(1, 2, 3, 4), shift())], now=2.0)
+    e.delete_rules([S2C], now=2.0)
     with pytest.raises(KeyError):
-        e.retarget_rules([e.make_rule(S2C, shift())], now=2.0)
+        e.retarget_rules([Rule(S2C, shift())], now=2.0)
 
 
 def test_retarget_window_misses_then_hits_with_the_new_rewrite():
     e = make_engine()
     installed_pair(e)
-    done = e.retarget_rules([e.make_rule(S2C, shift(seq=10, ack=-7), ack=600)], now=1.0)
+    done = e.retarget_rules([Rule(S2C, shift(seq=10, ack=-7), ack=600)], now=1.0)
     old = Packet(key=S2C, seq=100, ack=500, flags=TcpFlags.ACK, payload=b"x")
     new = dataclasses.replace(old, ack=600)
     for pkt in (old, new):  # inside the window every packet misses
@@ -301,7 +302,7 @@ def test_retarget_window_misses_then_hits_with_the_new_rewrite():
 def test_divert_sends_payload_at_its_seq_to_the_worker():
     e = make_engine()
     installed_pair(e)
-    done = e.retarget_rules([e.make_rule(S2C, shift(seq=10), ack=500, divert_seq=77)], now=0.0)
+    done = e.retarget_rules([Rule(S2C, shift(seq=10), ack=500, divert_seq=77)], now=0.0)
 
     def kind(seq, payload):
         pkt = Packet(key=S2C, seq=seq, ack=500, flags=TcpFlags.ACK, payload=payload)
@@ -317,14 +318,14 @@ def test_divert_sends_payload_at_its_seq_to_the_worker():
 def test_capacity_counts_the_divert():
     e = FlowEngine(n_workers=1, capacity=3)
     server, client, _ = installed_pair(e)
-    e.retarget_rules([e.make_rule(S2C, shift(), ack=600, divert_seq=77)], now=1.0)
+    e.retarget_rules([Rule(S2C, shift(), ack=600, divert_seq=77)], now=1.0)
     with pytest.raises(EngineCapacityError):  # two rules and a divert fill 3 slots
-        e.insert_rules([e.make_rule(FlowKey(1, 2, 3, 4), shift())], now=2.0)
+        e.insert_rules([Rule(FlowKey(1, 2, 3, 4), shift())], now=2.0)
     e2 = FlowEngine(n_workers=1, capacity=2)
     installed_pair(e2)
     before = dict(e2.rules)
     with pytest.raises(EngineCapacityError):  # no slot for the divert: nothing changes
-        e2.retarget_rules([e2.make_rule(S2C, shift(), ack=600, divert_seq=77)], now=1.0)
+        e2.retarget_rules([Rule(S2C, shift(), ack=600, divert_seq=77)], now=1.0)
     assert e2.rules == before and e2.stats.rules_retargeted == 0
 
 
@@ -357,12 +358,12 @@ def test_rule_hairpins_exactly_its_rewrite(out_key, seq_delta, ack_delta, delete
     (another key, before ready_at, from gone_at on, or one that diverts)
     comes back unchanged on its steered worker."""
     e = make_engine()
-    rule = e.make_rule(S2C, Rewrite(out_key, seq_delta, ack_delta))
+    rule = Rule(S2C, Rewrite(out_key, seq_delta, ack_delta))
     ready_at = e.insert_rules([rule], now=0.0)
     gone_at, last_hit, hairpins, sack_diverted = None, rule.last_hit, 0, 0
     for now, pkt in sorted(arrivals, key=lambda a: a[0]):
         if delete_at is not None and gone_at is None and now >= delete_at:
-            gone_at = e.delete_rules([rule.id], delete_at)
+            gone_at = e.delete_rules([rule.match], delete_at)
         r = e.process(pkt, now)
         effective = (pkt.key == S2C and now >= ready_at
                      and (gone_at is None or now < gone_at))
@@ -396,7 +397,7 @@ def test_seq_rule_hairpins_only_payload_free_packets_at_its_seq(rule_seq, seq_de
     seq, a pure ACK at any other seq, and FIN, RST or SACK-bearing packets
     go to the worker unchanged."""
     e = make_engine()
-    rule = e.make_rule(C2S, Rewrite(S2C.reverse(), seq_delta, ack_delta), seq=rule_seq)
+    rule = Rule(C2S, Rewrite(S2C.reverse(), seq_delta, ack_delta), seq=rule_seq)
     now = e.insert_rules([rule], now=0.0)
     hairpins = 0
     for off, drawn in arrivals:

@@ -710,4 +710,10 @@ def test_idle_keepalive_connection_frees_its_rule_pair_by_aging():
     assert now > RULE_IDLE_TIMEOUT
     assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
     assert not sim.offload_mgr.pending
-    assert all(e.offload_rule is None for e in entries)
+    assert not any(e.offloaded for e in entries)
+
+
+def test_an_unknown_offload_mode_is_refused():
+    # a misspelt "never" would otherwise run as "auto" and offload
+    with pytest.raises(ValueError, match="offload_mode"):
+        SimParams(offload_mode="Never")

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import random
@@ -101,8 +102,7 @@ def test_threshold_crossing_installs_hairpin_rule():
     ck, entry = established_entry(agent)
     pkt = first_response_pkt(entry, 4 << 20)
     agent.handle_packet(pkt, 1.0, worker_id=shard_of(ck.src_port))
-    assert entry.offload_rule is not None
-    assert entry.offload_rule is not None
+    assert entry.offloaded
     rule = live_rule(engine, entry.server_in_key, 1.0)
     assert rule is not None
     assert rule.ready_at == pytest.approx(1.0 + 2 * 100.48e-6)  # a batch of two
@@ -117,10 +117,10 @@ def test_the_formula_threshold_is_the_only_offload_boundary(mss, threshold):
     _, at = established_entry(agent, port=40004)
     below.resp_end, at.resp_end = threshold - 1, threshold  # as the agent sets them first
     mgr.on_resp_len_known(below, threshold - 1, 1.0)
-    assert below.offload_rule is None
+    assert not below.offloaded
     assert mgr.stats["offloads_skipped_small"] == 1
     mgr.on_resp_len_known(at, threshold, 1.0)
-    assert at.offload_rule is not None
+    assert at.offloaded
     assert mgr.stats["rules_installed"] == 1
 
 
@@ -134,7 +134,7 @@ def test_should_offload_cases():
         ck, entry = established_entry(agent, port=40000 + 4 * i)
         agent.handle_packet(first_response_pkt(entry, body_len, framing), 1.0,
                             worker_id=shard_of(ck.src_port))
-        assert (entry.offload_rule is not None) == offloads
+        assert entry.offloaded == offloads
         assert mgr.stats["rules_installed"] == int(offloads)
         assert mgr.stats["offloads_skipped_small"] == int(body_len == 1024)
     assert entry.resp_tracker_dead and entry.resp_len is None
@@ -145,7 +145,7 @@ def test_small_response_skips_offload():
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 1024), 1.0,
                         worker_id=shard_of(ck.src_port))
-    assert entry.offload_rule is None
+    assert not entry.offloaded
     assert mgr.stats["offloads_skipped_small"] == 1
 
 
@@ -161,7 +161,7 @@ def test_double_crossing_is_idempotent():
 def test_engine_rewrite_matches_worker_rewrite_bit_for_bit():
     agent, engine, sim, mgr = offload_setup()
     ck, entry = established_entry(agent)
-    rule = build_offload_rule(engine, entry, None)
+    rule = build_offload_rule(entry)
     engine.insert_rules([rule], now=0.0)
     rng = random.Random(99)
     resp_off = 40  # somewhere inside the response stream
@@ -184,13 +184,14 @@ def test_rule_pair_installs_and_deletes_as_one_batch():
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
     server, client = (engine.rules[k] for k in (entry.server_in_key, ck))
-    assert entry.offload_rule == (server.id, client.id)
+    assert entry.offloaded
     assert server.seq is None and client.seq is not None
     assert server.ready_at == client.ready_at
     mgr.on_response_complete(entry, 2.0)  # the pair is kept for the next request
     assert not mgr.pending
     mgr.on_entry_removed(entry, 2.0)
-    mgr.on_rules_aged([server.id], 2.0)  # a second signal queues nothing more
+    mgr.on_rules_aged([server.match], 2.0)  # later signals queue nothing more
+    mgr.on_tracker_dead(entry, 2.0)
     assert len(mgr.pending) == 1
     sim.run_until(2.0 + 100e-6)
     assert server.gone_at == client.gone_at == pytest.approx(2.0 + 100e-6 + 2 * 24.48e-6)
@@ -213,13 +214,13 @@ def test_deleter_never_splits_a_pair():
         agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                             worker_id=shard_of(ck.src_port))
         entries.append(entry)
-    pairs = [list(e.offload_rule) for e in entries]
+    pairs = [[e.server_in_key, e.client_key] for e in entries]
     for entry in entries:
         mgr.on_entry_removed(entry, 2.0)
     sim.run_until(3.0)
     # at most 5 rules a batch: two pairs, then the third on the flush timer
     assert batches == [pairs[0] + pairs[1], pairs[2]]
-    assert all(e.offload_rule is None for e in entries)
+    assert not any(e.offloaded for e in entries)
 
 
 def test_sixteen_removals_flush_two_batches_of_16():
@@ -235,9 +236,9 @@ def test_sixteen_removals_flush_two_batches_of_16():
         mgr.on_entry_removed(entry, 2.0)
     assert mgr.stats["delete_batches"] == 2  # 32 rules: two batches of 16
     sim.run_until(2.0 + 16 * 18.08e-6 - 1e-9)  # batch-16 cost not yet elapsed
-    assert all(e.offload_rule is not None for e in entries)
+    assert all(e.offloaded for e in entries)
     sim.run_until(2.0 + 16 * 18.08e-6 + 1e-9)
-    assert all(e.offload_rule is None for e in entries)
+    assert not any(e.offloaded for e in entries)
 
 
 def test_single_removal_flushes_on_timeout_at_batch1_cost():
@@ -250,9 +251,9 @@ def test_single_removal_flushes_on_timeout_at_batch1_cost():
     sim.run_until(2.0 + 100e-6)
     assert mgr.stats["delete_batches"] == 1
     sim.run_until(2.0 + 100e-6 + 2 * 24.48e-6 - 1e-9)  # batch-2 cost not yet elapsed
-    assert entry.offload_rule is not None
+    assert entry.offloaded
     sim.run_until(2.0 + 100e-6 + 2 * 24.48e-6)
-    assert entry.offload_rule is None
+    assert not entry.offloaded
 
 
 def test_next_request_held_until_rule_clean_then_replayed():
@@ -263,8 +264,7 @@ def test_next_request_held_until_rule_clean_then_replayed():
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
-    pair = entry.offload_rule
-    assert pair is not None
+    assert entry.offloaded
     req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
     pkt2 = Packet(key=ck, seq=seq_add(1000, len(GET)),
                   ack=seq_add(entry.isn_lb_front, 1),
@@ -278,7 +278,7 @@ def test_next_request_held_until_rule_clean_then_replayed():
     sim.run_until(ready_at - 1e-9)
     assert not sim.emitted
     sim.run_until(3.0)
-    assert entry.offload_rule == pair  # kept, and re-targeted at the request
+    assert mgr._kept(entry)  # kept, and re-targeted at the request
     assert engine.rules[ck].seq == seq_add(1000, len(GET + req2))
     assert not entry.deferred
     data = b"".join(p.payload for p in sim.emitted if p.payload)
@@ -292,7 +292,7 @@ def test_held_resend_replayed_with_its_insertion_still_live():
     w = shard_of(ck.src_port)
     head = first_response_pkt(entry, 4 << 20)  # its ACK passes the insertion
     agent.handle_packet(head, 1.0, worker_id=w)
-    assert entry.offload_rule is not None
+    assert entry.offloaded
     # the client saw no ACK: it resends its request with the next one, and
     # the latch holds the segment
     req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
@@ -362,7 +362,7 @@ def test_unframed_later_response_deletes_the_kept_pair_at_once():
     agent.handle_packet(request(seq_add(1000, len(GET + req2)), req3), 3.0, worker_id=w)
     assert entry.deferred
     sim.run_until(3.0 + 100e-6 + 2 * 24.48e-6)  # the flush timer, then a batch of 2
-    assert entry.offload_rule is None and not entry.deferred
+    assert not entry.offloaded and not entry.deferred
     assert mgr.stats["latch_waits"] == 2
     assert b"GET /api/z" in sim.emitted[-1].payload
 
@@ -386,7 +386,7 @@ def test_a_response_past_the_reach_bound_stays_on_the_worker(slack, offloads):
     body_len = UNWRAP_ABOVE + slack - 1 - len(response_head(UNWRAP_ABOVE))
     agent.handle_packet(first_response_pkt(entry, body_len), 1.0, worker_id=w)
     assert entry.resp_end + 1 == UNWRAP_ABOVE + slack
-    assert (entry.offload_rule is not None) == offloads
+    assert entry.offloaded == offloads
     out = agent.handle_packet(Packet(key=ck, seq=seq_add(1000, len(GET)),
                                      ack=seq_add(entry.isn_lb_front, 1),
                                      flags=TcpFlags.ACK | TcpFlags.PSH, payload=REQ2),
@@ -400,7 +400,7 @@ def retargeted_at_req2(agent, engine, sim, mgr, body_len):
     ck, entry = established_entry(agent)
     w = shard_of(ck.src_port)
     agent.handle_packet(first_response_pkt(entry, body_len), 1.0, worker_id=w)
-    assert entry.offload_rule is not None
+    assert entry.offloaded
     agent.handle_packet(Packet(key=ck, seq=seq_add(1000, len(GET)),
                                ack=seq_add(entry.isn_lb_front, 1 + entry.resp_end),
                                flags=TcpFlags.ACK | TcpFlags.PSH, payload=REQ2),
@@ -426,7 +426,7 @@ def test_kept_pair_goes_at_once_when_the_next_response_passes_the_reach_bound():
                         worker_id=shard_of(ck.src_port))
     assert entry.resp_len == UNWRAP_ABOVE and len(mgr.pending) == 1
     sim.run_until(3.0 + 100e-6 + 2 * 24.48e-6)  # the flush timer, then a batch of 2
-    assert entry.offload_rule is None
+    assert not entry.offloaded
 
 
 def test_a_response_stream_past_4_gib_completes_and_retargets():
@@ -441,7 +441,7 @@ def test_a_response_stream_past_4_gib_completes_and_retargets():
     agent.handle_packet(diverted_head(engine, entry, response_head(body_len)), 3.0,
                         worker_id=w)
     resp_end = entry.resp_end
-    assert resp_end == 2 * start > 1 << 32 and entry.offload_rule is not None
+    assert resp_end == 2 * start > 1 << 32 and entry.offloaded
     req3 = b"GET /api/z HTTP/1.1\r\nHost: h\r\n\r\n"
     c_off = len(GET + REQ2)
     agent.handle_packet(Packet(key=ck, seq=seq_add(1000, c_off),
@@ -474,7 +474,7 @@ def test_pipelined_requests_leave_at_once_and_the_pair_goes():
     assert b"GET /api/y" in data and b"GET /api/z" in data
     assert mgr.stats["retargets"] == 0 and len(mgr.pending) == 1
     sim.run_until(3.0)
-    assert entry.offload_rule is None
+    assert not entry.offloaded
     assert live_rule(engine, ck, 3.0) is live_rule(engine, entry.server_in_key, 3.0) is None
 
 
@@ -492,7 +492,7 @@ def test_no_slot_for_the_divert_releases_the_request_and_deletes_the_pair():
     assert b"GET /api/y" in sim.emitted[-1].payload  # at once, not held
     assert mgr.stats["install_refusals"] == 1 and len(mgr.pending) == 1
     sim.run_until(3.0)
-    assert entry.offload_rule is None
+    assert not entry.offloaded
 
 
 def test_entry_teardown_enqueues_rule_delete():
@@ -500,11 +500,68 @@ def test_entry_teardown_enqueues_rule_delete():
     ck, entry = established_entry(agent)
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
-    rid = entry.offload_rule
     agent.remove_entry(entry, 3.0)
     sim.run_until(4.0)
     assert live_rule(engine, entry.server_in_key, 4.0) is None
-    assert not mgr._by_rule.keys() & set(rid)  # neither rule of the pair
+    assert not mgr._by_rule.keys() & {entry.server_in_key, ck}  # neither rule of the pair
+
+
+def test_a_reused_client_tuple_waits_for_the_previous_pair_to_go():
+    """A client reuses its 4-tuple while its previous connection's pair is
+    being deleted.  The rules of both connections have the same matches, so
+    the new install is refused and the response goes by the worker.  The
+    old entry's deletion, completing when the new entry has a pair of its
+    own and holds a request behind it, leaves that pair and request alone."""
+    agent, engine, sim, mgr = offload_setup()
+    mgr.force = True
+    ck, old = established_entry(agent)
+    w = shard_of(ck.src_port)
+    agent.handle_packet(first_response_pkt(old, 4 << 20), 1.0, worker_id=w)
+    agent.remove_entry(old, 2.0)
+    sim.run_until(2.0 + 100e-6)  # the flush timer: the pair is being deleted
+    done = engine.rules[ck].gone_at
+    t = (sim.now + done) / 2
+
+    # not GET's length, so no ack or seq that the old rules match
+    req1 = b"GET /api/new HTTP/1.1\r\nHost: h\r\n\r\n"
+    new, _ = establish(agent, ck, payload=req1, now=t)
+    assert (new.server_in_key, new.client_key) == (old.server_in_key, old.client_key)
+    body = bytes(range(256)) * 12
+    head = first_response_pkt(new, len(body))
+    segments = [head] + [dataclasses.replace(head, seq=seq_add(head.seq, len(head.payload) + i),
+                                             payload=body[i:i + 1460])
+                         for i in range(0, len(body), 1460)]
+    out = []
+    for pkt in segments:
+        res = engine.process(pkt, t)
+        assert res.kind is ResultKind.MISSED
+        out += agent.handle_packet(pkt, t, worker_id=w)
+    assert mgr.stats["install_refusals"] == 1 and not new.offloaded
+    front = seq_add(new.isn_lb_front, 1)
+    got = {seq_sub(p.seq, front): p.payload for p in out if p.key == ck.reverse()}
+    assert b"".join(got[off] for off in sorted(got)) == head.payload + body
+
+    def client(off, ack_off, payload=b""):
+        pkt = Packet(key=ck, seq=seq_add(1000, off), ack=seq_add(front, ack_off),
+                     flags=TcpFlags.ACK | (TcpFlags.PSH if payload else 0), payload=payload)
+        assert engine.process(pkt, done).kind is ResultKind.MISSED
+        return agent.handle_packet(pkt, done, worker_id=w)
+
+    # at `done`, before the deleter's completion runs: the old rules are
+    # gone, so the second response installs a pair, and a third request is held
+    client(len(req1), new.resp_end)
+    client(len(req1), new.client_acked, REQ2)
+    agent.handle_packet(Packet(key=new.server_in_key,
+                               seq=seq_add(new.isn_server, 1 + new.resp_head_buf.base),
+                               ack=new.seq_to_server(new.fwd_hi),
+                               flags=TcpFlags.ACK | TcpFlags.PSH,
+                               payload=response_head(4 << 20)), done, worker_id=w)
+    assert new.offloaded and mgr.stats["rules_installed"] == 2
+    assert client(len(req1 + REQ2), new.client_acked, GET) == [] and new.deferred
+    sim.run_until(done)
+    assert not old.offloaded
+    assert new.offloaded and mgr._kept(new) and len(new.deferred) == 1
+    assert mgr.stats["latch_waits"] == 0 and not sim.emitted
 
 
 def test_aged_rule_reported_and_deletable():
@@ -513,10 +570,10 @@ def test_aged_rule_reported_and_deletable():
     agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                         worker_id=shard_of(ck.src_port))
     aged = engine.poll_aged(now=1.0 + RULE_IDLE_TIMEOUT * 2)
-    assert aged == list(entry.offload_rule)  # both rules of the pair
+    assert aged == [entry.server_in_key, entry.client_key]  # both rules of the pair
     mgr.on_rules_aged(aged, now=30.0)
     sim.run_until(31.0)
-    assert entry.offload_rule is None
+    assert not entry.offloaded
 
 
 def test_capacity_refusal_leaves_the_response_on_the_worker_path():

@@ -176,8 +176,9 @@ def test_a_full_table_resets_the_connection_it_refuses(first_head):
     """Two slots in all.  A first connection that is routed holds both, its
     client and server keys, so the second connection's client key finds
     no room; one still in its head holds one, so the second's server key
-    finds none.  Either way the second connection is reset, and neither
-    the table nor the backend ports keep anything of it."""
+    finds none.  Either way the second connection's client gets one RST,
+    its backend, which was sent no SYN, gets nothing, and neither the table
+    nor the backend ports keep anything of it."""
     agent = make_agent()
     agent.table = CuckooTable(TableConfig(bucket_count=2, slots_per_bucket=1))
     first, second = client_key(port=40000), client_key(port=40001)
@@ -185,11 +186,27 @@ def test_a_full_table_resets_the_connection_it_refuses(first_head):
     kept, ports = dict(agent.table.items()), set(agent._used_ports)
     assert len(kept) == (2 if first_head == GET else 1)
     out = send_request(agent, second, do_syn(agent, second), GET)
-    assert out and all(p.rst for p in out)
-    assert out[0].key == second.reverse()
+    assert len(out) == 1 and out[0].rst and out[0].key == second.reverse()
     assert agent.counters["resets_tx"] == 1
     assert agent.table.stats.insert_failures == 1
     assert dict(agent.table.items()) == kept
+    assert agent._used_ports == ports
+
+
+def test_an_exhausted_port_space_resets_the_connection_it_refuses():
+    """Every port of the client's shard is in use toward both backends of
+    its pool: the client gets an RST, no backend gets anything, and neither
+    the table nor the backend ports keep anything of the connection."""
+    agent = make_agent()
+    ck = client_key()
+    shard = shard_of(ck.src_port)
+    agent._used_ports = {(p, b.addr, b.port) for b in POOL_A
+                         for p in range(1024, 1 << 16) if shard_of(p) == shard}
+    ports = set(agent._used_ports)
+    out = send_request(agent, ck, do_syn(agent, ck), GET)
+    assert len(out) == 1 and out[0].rst and out[0].key == ck.reverse()
+    assert agent.counters["resets_tx"] == 1
+    assert len(agent.table) == 0
     assert agent._used_ports == ports
 
 
@@ -575,13 +592,20 @@ def test_half_open_entry_swept():
 
 
 def test_packet_on_wrong_worker_raises_shard_violation():
+    # every packet of a known flow is checked, an RST and a SYNACK too, and
+    # none of them changes the connection
     agent = make_agent()
     ck = client_key()
     entry, _ = establish(agent, ck)
     ack = Packet(key=ck, seq=seq_add(1000, len(GET)),
                  ack=seq_add(entry.isn_lb_front, 1), flags=TcpFlags.ACK)
-    with pytest.raises(ShardViolation):
-        agent.handle_packet(ack, 0.0, worker_id=shard_of(ck.src_port) + 1)
+    rst = Packet(key=ck, seq=seq_add(1000, len(GET)), flags=TcpFlags.RST)
+    synack = Packet(key=entry.server_in_key, seq=7_000_000,
+                    ack=seq_add(entry.isn_lb_back, 1), flags=TcpFlags.SYN | TcpFlags.ACK)
+    for pkt in (ack, rst, synack):
+        with pytest.raises(ShardViolation):
+            agent.handle_packet(pkt, 0.0, worker_id=shard_of(ck.src_port) + 1)
+    assert not entry.closed and len(agent.table) == 2
 
 
 def test_emitted_flags_are_plain_ints():
