@@ -447,6 +447,28 @@ def test_seeded_keepalive_worker_run_is_pinned():
     assert egress_digest(egress) == "c751ee529ed7db4620a2d6087f074b00"
 
 
+@pytest.mark.parametrize("pin, mode, processed, engine_counts, digest", [
+    (LOSSY_PIN, "never", 17862, (0, 6497, 0), "9e4345c7a615b6255594d5312491ebc6"),
+    (KEEPALIVE_PIN, "always", 20332, (7438, 2390, 60), "6513614701864118ab6bdc97141cd801"),
+], ids=["lossy_never", "keepalive_always"])
+def test_seeded_runs_in_the_other_offload_modes_are_pinned(
+        pin, mode, processed, engine_counts, digest):
+    """The two pinned workloads in the modes the pins above do not run: the
+    lossy one with no offload at all, and the keep-alive one offloading
+    every response, however small.  Pinned to the event count, the engine's
+    hits, misses and rule installs, and a digest of every packet the LB
+    emits."""
+    params, seed = pin
+    sim = Simulation(dataclasses.replace(params, offload_mode=mode), seed)
+    egress = record_egress(sim)
+    sim.run()
+    assert_streams_equal(sim)
+    es = sim.engine.stats
+    assert sim.queue.processed == processed
+    assert (es.matched, es.missed, es.rules_inserted) == engine_counts
+    assert egress_digest(egress) == digest
+
+
 def _replay_alone(params, seed, ingress, sweeps, polls, until):
     """Feed `ingress`, (time, packet) pairs, at their times into a fresh LB
     built as the live run's was but with no clients and no housekeeping
