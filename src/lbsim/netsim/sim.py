@@ -8,13 +8,13 @@ the splice agent.  Identical seeds replay identical event sequences.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from ..conntable import CuckooTable, TableConfig, mix64
 from ..flow_engine import FlowEngine, ResultKind
-from ..offload import OffloadManager, OffloadParams
+from ..offload import OffloadManager, formula_threshold
 from ..packet import FlowKey, Packet, TcpFlags
 from ..splice import Backend, HeaderEdit, RouteRule, RouteTable, SpliceAgent
 from .apps import HttpClientSession, HttpServerSession, RequestSpec
@@ -29,6 +29,11 @@ CLIENT_ADDR_BASE = 0x0A020000  # 10.2.x.x
 CLIENT_PORT_BASE = 10000
 URL_PREFIX = b"/api"           # every request's path starts with it; its route edits the head
 BACKENDS = (Backend(0x0A030001, 8080), Backend(0x0A030002, 8080))
+
+# each offload_mode's threshold for the offload manager, from the MSS: the
+# response bytes from which it offloads
+OFFLOAD_THRESHOLDS = {"auto": formula_threshold, "always": lambda mss: 0.0,
+                      "never": lambda mss: math.inf}
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,12 @@ class WorkloadParams:
 class SimParams:
     topology: TopologyParams = TopologyParams()
     workload: WorkloadParams = WorkloadParams()
-    offload_mode: str = "auto"          # auto | always | never
+    offload_mode: str = "auto"          # a key of OFFLOAD_THRESHOLDS
     until: float = 300.0                # hard sim-time cap
     drain: float = 0.0                  # extra time after every endpoint has closed
 
     def __post_init__(self):
-        if self.offload_mode not in ("auto", "always", "never"):
+        if self.offload_mode not in OFFLOAD_THRESHOLDS:
             raise ValueError(f"unknown offload_mode {self.offload_mode!r}")
 
 
@@ -77,8 +82,7 @@ class ResponseEvent:
 
 
 class _ClientHost:
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self):
         self.endpoints: dict[FlowKey, MiniTcpEndpoint] = {}
 
     def deliver(self, now: float, pkt: Packet) -> None:
@@ -129,16 +133,12 @@ class Simulation:
             shard_of=self.engine.shard_of)
         self.agent.response_observer = self._record_response
 
-        self.offload_params = OffloadParams(mss=topo.mss)
-        self.offload_mgr: Optional[OffloadManager] = None
-        if params.offload_mode != "never":
-            self.offload_mgr = OffloadManager(
-                self.engine, self.agent, self.offload_params,
-                schedule=self.queue.schedule, emit=self._emit_from_worker)
-            self.offload_mgr.force = params.offload_mode == "always"
+        self.offload_mgr = OffloadManager(
+            self.engine, self.agent, OFFLOAD_THRESHOLDS[params.offload_mode](topo.mss),
+            schedule=self.queue.schedule, emit=self._emit_from_worker)
 
         # wire: one full-duplex link pair per side of the stick
-        self.client_host = _ClientHost(self)
+        self.client_host = _ClientHost()
         self.server_host = _ServerHost(self)
         self.link_c2lb = Link(self.queue, topo.client_link, mix64(seed ^ 1),
                               self._lb_ingress)
@@ -209,10 +209,9 @@ class Simulation:
                 self.queue.schedule(now + topo.sweep_interval, sweep)
 
         def poll_aged(now):
-            if self.offload_mgr is not None:
-                aged = self.engine.poll_aged(now)
-                if aged:
-                    self.offload_mgr.on_rules_aged(aged, now)
+            aged = self.engine.poll_aged(now)
+            if aged:
+                self.offload_mgr.on_rules_aged(aged, now)
             if not self._finished():
                 self.queue.schedule(now + topo.aged_poll_interval, poll_aged)
 
@@ -249,7 +248,7 @@ class Simulation:
         self.response_log.append(ResponseEvent(
             conn=entry.client_key.src_port - CLIENT_PORT_BASE,
             index=entry.resp_index,
-            resp_len=entry.resp_len or 0,
+            resp_len=entry.resp_len,
             offloaded=entry.offloaded,
             t=now))
 

@@ -5,17 +5,19 @@ deleting the engine rules of one offload costs P.  Offloading a response of
 B bytes takes its B / MSS data segments off the worker, and the client's
 ACKs of them, about one per segment, so it saves 2 * (B / MSS) * T of
 worker time and pays off only when B >= (P / 2T) * MSS, the one threshold
-`auto` uses.  `OffloadParams.formula_threshold` computes it once per
-params, on first use, not once per response.  P prices the rule work of a
-connection's first offload: one install and one delete of the pair, at the
-deleter's batch size.  Each later response on that connection pays a
-re-target instead (three rule slots, see below) and no delete; the formula
-does not price that difference, and its threshold is unchanged.  The first
-response's install window, during which a warm connection's open window of
-data and ACKs still passes through the worker, is not priced either.  A
-later response has no such window: the latch holds its request until the
-re-targeted rules are ready, so a re-target costs the request latency, not
-worker packets.
+`auto` uses (`formula_threshold`).  The simulator computes the manager's
+threshold once per run, from its `offload_mode`: this one for `auto`, 0
+for `always` (every framed response is offloaded), and infinity for
+`never` (none is, and the worker carries every packet).  P prices the
+rule work of a connection's first offload: one install and one delete of
+the pair, at the deleter's batch size.  Each later response on that
+connection pays a re-target instead (three rule slots, see below) and no
+delete; the formula does not price that difference, and its threshold is
+unchanged.  The first response's install window, during which a warm
+connection's open window of data and ACKs still passes through the
+worker, is not priced either.  A later response has no such window: the
+latch holds its request until the re-targeted rules are ready, so a
+re-target costs the request latency, not worker packets.
 
 An offload is a pair of rules, installed in one batch: the server rule
 rewrites the response's data toward the client, and the client rule
@@ -61,8 +63,6 @@ pair whose next response breaks the bound goes at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 from .flow_engine import (
@@ -79,28 +79,22 @@ from .splice import ConnEntry, SpliceAgent
 T_PER_PACKET = 1 / 3.0e6  # one worker sustains ~3 Mpps
 DELETE_FLUSH_TIMEOUT = 100e-6  # a partial delete batch waits at most this long
 RULE_IDLE_TIMEOUT = 10.0  # seconds without a hit before the engine reports a rule aged
+DELETE_BATCH_MAX = 16  # rules per delete batch: whole pairs, so even
 
 
-@dataclass(frozen=True)
-class OffloadParams:
-    mss: int = 1460
-    delete_batch_max: int = 16
+def p_rule_update() -> float:
+    """Seconds to insert and delete the two rules of a connection's first
+    offload, at the delete batch size."""
+    model = LatencyModel()
+    return 2 * (model.insert_per_rule_us(DELETE_BATCH_MAX)
+                + model.delete_per_rule_us(DELETE_BATCH_MAX)) * 1e-6
 
-    @property
-    def p_rule_update(self) -> float:
-        """Seconds to insert and delete the two rules of a connection's first
-        offload, at the delete batch size."""
-        model = LatencyModel()
-        return 2 * (model.insert_per_rule_us(self.delete_batch_max)
-                    + model.delete_per_rule_us(self.delete_batch_max)) * 1e-6
 
-    @cached_property
-    def formula_threshold(self) -> float:
-        """Response bytes from which an offload pays for its rule update:
-        each offloaded data segment saves two worker packets, the segment
-        and the client's ACK of it.  It depends on the frozen params alone,
-        so it is computed once, on first use, and kept on the instance."""
-        return (self.p_rule_update / (2 * T_PER_PACKET)) * self.mss
+def formula_threshold(mss: int) -> float:
+    """Response bytes from which an offload pays for its rule update: each
+    offloaded data segment saves two worker packets, the segment and the
+    client's ACK of it."""
+    return (p_rule_update() / (2 * T_PER_PACKET)) * mss
 
 
 def build_offload_rule(entry: ConnEntry, divert_seq: Optional[int] = None) -> Rule:
@@ -150,17 +144,16 @@ class OffloadManager:
     wire.  Both are provided by the simulator.
     """
 
-    def __init__(self, engine: FlowEngine, agent: SpliceAgent, params: OffloadParams,
+    def __init__(self, engine: FlowEngine, agent: SpliceAgent, threshold: float,
                  schedule: Callable[[float, Callable[[float], None]], None],
                  emit: Callable[[list[Packet], float], None]):
         self.engine = engine
         self.agent = agent
-        self.params = params
+        self.threshold = threshold  # response bytes from which to offload
         self.schedule = schedule
         self.emit = emit
         agent.offload = self
-        self.force = False  # offload regardless of size: offload_mode="always"
-        self._batch_pairs = max(1, params.delete_batch_max // 2)
+        self._batch_pairs = DELETE_BATCH_MAX // 2
         # entries whose pairs wait for the deleter, in order; each counts 2 rules
         self.pending: list[ConnEntry] = []
         # the two matches of each pair not yet queued for deletion
@@ -171,7 +164,7 @@ class OffloadManager:
             # latch_waits counts held requests released, by re-target or delete
             "rules_installed": 0, "install_refusals": 0, "retargets": 0,
             "deletes_enqueued": 0, "delete_batches": 0, "latch_waits": 0,
-            "offloads_skipped_small": 0,
+            "offloads_below_threshold": 0,
         }
 
     # -- signals from the splice agent -----------------------------------------
@@ -182,8 +175,8 @@ class OffloadManager:
             return
         if entry.offloaded:
             return  # the kept pair carries this response too, or is not yet gone
-        if not self.force and resp_len < self.params.formula_threshold:
-            self.stats["offloads_skipped_small"] += 1
+        if resp_len < self.threshold:
+            self.stats["offloads_below_threshold"] += 1
             return
         try:
             self.engine.insert_rules(
@@ -287,8 +280,7 @@ class OffloadManager:
             self._flush(now)
 
     def _flush(self, now: float) -> None:
-        """Delete up to `delete_batch_max` rules in one batch, whole pairs
-        only (at least one pair)."""
+        """Delete up to `DELETE_BATCH_MAX` rules in one batch, whole pairs only."""
         self._timer_gen += 1  # cancel any armed timer
         batch = self.pending[:self._batch_pairs]
         self.pending = self.pending[len(batch):]

@@ -534,7 +534,7 @@ class SpliceAgent:
         self.mss = mss
         self.cookie = SynCookie(cookie_secret)
         self.shard_of = shard_of
-        self.offload = None  # wired by the simulator when offload is enabled
+        self.offload = None  # the offload manager wires itself in when built
         self.response_observer = None  # optional (entry, now) metrics hook
         self._used_ports: set[tuple[int, int, int]] = set()
         self.counters = {
@@ -568,6 +568,8 @@ class SpliceAgent:
         if flags & _SYN_RST:
             if flags & TcpFlags.RST:
                 return self._on_rst(pkt, entry, now)
+            if pkt.key == entry.client_key:
+                return []  # a client's SYN on a known flow: no backend ISN in it
             return self.on_backend_synack(pkt, entry, now)
         if pkt.key == entry.client_key:
             return self._on_client_packet(pkt, entry, now)
@@ -945,13 +947,11 @@ class SpliceAgent:
             return
         entry.resp_len = length
         entry.resp_end = head_end + length
-        if self.offload is not None:
-            self.offload.on_resp_len_known(entry, length, now)
+        self.offload.on_resp_len_known(entry, length, now)
 
     def _tracker_dead(self, entry: ConnEntry, now: float) -> None:
         entry.resp_tracker_dead = True
-        if self.offload is not None:
-            self.offload.on_tracker_dead(entry, now)
+        self.offload.on_tracker_dead(entry, now)
 
     def _check_response_complete(self, entry: ConnEntry, now: float) -> None:
         if entry.resp_end is None:
@@ -964,8 +964,7 @@ class SpliceAgent:
             entry.resp_end = None
             entry.resp_len = None
             entry.resp_index += 1
-            if self.offload is not None:
-                self.offload.on_response_complete(entry, now)
+            self.offload.on_response_complete(entry, now)
 
     def _on_server_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         entry.server_fin = entry.server_off(pkt.seq) + len(pkt.payload)
@@ -1026,8 +1025,7 @@ class SpliceAgent:
             self._used_ports.discard((entry.server_key.src_port,
                                       entry.backend.addr, entry.backend.port))
         self.counters["entries_removed"] += 1
-        if self.offload is not None:
-            self.offload.on_entry_removed(entry, now)
+        self.offload.on_entry_removed(entry, now)
 
     def sweep(self, now: float) -> int:
         """TTL sweep; evicting one direction's key drops the sibling too."""

@@ -3,6 +3,7 @@ behavior, offload interplay, determinism."""
 
 import dataclasses
 import hashlib
+import math
 import struct
 
 import pytest
@@ -12,7 +13,7 @@ from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, Work
 from lbsim.netsim.apps import request_bytes
 from lbsim.netsim.events import EventQueue
 from lbsim.netsim.tcp import AppCallbacks, MiniTcpEndpoint
-from lbsim.offload import RULE_IDLE_TIMEOUT
+from lbsim.offload import RULE_IDLE_TIMEOUT, formula_threshold
 from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, addr_str, seq_add, seq_sub
 from lbsim.splice import classify_ack, rewrite_s2c
 
@@ -300,7 +301,7 @@ def test_offload_never_vs_auto_worker_packet_counts():
     auto = run_sim(offload_mode="auto", **kwargs)
     assert auto.agent.counters["s2c_data_pkts"] < no_off.agent.counters["s2c_data_pkts"]
     assert auto.engine.stats.matched > 0
-    assert no_off.engine.stats.matched == 0
+    assert no_off.engine.stats.matched == no_off.engine.stats.rules_inserted == 0
 
 
 @pytest.mark.parametrize("loss", [0.01, 0.05])
@@ -702,7 +703,7 @@ def test_teardown_leaves_nothing_in_any_offload_mode(loss, mode, seed):
     now = sim.queue.now
     assert len(sim.table) == 0
     assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
-    assert sim.offload_mgr is None or not sim.offload_mgr.pending
+    assert not sim.offload_mgr.pending
     assert not sim.agent._used_ports
 
 
@@ -735,7 +736,14 @@ def test_idle_keepalive_connection_frees_its_rule_pair_by_aging():
     assert not any(e.offloaded for e in entries)
 
 
-def test_an_unknown_offload_mode_is_refused():
+@pytest.mark.parametrize("mode, threshold", [
+    ("auto", formula_threshold(1460)), ("always", 0.0), ("never", math.inf),
+], ids=["auto", "always", "never"])
+def test_an_unknown_offload_mode_is_refused(mode, threshold):
+    # every mode wires the one manager and only picks its threshold
+    sim = Simulation(SimParams(offload_mode=mode), seed=1)
+    assert sim.agent.offload is sim.offload_mgr
+    assert sim.offload_mgr.threshold == threshold
     # a misspelt "never" would otherwise run as "auto" and offload
     with pytest.raises(ValueError, match="offload_mode"):
-        SimParams(offload_mode="Never")
+        SimParams(offload_mode=mode.capitalize())

@@ -11,9 +11,9 @@ from lbsim.netsim import Simulation, SimParams, WorkloadParams
 from lbsim.offload import (
     OffloadManager,
     RULE_IDLE_TIMEOUT,
-    OffloadParams,
     T_PER_PACKET,
     build_offload_rule,
+    formula_threshold,
 )
 from lbsim.packet import UNWRAP_ABOVE, FlowKey, Packet, TcpFlags, seq_add, seq_sub
 from lbsim.splice import Backend, ConnEntry, InsertionPoint, SpliceState
@@ -34,7 +34,7 @@ def test_formula_threshold_from_measured_latencies():
     p_us = 2 * (25.39 + 18.08)
     expected = (p_us / (2 / 3)) * 1460
     assert expected == pytest.approx(190_398.6, abs=0.1)
-    assert OffloadParams().formula_threshold == pytest.approx(expected)
+    assert formula_threshold(1460) == pytest.approx(expected)
 
 
 def test_default_t_is_one_over_three_mpps():
@@ -65,11 +65,11 @@ class Sim:
         self.now = t
 
 
-def offload_setup(params=OffloadParams()):
+def offload_setup(threshold=formula_threshold(1460)):
     agent = make_agent()
     engine = FlowEngine(n_workers=4, vips=[(0x0A0000FE, 80)])
     sim = Sim()
-    mgr = OffloadManager(engine, agent, params, sim.schedule, sim.emit)
+    mgr = OffloadManager(engine, agent, threshold, sim.schedule, sim.emit)
     return agent, engine, sim, mgr
 
 
@@ -111,14 +111,14 @@ def test_threshold_crossing_installs_hairpin_rule():
 
 @pytest.mark.parametrize("mss, threshold", [(1460, 190_399), (8960, 1_168_474)])
 def test_the_formula_threshold_is_the_only_offload_boundary(mss, threshold):
-    agent, engine, sim, mgr = offload_setup(OffloadParams(mss=mss))
-    assert math.ceil(mgr.params.formula_threshold) == threshold
+    agent, engine, sim, mgr = offload_setup(formula_threshold(mss))
+    assert math.ceil(mgr.threshold) == threshold
     _, below = established_entry(agent, port=40000)
     _, at = established_entry(agent, port=40004)
     below.resp_end, at.resp_end = threshold - 1, threshold  # as the agent sets them first
     mgr.on_resp_len_known(below, threshold - 1, 1.0)
     assert not below.offloaded
-    assert mgr.stats["offloads_skipped_small"] == 1
+    assert mgr.stats["offloads_below_threshold"] == 1
     mgr.on_resp_len_known(at, threshold, 1.0)
     assert at.offloaded
     assert mgr.stats["rules_installed"] == 1
@@ -136,7 +136,7 @@ def test_should_offload_cases():
                             worker_id=shard_of(ck.src_port))
         assert entry.offloaded == offloads
         assert mgr.stats["rules_installed"] == int(offloads)
-        assert mgr.stats["offloads_skipped_small"] == int(body_len == 1024)
+        assert mgr.stats["offloads_below_threshold"] == int(body_len == 1024)
     assert entry.resp_tracker_dead and entry.resp_len is None
 
 
@@ -146,7 +146,7 @@ def test_small_response_skips_offload():
     agent.handle_packet(first_response_pkt(entry, 1024), 1.0,
                         worker_id=shard_of(ck.src_port))
     assert not entry.offloaded
-    assert mgr.stats["offloads_skipped_small"] == 1
+    assert mgr.stats["offloads_below_threshold"] == 1
 
 
 def test_double_crossing_is_idempotent():
@@ -198,47 +198,37 @@ def test_rule_pair_installs_and_deletes_as_one_batch():
     assert engine.stats.rules_deleted == 2
 
 
-def test_deleter_never_splits_a_pair():
-    agent, engine, sim, mgr = offload_setup(OffloadParams(delete_batch_max=5))
+def test_sixteen_removals_flush_two_batches_of_16():
+    """Pairs leave in batches of DELETE_BATCH_MAX rules, never split: 16
+    removals flush two full batches at once, and a 17th waits for the
+    flush timer and leaves as one whole pair."""
+    agent, engine, sim, mgr = offload_setup()
     batches = []
     delete = engine.delete_rules
 
-    def recording_delete(ids, now):
-        batches.append(list(ids))
-        return delete(ids, now)
+    def recording_delete(keys, now):
+        batches.append((now, list(keys)))
+        return delete(keys, now)
 
     engine.delete_rules = recording_delete
     entries = []
-    for i in range(3):
-        ck, entry = established_entry(agent, port=41000 + i * 4)
-        agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
-                            worker_id=shard_of(ck.src_port))
-        entries.append(entry)
-    pairs = [[e.server_in_key, e.client_key] for e in entries]
-    for entry in entries:
-        mgr.on_entry_removed(entry, 2.0)
-    sim.run_until(3.0)
-    # at most 5 rules a batch: two pairs, then the third on the flush timer
-    assert batches == [pairs[0] + pairs[1], pairs[2]]
-    assert not any(e.offloaded for e in entries)
-
-
-def test_sixteen_removals_flush_two_batches_of_16():
-    agent, engine, sim, mgr = offload_setup()
-    entries = []
-    for i in range(16):
+    for i in range(17):
         ck, entry = established_entry(agent, port=41000 + i * 4)  # same shard
         agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
                             worker_id=shard_of(ck.src_port))
         entries.append(entry)
-    assert mgr.stats["rules_installed"] == 16
+    assert mgr.stats["rules_installed"] == 17
     for entry in entries:
         mgr.on_entry_removed(entry, 2.0)
     assert mgr.stats["delete_batches"] == 2  # 32 rules: two batches of 16
+    assert mgr.pending == [entries[16]]  # waiting for the flush timer
     sim.run_until(2.0 + 16 * 18.08e-6 - 1e-9)  # batch-16 cost not yet elapsed
-    assert all(e.offloaded for e in entries)
+    assert all(e.offloaded for e in entries[:16]) and not entries[16].offloaded
     sim.run_until(2.0 + 16 * 18.08e-6 + 1e-9)
     assert not any(e.offloaded for e in entries)
+    pairs = [[e.server_in_key, e.client_key] for e in entries]
+    assert batches == [(2.0, sum(pairs[:8], [])), (2.0, sum(pairs[8:16], [])),
+                       (2.0 + 100e-6, pairs[16])]
 
 
 def test_single_removal_flushes_on_timeout_at_batch1_cost():
@@ -512,8 +502,7 @@ def test_a_reused_client_tuple_waits_for_the_previous_pair_to_go():
     the new install is refused and the response goes by the worker.  The
     old entry's deletion, completing when the new entry has a pair of its
     own and holds a request behind it, leaves that pair and request alone."""
-    agent, engine, sim, mgr = offload_setup()
-    mgr.force = True
+    agent, engine, sim, mgr = offload_setup(0.0)  # offload every response
     ck, old = established_entry(agent)
     w = shard_of(ck.src_port)
     agent.handle_packet(first_response_pkt(old, 4 << 20), 1.0, worker_id=w)

@@ -1,6 +1,8 @@
 """Splice agent behavior: handshake statelessness, buffering and routing,
 flush with insertions, keep-alive, teardown."""
 
+import copy
+import math
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbsim.conntable import CuckooTable, TableConfig
+from lbsim.flow_engine import FlowEngine
+from lbsim.offload import OffloadManager
 from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, seq_add, seq_sub
 from lbsim.splice import (
     REQUEST_HEAD_CAP,
@@ -19,6 +23,7 @@ from lbsim.splice import (
     ShardViolation,
     SpliceAgent,
     SpliceState,
+    StreamBuf,
     _content_length,
 )
 
@@ -39,8 +44,14 @@ def make_agent(mss=1460, edits=(HeaderEdit("x-forwarded-for", "$client_addr"),))
         pools={"a": POOL_A, "default": POOL_D},
         default_pool="default")
     table = CuckooTable(TableConfig(bucket_count=1024))
-    return SpliceAgent(table, routes, vip_addr=VIP, vip_port=80, lb_addr=LB,
-                       mss=mss, cookie_secret=b"test-secret", shard_of=shard_of)
+    agent = SpliceAgent(table, routes, vip_addr=VIP, vip_port=80, lb_addr=LB,
+                        mss=mss, cookie_secret=b"test-secret", shard_of=shard_of)
+    OffloadManager(FlowEngine(), agent, math.inf, _never_called, _never_called)
+    return agent
+
+
+def _never_called(*args):
+    raise AssertionError("a manager that never offloads schedules and emits nothing")
 
 
 def client_key(port=40000, addr=0x0A000001):
@@ -250,6 +261,33 @@ def establish(agent, ck, payload=GET, now=0.0):
                 options=TcpOptions(mss=1460, sack_permitted=True))
     flushed = agent.handle_packet(sa, now, worker_id=shard_of(ck.src_port))
     return entry, flushed
+
+
+def entry_fields(entry):
+    """A copy of the entry's fields, each reassembly buffer by its bytes."""
+    return {name: (v.base, bytes(v.data), list(v.fragments)) if isinstance(v, StreamBuf)
+            else copy.deepcopy(v) for name, v in vars(entry).items()}
+
+
+@pytest.mark.parametrize("state", [SpliceState.SYN_SENT, SpliceState.ESTABLISHED])
+def test_a_client_syn_on_a_known_flow_is_dropped(state):
+    """A SYN-bearing packet from the client's side carries no backend ISN:
+    it neither completes the backend handshake nor draws a re-ACK of the
+    backend's SYNACK."""
+    agent = make_agent()
+    ck = client_key()
+    if state is SpliceState.SYN_SENT:
+        send_request(agent, ck, do_syn(agent, ck), GET)
+        entry = agent.table.lookup(ck, 0.0)
+    else:
+        entry, _ = establish(agent, ck)
+    assert entry.state is state
+    before, counters = entry_fields(entry), dict(agent.counters)
+    pkt = Packet(key=ck, seq=12345, ack=seq_add(entry.isn_lb_front, 1),
+                 flags=TcpFlags.SYN | TcpFlags.ACK)
+    assert agent.handle_packet(pkt, 0.0, worker_id=shard_of(ck.src_port)) == []
+    assert entry_fields(entry) == before
+    assert agent.counters == counters
 
 
 def test_backend_synack_flushes_spliced_request():
