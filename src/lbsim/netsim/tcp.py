@@ -1,7 +1,9 @@
 """Miniature TCP endpoint: reliability, SACK, RFC 6675 loss recovery, RTO,
 and a Reno-shaped congestion window.  No RTT estimation (fixed RTO base with
 exponential backoff), no window scaling (the advertised window is ignored;
-cwnd is the limit), receive buffer unbounded.
+cwnd is the limit), receive buffer unbounded.  The RTO is one deadline with
+at most one live wake-up in the event queue (a lazy timer): arming moves the
+deadline, and a wake-up that finds it later sleeps again until it.
 
 The transmit stream can mix literal bytes with generated spans, so multi-
 megabyte response bodies never materialize wholesale: segments are
@@ -53,6 +55,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from ..packet import (
+    EMPTY_OPTIONS,
     MAX_SACK_BLOCKS,
     FlowKey,
     Packet,
@@ -192,7 +195,8 @@ class MiniTcpEndpoint:
         self.terminal = False
 
         self.rto = self.RTO_BASE
-        self._rto_gen = 0
+        self._rto_at: Optional[float] = None    # the RTO deadline
+        self._rto_wake: Optional[float] = None  # when the live wake-up pops
 
         self.stats = {"retransmits": 0, "rto_fires": 0, "fast_retransmits": 0,
                       "segments_tx": 0, "acks_tx": 0, "bytes_delivered": 0}
@@ -325,10 +329,11 @@ class MiniTcpEndpoint:
         self.snd_nxt += n
 
     def _emit_data(self, off: int, n: int, now: float) -> None:
-        payload = self.tx.read(off, n)
-        self.transmit(Packet(key=self.key, seq=seq_add(seq_add(self.isn, 1), off),
-                             ack=self._ack_value(), flags=TcpFlags.ACK | TcpFlags.PSH,
-                             payload=payload), now)
+        # fields in order (key, seq, ack, flags, window, options, payload):
+        # the per-segment paths skip the keyword parsing of __init__
+        self.transmit(Packet(self.key, seq_add(seq_add(self.isn, 1), off),
+                             self._ack_value(), TcpFlags.ACK | TcpFlags.PSH, 65535,
+                             EMPTY_OPTIONS, self.tx.read(off, n)), now)
         self.stats["segments_tx"] += 1
 
     def _emit_fin(self, now: float) -> None:
@@ -542,17 +547,29 @@ class MiniTcpEndpoint:
     # -- RTO --------------------------------------------------------------------------
 
     def _arm_rto(self, now: float) -> None:
-        self._rto_gen += 1
-        gen = self._rto_gen
-        self.queue.schedule(now + self.rto, self._on_rto, gen)
+        """Set the deadline to now + rto.  A wake-up is scheduled only when
+        none is live or the deadline moved before it (after a backoff and a
+        reset); the one it replaces is orphaned and does nothing."""
+        self._rto_at = at = now + self.rto
+        if self._rto_wake is None or at < self._rto_wake:
+            self._rto_wake = at
+            self.queue.schedule(at, self._on_rto)
 
     def _reset_rto(self, now: float) -> None:
         self.rto = self.RTO_BASE
-        self._rto_gen += 1
+        self._rto_at = None
 
-    def _on_rto(self, now: float, gen: int) -> None:
-        if gen != self._rto_gen or self.dead:
+    def _on_rto(self, now: float) -> None:
+        if now != self._rto_wake or self.dead:
+            return  # an orphaned wake-up, or a dead endpoint
+        self._rto_wake = None
+        if self._rto_at is None:
             return
+        if self._rto_at > now:
+            self._rto_wake = self._rto_at
+            self.queue.schedule(self._rto_at, self._on_rto)
+            return
+        self._rto_at = None
         if (self.syn_sent and not self.established) or self.synack_unacked:
             self.syn_retries += 1
             if self.syn_retries > self.MAX_HANDSHAKE_RETRIES:
@@ -661,7 +678,7 @@ class MiniTcpEndpoint:
 
     def _sack_option(self) -> TcpOptions:
         if not self.ooo_spans:
-            return TcpOptions()
+            return EMPTY_OPTIONS
         base = seq_add(self.rcv_isn, 1)
         blocks = tuple((seq_add(base, lo), seq_add(base, hi))
                        for lo, hi in self.ooo_spans[:MAX_SACK_BLOCKS])
@@ -670,9 +687,8 @@ class MiniTcpEndpoint:
     def _ack(self, now: float) -> None:
         # once sent, the FIN occupies the sequence number after the data
         # (RFC 9293 §3.4), and later segments carry the one past it
-        self.transmit(Packet(key=self.key,
-                             seq=seq_add(seq_add(self.isn, 1),
-                                         self.snd_nxt + int(self.fin_sent)),
-                             ack=self._ack_value(), flags=TcpFlags.ACK,
-                             options=self._sack_option()), now)
+        self.transmit(Packet(self.key,
+                             seq_add(seq_add(self.isn, 1), self.snd_nxt + int(self.fin_sent)),
+                             self._ack_value(), TcpFlags.ACK, 65535,
+                             self._sack_option()), now)
         self.stats["acks_tx"] += 1

@@ -399,7 +399,7 @@ def test_seeded_lossy_offload_run_is_pinned():
     egress = record_egress(sim)
     sim.run()
     assert_streams_equal(sim)
-    assert sim.queue.processed == 17868
+    assert sim.queue.processed == 12976
     assert (sim.engine.stats.matched, sim.engine.stats.missed) == (5452, 1045)
     endpoint_stats = {}
     for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
@@ -449,7 +449,7 @@ def test_seeded_keepalive_worker_run_is_pinned():
 
 
 @pytest.mark.parametrize("pin, mode, processed, engine_counts, digest", [
-    (LOSSY_PIN, "never", 17862, (0, 6497, 0), "9e4345c7a615b6255594d5312491ebc6"),
+    (LOSSY_PIN, "never", 12969, (0, 6497, 0), "9e4345c7a615b6255594d5312491ebc6"),
     (KEEPALIVE_PIN, "always", 20332, (7438, 2390, 60), "6513614701864118ab6bdc97141cd801"),
 ], ids=["lossy_never", "keepalive_always"])
 def test_seeded_runs_in_the_other_offload_modes_are_pinned(

@@ -3,6 +3,8 @@ by brute force over the bytes of its window, and its receiver's SACK option
 against a full rescan.  Every send decision on random ACK, SACK and drop
 sequences must be the reference's."""
 
+import heapq
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -288,7 +290,13 @@ def test_send_decisions_match_rfc6675_reference(data):
             ref.on_ack(a, blocks)
             rx.take(0, ep.snd_una)  # the peer holds what it ACKed
         elif kind == "rto":
-            ep._on_rto(float(step), ep._rto_gen)
+            # fire the armed timer at its deadline, as the queue would: the
+            # live wake-up pops first and, if the deadline is later, sleeps
+            # until it
+            if ep._rto_at is not None:
+                if ep._rto_wake < ep._rto_at:
+                    ep._on_rto(ep._rto_wake)
+                ep._on_rto(ep._rto_at)
             ref.on_rto()
         elif kind == "append" and ep.tx.length < len(STREAM):
             n = data.draw(st.integers(1, 3 * SEG))
@@ -296,6 +304,73 @@ def test_send_decisions_match_rfc6675_reference(data):
             ref.append(len(STREAM[ref.length:ref.length + n]))
         wire += sent[n_sent:]
         check_against_reference(ep, ref, sent)
+
+
+class OneEventPerArm:
+    """The RTO as one queued event per arm, of which only the latest may
+    fire; a fire backs off and arms again."""
+
+    def __init__(self, now: float):
+        self.rto = MiniTcpEndpoint.RTO_BASE
+        self.gen = 0
+        self.events: list[tuple[float, int]] = []
+        self.fired: list[float] = []
+        self.arm(now)
+
+    def arm(self, now: float) -> None:
+        self.gen += 1
+        heapq.heappush(self.events, (now + self.rto, self.gen))
+
+    def reset(self) -> None:
+        self.rto = MiniTcpEndpoint.RTO_BASE
+        self.gen += 1
+
+    def run(self, until: float) -> None:
+        while self.events and self.events[0][0] <= until:
+            at, gen = heapq.heappop(self.events)
+            if gen == self.gen:
+                self.fired.append(at)
+                self.rto = min(self.rto * 2, MiniTcpEndpoint.RTO_MAX)
+                self.arm(at)
+
+    def next_fire(self) -> float | None:
+        return next((at for at, gen in self.events if gen == self.gen), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rto_deadline_fires_when_one_event_per_arm_would(data):
+    """Arms, resets, RTO fires with backoff, and time advances, on an
+    endpoint whose data is never ACKed.  It fires at exactly the times the
+    one-event-per-arm model fires, and the queue holds one wake-up of it
+    plus at most one orphan per RTO fire so far."""
+    ep, _ = sender(400)
+    queue = ep.queue
+    model = OneEventPerArm(0.0)
+    fired: list[float] = []
+    ep.transmit = lambda pkt, now: fired.append(now)  # only RTO resends from here
+    for _ in range(data.draw(st.integers(1, 60))):
+        kind = data.draw(st.sampled_from(["arm", "reset", "ack", "advance", "advance", "fire"]))
+        now = queue.now
+        if kind in ("reset", "ack"):  # an advancing ACK resets and arms
+            ep._reset_rto(now)
+            model.reset()
+        if kind in ("arm", "ack"):
+            ep._arm_rto(now)
+            model.arm(now)
+        if kind == "advance":
+            until = now + data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.7, 2.0, 30.0]))
+        elif kind == "fire":  # to the model's next fire, when one is armed
+            until = model.next_fire() or now
+        if kind in ("advance", "fire"):
+            queue.run(until)
+            queue.now = until
+            model.run(until)
+        assert fired == model.fired
+        assert ep.stats["rto_fires"] == len(model.fired)
+        wakes = [at for at, _, fn, _ in queue._q if fn == ep._on_rto]
+        # only an arm after a backoff and a reset orphans a wake-up
+        assert len(wakes) <= 1 + ep.stats["rto_fires"]
 
 
 def test_limited_transmit_releases_a_new_segment_per_dup_ack():
