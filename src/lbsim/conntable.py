@@ -39,7 +39,6 @@ import mmap
 import multiprocessing as mp
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Iterator, Optional
 
 from .packet import FlowKey
@@ -47,9 +46,9 @@ from .packet import FlowKey
 _M64 = (1 << 64) - 1
 _OCCUPIED = 1 << 63
 _SLOT_WORDS = 5  # version, key_hi, key_lo, value, ttl
-# Keys whose bucket hashes (`_hash_pair`) and probes (`CuckooTable._probes`)
-# are memoised.  A flow's packets repeat its key, so each cache needs to hold
-# the live flows of one table, not all keys.
+# Keys whose probes (`CuckooTable._probes`) each table memoises.  A flow's
+# packets repeat its key, so the memo needs to hold the live flows of one
+# table, not all keys.
 _HASH_CACHE_SIZE = 1 << 12
 # Writer lock stripes; a power of two, so a bucket's stripe is a mask of it.
 LOCK_STRIPES = 64
@@ -84,7 +83,6 @@ def mix64(x: int) -> int:
     return x
 
 
-@lru_cache(maxsize=_HASH_CACHE_SIZE)
 def _hash_pair(kp: int) -> tuple[int, int]:
     hi = kp >> 40
     lo = kp & ((1 << 40) - 1)

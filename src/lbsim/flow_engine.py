@@ -26,33 +26,38 @@ packet it matches.  On mlx5 that is a higher-priority entry on
 The server rule of a kept offload diverts the segment at the next
 response's start, which carries the response head the worker must read.
 
-Rule updates cost time.  The latency model is calibrated from measured
-per-rule insert/delete costs at batch sizes 1, 2, 8 and 16, linearly
-interpolated in between and clamped beyond 16.  A batch inserted at time t
-becomes effective at `ready_at` = t + per_rule(n) * n; until then matching
-packets miss to the workers, which perform the identical rewrite (the race
-window is correct by construction, and exercised by the differential
-tests).  A delete sets `gone_at` the same way; the rule keeps matching until
-then.  A re-target modifies live rules in place.  No modify cost was
-measured, so it is priced as an insert batch of the rules it changes, each
-divert counted as one more, and the rules miss to the workers until its
-`ready_at`.
+The engine answers each packet with `(packet, worker)`: the rewritten
+packet and None on a hit, which hairpins it; the packet unchanged and its
+steered worker on a miss.
+
+Rule updates cost time.  Per-rule insert/delete costs were measured at
+batch sizes 1, 2, 8 and 16; they are linearly interpolated in between and
+clamped beyond 16 (`insert_batch_seconds`, `delete_batch_seconds`).  A
+batch of n rules inserted at time t becomes effective at
+`ready_at` = t + n * per_rule(n); until then matching packets miss to the
+workers, which perform the identical rewrite (the race window is correct
+by construction, and exercised by the differential tests).  A delete sets
+`gone_at` the same way; the rule keeps matching until then.  A re-target
+modifies live rules in place.  No modify cost was measured, so it is
+priced as an insert batch of the rules it changes, each divert counted as
+one more, and the rules miss to the workers until its `ready_at`.
 
 A rule is named by its match.  The engine holds at most one rule per
 5-tuple, live or being deleted, so a re-target and a delete name the rules
-they act on by their matches, and an aging poll reports matches.
+they act on by their matches, and an aging poll reports matches: those of
+the effective rules with no hit for `RULE_IDLE_TIMEOUT` seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, auto
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conntable import mix64
 from .packet import FlowKey, Packet, TcpFlags
 
 RULE_CAPACITY_DEFAULT = 65536
+RULE_IDLE_TIMEOUT = 10.0  # seconds without a hit before the engine reports a rule aged
 
 
 class RuleConflictError(RuntimeError):
@@ -76,7 +81,6 @@ class Rewrite(NamedTuple):
 class Rule:
     match: FlowKey
     rewrite: Rewrite
-    idle_timeout: Optional[float] = None
     seq: Optional[int] = None        # when set, hit only payload-free packets at this seq
     ack: Optional[int] = None        # when set, hit only packets with this ack
     divert_seq: Optional[int] = None  # a packet with payload at this seq misses (one more slot)
@@ -99,38 +103,40 @@ TABLE_UPDATE_COSTS_US = {
     8: (38.72, 19.42),
     16: (25.39, 18.08),
 }
+# (batch size, per-rule us) in batch-size order, for inserts and for deletes
+_INSERT_US, _DELETE_US = (
+    [(n, costs[i]) for n, costs in sorted(TABLE_UPDATE_COSTS_US.items())] for i in (0, 1))
 
 
-class LatencyModel:
-    """Per-rule update latencies by batch size (microseconds)."""
+def _per_rule_us(anchors: list[tuple[int, float]], batch_size: int) -> float:
+    if batch_size < 1:
+        raise ValueError("batch size must be >= 1")
+    n0, c0 = anchors[0]
+    if batch_size <= n0:
+        return c0
+    for n1, c1 in anchors[1:]:
+        if batch_size == n1:
+            return c1
+        if batch_size < n1:
+            return c0 + (batch_size - n0) / (n1 - n0) * (c1 - c0)
+        n0, c0 = n1, c1
+    return c0  # clamped beyond the largest measured batch
 
-    anchors = sorted(TABLE_UPDATE_COSTS_US.items())
 
-    def _per_rule_us(self, batch_size: int, which: int) -> float:
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        pts = [(n, cost[which]) for n, cost in self.anchors]
-        if batch_size <= pts[0][0]:
-            return pts[0][1]
-        for (n0, c0), (n1, c1) in zip(pts, pts[1:]):
-            if batch_size == n1:
-                return c1
-            if n0 < batch_size < n1:
-                frac = (batch_size - n0) / (n1 - n0)
-                return c0 + frac * (c1 - c0)
-        return pts[-1][1]  # clamped beyond the largest measured batch
+def insert_per_rule_us(batch_size: int) -> float:
+    return _per_rule_us(_INSERT_US, batch_size)
 
-    def insert_per_rule_us(self, batch_size: int) -> float:
-        return self._per_rule_us(batch_size, 0)
 
-    def delete_per_rule_us(self, batch_size: int) -> float:
-        return self._per_rule_us(batch_size, 1)
+def delete_per_rule_us(batch_size: int) -> float:
+    return _per_rule_us(_DELETE_US, batch_size)
 
-    def insert_batch_seconds(self, batch_size: int) -> float:
-        return self.insert_per_rule_us(batch_size) * batch_size * 1e-6
 
-    def delete_batch_seconds(self, batch_size: int) -> float:
-        return self.delete_per_rule_us(batch_size) * batch_size * 1e-6
+def insert_batch_seconds(batch_size: int) -> float:
+    return insert_per_rule_us(batch_size) * batch_size * 1e-6
+
+
+def delete_batch_seconds(batch_size: int) -> float:
+    return delete_per_rule_us(batch_size) * batch_size * 1e-6
 
 
 def diverts(pkt: Packet) -> bool:
@@ -142,18 +148,6 @@ def diverts(pkt: Packet) -> bool:
 # -- engine ----------------------------------------------------------------------
 
 _SHARD_SALT = 0x5EED0001  # of the port -> worker hash (FlowEngine.shard_of)
-
-
-class ResultKind(Enum):
-    HAIRPIN = auto()
-    MISSED = auto()
-
-
-@dataclass
-class EngineResult:
-    kind: ResultKind
-    packet: Optional[Packet] = None
-    worker: Optional[int] = None
 
 
 @dataclass
@@ -171,7 +165,6 @@ class FlowEngine:
     def __init__(self, n_workers: int = 1,
                  vips: Iterable[tuple[int, int]] = (),
                  capacity: int = RULE_CAPACITY_DEFAULT):
-        self.model = LatencyModel()
         self.capacity = capacity
         self.vips = set(vips)
         if n_workers < 1:
@@ -219,7 +212,7 @@ class FlowEngine:
                 raise RuleConflictError(f"a live rule matches {rule.match}")
             if existing is not None:
                 raise RuleConflictError(f"the rule for {rule.match} is still being deleted")
-        done = now + self.model.insert_batch_seconds(len(batch))
+        done = now + insert_batch_seconds(len(batch))
         for rule in batch:
             rule.ready_at = done
             rule.last_hit = done
@@ -241,7 +234,7 @@ class FlowEngine:
             raise KeyError("re-target of a rule that is not live")
         slots = sum(r.slots for r in batch)
         self._check_capacity(slots - sum(old.slots for old in olds), now)
-        done = now + self.model.insert_batch_seconds(slots)
+        done = now + insert_batch_seconds(slots)
         for rule in batch:
             rule.ready_at = rule.last_hit = done
             self.rules[rule.match] = rule
@@ -254,7 +247,7 @@ class FlowEngine:
         vanish at the returned completion time."""
         if not matches:
             raise ValueError("empty batch")
-        done = now + self.model.delete_batch_seconds(len(matches))
+        done = now + delete_batch_seconds(len(matches))
         for match in matches:
             rule = self.rules.get(match)
             if rule is not None:
@@ -277,11 +270,12 @@ class FlowEngine:
 
     # -- datapath ------------------------------------------------------------------
 
-    def process(self, pkt: Packet, now: float) -> EngineResult:
+    def process(self, pkt: Packet, now: float) -> tuple[Packet, Optional[int]]:
         """Each ingress packet is exactly one of: hairpinned by the effective
-        rule that matches it, or missed to the steered worker (no such rule,
-        a packet that `diverts`, one whose seq or ack the rule does not
-        match, or one the rule's divert takes)."""
+        rule that matches it, `(rewritten packet, None)`, or missed to the
+        steered worker, `(pkt, worker)`: no such rule, a packet that
+        `diverts`, one whose seq or ack the rule does not match, or one the
+        rule's divert takes."""
         rule = self.rules.get(pkt.key)
         if rule is not None:
             if rule.gone_at is not None and rule.gone_at <= now:
@@ -295,19 +289,19 @@ class FlowEngine:
                     rule.last_hit = now
                     rw = rule.rewrite
                     self.stats.matched += 1
-                    return EngineResult(ResultKind.HAIRPIN, Packet(
+                    return Packet(
                         rw.key, (pkt.seq + rw.seq_delta) & 0xFFFFFFFF,
                         (pkt.ack + rw.ack_delta) & 0xFFFFFFFF, pkt.flags,
-                        pkt.window, pkt.options, pkt.payload))
+                        pkt.window, pkt.options, pkt.payload), None
                 if pkt.options.sack_blocks:
                     self.stats.sack_diverted += 1
         self.stats.missed += 1
-        return EngineResult(ResultKind.MISSED, pkt, self._steer(pkt))
+        return pkt, self._steer(pkt)
 
     def poll_aged(self, now: float) -> list[FlowKey]:
-        """The matches of effective rules, not being deleted, idle past their
-        idle_timeout; the caller decides deletion."""
+        """The matches of effective rules, not being deleted, with no hit for
+        more than `RULE_IDLE_TIMEOUT`; the caller decides deletion."""
         self._expire_deleted(now)
         return [r.match for r in self.rules.values()
                 if r.gone_at is None and now >= r.ready_at
-                and r.idle_timeout is not None and now - r.last_hit > r.idle_timeout]
+                and now - r.last_hit > RULE_IDLE_TIMEOUT]

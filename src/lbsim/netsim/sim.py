@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from ..conntable import CuckooTable, TableConfig, mix64
-from ..flow_engine import FlowEngine, ResultKind
+from ..flow_engine import FlowEngine
 from ..offload import OffloadManager, formula_threshold
 from ..packet import FlowKey, Packet, TcpFlags
 from ..splice import Backend, HeaderEdit, RouteRule, RouteTable, SpliceAgent
@@ -227,11 +227,11 @@ class Simulation:
         self.link_s2lb.send(pkt, now)
 
     def _lb_ingress(self, now: float, pkt: Packet) -> None:
-        res = self.engine.process(pkt, now)
-        if res.kind is ResultKind.HAIRPIN:
-            self._emit(res.packet, now)
+        pkt, worker = self.engine.process(pkt, now)
+        if worker is None:  # hairpinned, rewritten by a rule
+            self._emit(pkt, now)
             return
-        for out in self.agent.handle_packet(res.packet, now, res.worker):
+        for out in self.agent.handle_packet(pkt, now, worker):
             self._emit(out, now)
 
     def _emit(self, pkt: Packet, now: float) -> None:

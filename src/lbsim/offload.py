@@ -47,12 +47,14 @@ Rule lifecycle:
   carries its head, to the worker.  The worker reads the Content-Length
   there, so it sees that response complete too.  The request is released
   when the re-targeted rules are ready.
-- Delete only when the connection closes or aborts, when the rules age out
-  idle, or when a response has no length the worker can track
-  (`resp_tracker_dead`); that last pair goes at once, since the worker
-  would never see the response complete.  A dedicated deleter batches
-  deletions, and a request held meanwhile waits until both rules are
-  really gone, so a stale rule never rewrites fresh traffic.
+- Delete only when the connection closes or aborts, when the engine's
+  aging poll reports a rule of the pair (every engine rule ages after
+  `RULE_IDLE_TIMEOUT` seconds with no hit), or when a response has no
+  length the worker can track (`resp_tracker_dead`); that last pair goes
+  at once, since the worker would never see the response complete.  A
+  dedicated deleter batches deletions, up to `DELETE_BATCH_PAIRS` pairs,
+  and a request held meanwhile waits until both rules are really gone, so
+  a stale rule never rewrites fresh traffic.
 
 The reach bound.  The worker reads client ACKs and server seqs against the
 last client ACK it saw (`unwrap`), and sees none while the engine carries a
@@ -66,28 +68,29 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .flow_engine import (
+    RULE_IDLE_TIMEOUT,  # defined by the engine, re-exported here
     EngineCapacityError,
     FlowEngine,
-    LatencyModel,
     Rewrite,
     Rule,
     RuleConflictError,
+    delete_per_rule_us,
+    insert_per_rule_us,
 )
 from .packet import UNWRAP_ABOVE, FlowKey, Packet, seq_add, seq_sub
 from .splice import ConnEntry, SpliceAgent
 
 T_PER_PACKET = 1 / 3.0e6  # one worker sustains ~3 Mpps
 DELETE_FLUSH_TIMEOUT = 100e-6  # a partial delete batch waits at most this long
-RULE_IDLE_TIMEOUT = 10.0  # seconds without a hit before the engine reports a rule aged
 DELETE_BATCH_MAX = 16  # rules per delete batch: whole pairs, so even
+DELETE_BATCH_PAIRS = DELETE_BATCH_MAX // 2
 
 
 def p_rule_update() -> float:
     """Seconds to insert and delete the two rules of a connection's first
     offload, at the delete batch size."""
-    model = LatencyModel()
-    return 2 * (model.insert_per_rule_us(DELETE_BATCH_MAX)
-                + model.delete_per_rule_us(DELETE_BATCH_MAX)) * 1e-6
+    return 2 * (insert_per_rule_us(DELETE_BATCH_MAX)
+                + delete_per_rule_us(DELETE_BATCH_MAX)) * 1e-6
 
 
 def formula_threshold(mss: int) -> float:
@@ -114,7 +117,7 @@ def build_offload_rule(entry: ConnEntry, divert_seq: Optional[int] = None) -> Ru
         ack_delta=seq_sub(seq_sub(entry.isn_client, entry.isn_lb_back),
                           entry.total_inserted))
     return Rule(
-        match=entry.server_in_key, rewrite=rewrite, idle_timeout=RULE_IDLE_TIMEOUT,
+        match=entry.server_in_key, rewrite=rewrite,
         ack=seq_add(entry.isn_lb_back, 1 + entry.fwd_hi + entry.total_inserted),
         divert_seq=divert_seq)
 
@@ -132,7 +135,7 @@ def build_client_ack_rule(entry: ConnEntry) -> Rule:
         seq_delta=seq_sub(seq_add(entry.isn_lb_back, entry.total_inserted),
                           entry.isn_client),
         ack_delta=seq_sub(entry.isn_server, entry.isn_lb_front))
-    return Rule(match=entry.client_key, rewrite=rewrite, idle_timeout=RULE_IDLE_TIMEOUT,
+    return Rule(match=entry.client_key, rewrite=rewrite,
                 seq=seq_add(entry.isn_client, 1 + entry.fwd_hi))
 
 
@@ -153,7 +156,6 @@ class OffloadManager:
         self.schedule = schedule
         self.emit = emit
         agent.offload = self
-        self._batch_pairs = DELETE_BATCH_MAX // 2
         # entries whose pairs wait for the deleter, in order; each counts 2 rules
         self.pending: list[ConnEntry] = []
         # the two matches of each pair not yet queued for deletion
@@ -163,8 +165,7 @@ class OffloadManager:
             # rules_installed counts offloads: one per installed pair;
             # latch_waits counts held requests released, by re-target or delete
             "rules_installed": 0, "install_refusals": 0, "retargets": 0,
-            "deletes_enqueued": 0, "delete_batches": 0, "latch_waits": 0,
-            "offloads_below_threshold": 0,
+            "delete_batches": 0, "latch_waits": 0, "offloads_below_threshold": 0,
         }
 
     # -- signals from the splice agent -----------------------------------------
@@ -263,8 +264,7 @@ class OffloadManager:
             return
         del self._by_rule[entry.server_in_key], self._by_rule[entry.client_key]
         self.pending.append(entry)
-        self.stats["deletes_enqueued"] += 1
-        if len(self.pending) >= self._batch_pairs:
+        if len(self.pending) >= DELETE_BATCH_PAIRS:
             self._flush(now)
         elif len(self.pending) == 1:
             self._arm_timer(now)
@@ -282,7 +282,7 @@ class OffloadManager:
     def _flush(self, now: float) -> None:
         """Delete up to `DELETE_BATCH_MAX` rules in one batch, whole pairs only."""
         self._timer_gen += 1  # cancel any armed timer
-        batch = self.pending[:self._batch_pairs]
+        batch = self.pending[:DELETE_BATCH_PAIRS]
         self.pending = self.pending[len(batch):]
         done = self.engine.delete_rules(
             [key for e in batch for key in (e.server_in_key, e.client_key)], now)

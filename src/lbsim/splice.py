@@ -385,7 +385,6 @@ class SynCookie:
 class ConnEntry:
     state: SpliceState
     client_key: FlowKey            # client -> VIP as seen on ingress
-    backend: Backend
     isn_client: int
     isn_lb_front: int
     isn_lb_back: int = 0
@@ -597,7 +596,6 @@ class SpliceAgent:
         entry = ConnEntry(
             state=SpliceState.FRONT_ESTABLISHED,
             client_key=pkt.key,
-            backend=Backend(0, 0),
             isn_client=seq_sub(pkt.seq, 1),
             isn_lb_front=seq_sub(pkt.ack, 1),
             eff_mss=min(cookie_mss, self.mss),
@@ -724,7 +722,6 @@ class SpliceAgent:
             return self._abort(entry, now)
         path = _request_path(head)
         backend = self.routes.pick_backend(self.routes.match(path).pool, entry.client_key)
-        entry.backend = backend
         port = self._alloc_port(entry.client_key.src_port, backend)
         if port is None:
             return self._abort(entry, now)
@@ -1022,8 +1019,8 @@ class SpliceAgent:
         self.table.remove(entry.client_key)
         if entry.server_key is not None:
             self.table.remove(entry.server_in_key)
-            self._used_ports.discard((entry.server_key.src_port,
-                                      entry.backend.addr, entry.backend.port))
+            sk = entry.server_key
+            self._used_ports.discard((sk.src_port, sk.dst_addr, sk.dst_port))
         self.counters["entries_removed"] += 1
         self.offload.on_entry_removed(entry, now)
 
@@ -1056,9 +1053,9 @@ class SpliceAgent:
         return None
 
     def _backend_isn(self, entry: ConnEntry) -> int:
-        h = hashlib.blake2b(struct.pack(">IHIH", entry.client_key.src_addr,
-                                        entry.client_key.src_port,
-                                        entry.backend.addr, entry.backend.port),
+        ck, sk = entry.client_key, entry.server_key
+        h = hashlib.blake2b(struct.pack(">IHIH", ck.src_addr, ck.src_port,
+                                        sk.dst_addr, sk.dst_port),
                             key=self.cookie.secret, digest_size=4)
         return int.from_bytes(h.digest(), "big")
 

@@ -170,12 +170,11 @@ def test_single_threaded_shared_storage_matches_reference_map():
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, (1 << 104) - 1))
-def test_memoised_hash_pair_matches_mix64_formula(kp):
+def test_hash_pair_matches_mix64_formula(kp):
     hi, lo = kp >> 40, kp & ((1 << 40) - 1)
     expected = (mix64(hi ^ mix64(lo ^ 0x9E3779B97F4A7C15)),
                 mix64(hi ^ mix64(lo ^ 0xC2B2AE3D27D4EB4F)))
     assert _hash_pair(kp) == expected
-    assert _hash_pair(kp) == expected  # second call is served by the cache
 
 
 @pytest.mark.parametrize("shared", [False, True])

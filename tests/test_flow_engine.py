@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from lbsim.conntable import mix64
 from lbsim.flow_engine import (
     _SHARD_SALT,
+    RULE_IDLE_TIMEOUT,
     EngineCapacityError,
     FlowEngine,
-    LatencyModel,
-    ResultKind,
     Rewrite,
     Rule,
     RuleConflictError,
+    delete_per_rule_us,
+    insert_batch_seconds,
+    insert_per_rule_us,
 )
 from lbsim.netsim import Simulation, SimParams, TopologyParams, WorkloadParams
 from lbsim.netsim.sim import LB_ADDR, VIP_ADDR, VIP_PORT
@@ -35,28 +37,28 @@ def shift(seq=0, ack=0):
 
 
 def test_latency_model_measured_anchor_points():
-    m = LatencyModel()
-    assert m.insert_per_rule_us(1) == 305.40
-    assert m.delete_per_rule_us(1) == 57.49
-    assert m.insert_per_rule_us(2) == 100.48
-    assert m.delete_per_rule_us(2) == 24.48
-    assert m.insert_per_rule_us(8) == 38.72
-    assert m.delete_per_rule_us(8) == 19.42
-    assert m.insert_per_rule_us(16) == 25.39
-    assert m.delete_per_rule_us(16) == 18.08
+    assert insert_per_rule_us(1) == 305.40
+    assert delete_per_rule_us(1) == 57.49
+    assert insert_per_rule_us(2) == 100.48
+    assert delete_per_rule_us(2) == 24.48
+    assert insert_per_rule_us(8) == 38.72
+    assert delete_per_rule_us(8) == 19.42
+    assert insert_per_rule_us(16) == 25.39
+    assert delete_per_rule_us(16) == 18.08
 
 
 def test_latency_model_interpolation_monotone_and_clamped():
-    m = LatencyModel()
-    prev = m.insert_per_rule_us(1)
+    prev = insert_per_rule_us(1)
     for n in range(2, 40):
-        cur = m.insert_per_rule_us(n)
+        cur = insert_per_rule_us(n)
         assert cur <= prev
         prev = cur
-    assert m.insert_per_rule_us(32) == m.insert_per_rule_us(16)
-    assert m.delete_per_rule_us(100) == 18.08
+    assert insert_per_rule_us(32) == insert_per_rule_us(16)
+    assert delete_per_rule_us(100) == 18.08
     # interior points sit between their anchors
-    assert 38.72 < m.insert_per_rule_us(5) < 100.48
+    assert 38.72 < insert_per_rule_us(5) < 100.48
+    with pytest.raises(ValueError):
+        insert_per_rule_us(0)
 
 
 def test_blocking_single_insert_ready_at_305us():
@@ -79,12 +81,10 @@ def test_packet_during_install_window_misses_to_worker():
     rule = Rule(S2C, shift(seq=1))
     done = e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, seq=100, ack=5, flags=TcpFlags.ACK, payload=b"x")
-    r = e.process(pkt, now=done / 2)
-    assert r.kind is ResultKind.MISSED
-    assert r.worker == e.shard_of(S2C.dst_port)
-    r2 = e.process(pkt, now=done)
-    assert r2.kind is ResultKind.HAIRPIN
-    assert r2.packet.seq == 101
+    assert e.process(pkt, now=done / 2) == (pkt, e.shard_of(S2C.dst_port))
+    out, worker = e.process(pkt, now=done)
+    assert worker is None
+    assert out.seq == 101
 
 
 def test_delete_batch_latencies_and_unmatchable_after():
@@ -95,8 +95,8 @@ def test_delete_batch_latencies_and_unmatchable_after():
     assert done == pytest.approx(1.0 + 57.49e-6)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK)
     # still matchable while the delete is in flight
-    assert e.process(pkt, now=1.0).kind is ResultKind.HAIRPIN
-    assert e.process(pkt, now=done).kind is ResultKind.MISSED
+    assert e.process(pkt, now=1.0)[1] is None
+    assert e.process(pkt, now=done) == (pkt, e._steer(pkt))
     assert S2C not in e.rules
 
     rules = [Rule(FlowKey(9, 9, 9, i), shift()) for i in range(8)]
@@ -134,9 +134,8 @@ def test_full_action_chain_rewrites_and_hairpins():
     e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, seq=5, ack=10, flags=TcpFlags.ACK | TcpFlags.PSH,
                  payload=b"abc")
-    r = e.process(pkt, now=0.1)
-    assert r.kind is ResultKind.HAIRPIN
-    out = r.packet
+    out, worker = e.process(pkt, now=0.1)
+    assert worker is None
     assert out.seq == 1005
     assert out.ack == seq_add(10, (1 << 32) - 7) == 3
     assert out.key == FlowKey(VIP[0], 0x0A000001, VIP[1], 40000)
@@ -149,10 +148,8 @@ def test_sack_bearing_packet_diverts_to_worker():
     e.insert_rules([Rule(S2C, shift(seq=1))], now=0.0)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK,
                  options=TcpOptions(sack_blocks=((5, 10),)))
-    r = e.process(pkt, now=1.0)
-    assert r.kind is ResultKind.MISSED
+    assert e.process(pkt, now=1.0) == (pkt, e._steer(pkt))  # untouched
     assert e.stats.sack_diverted == 1
-    assert r.packet.seq == pkt.seq  # untouched
 
 
 @pytest.mark.parametrize("flag", [TcpFlags.FIN, TcpFlags.RST])
@@ -161,12 +158,10 @@ def test_fin_and_rst_divert_to_worker(flag):
     rule = Rule(S2C, shift(seq=1))
     e.insert_rules([rule], now=0.0)
     pkt = Packet(key=S2C, flags=TcpFlags.ACK | flag)
-    r = e.process(pkt, now=1.0)
-    assert r.kind is ResultKind.MISSED
-    assert r.packet == pkt
+    assert e.process(pkt, now=1.0) == (pkt, e._steer(pkt))
     assert rule.last_hit == rule.ready_at  # a diverted packet is no hit
     assert e.stats.sack_diverted == 0  # counts SACK-bearing packets only
-    assert e.process(Packet(key=S2C, flags=TcpFlags.ACK), now=1.0).kind is ResultKind.HAIRPIN
+    assert e.process(Packet(key=S2C, flags=TcpFlags.ACK), now=1.0)[1] is None
 
 
 def test_conservation_over_random_packets():
@@ -193,7 +188,7 @@ def test_port_shard_steering_covers_all_ports_and_pairs_directions():
     # both directions of a connection with client port 5000 hit one worker
     c2s = Packet(key=FlowKey(0x0A000001, VIP[0], 5000, VIP[1]))
     s2c = Packet(key=FlowKey(0x0A000010, 0x0A010001, 8080, 5000))
-    assert e.process(c2s, 0.0).worker == e.process(s2c, 0.0).worker
+    assert e.process(c2s, 0.0)[1] == e.process(s2c, 0.0)[1]
 
 
 @pytest.fixture(scope="module")
@@ -217,22 +212,23 @@ def test_remembered_shards_follow_the_formula_on_every_port(n_workers, every_por
         sim = Simulation(SimParams(topology=TopologyParams(n_workers=n_workers),
                                    workload=WorkloadParams(connections=0)), seed=1)
         for pkts in (first, second):  # the first pass is cold, the second warm
-            assert [sim.engine.process(pkt, 0.0).worker for pkt in pkts] == expected
+            assert [sim.engine.process(pkt, 0.0)[1] for pkt in pkts] == expected
         assert [sim.agent.shard_of(p) for p in range(1 << 16)] == expected
     assert sim.engine.stats.missed == 2 << 16
 
 
 def test_poll_aged_reports_idle_rules_and_hits_reset_clock():
+    T = RULE_IDLE_TIMEOUT
     e = make_engine()
-    rule = Rule(S2C, shift(), idle_timeout=1.0)
+    rule = Rule(S2C, shift())
     e.insert_rules([rule], now=0.0)
-    assert e.poll_aged(now=0.5) == []
-    assert e.poll_aged(now=2.5) == [rule.match]
-    e.process(Packet(key=S2C), now=3.0)  # hit resets the idle clock
-    assert e.poll_aged(now=3.9) == []
-    assert e.poll_aged(now=4.5) == [rule.match]
-    e.delete_rules([rule.match], now=4.5)
-    assert e.poll_aged(now=4.5) == []  # a rule being deleted is not reported
+    assert e.poll_aged(now=0.5 * T) == []
+    assert e.poll_aged(now=2.5 * T) == [rule.match]
+    e.process(Packet(key=S2C), now=3 * T)  # hit resets the idle clock
+    assert e.poll_aged(now=3.9 * T) == []
+    assert e.poll_aged(now=4.5 * T) == [rule.match]
+    e.delete_rules([rule.match], now=4.5 * T)
+    assert e.poll_aged(now=4.5 * T) == []  # a rule being deleted is not reported
 
 
 def test_capacity_cap():
@@ -272,7 +268,7 @@ def test_retarget_costs_an_insert_batch_of_its_slots_and_replaces_the_rules_in_p
     # three slots, the divert counted as one: 3 x 90.19 us, interpolated
     # between the batch-2 and batch-8 anchors
     per_rule = 100.48 + (38.72 - 100.48) / 6
-    assert LatencyModel().insert_per_rule_us(3) == pytest.approx(per_rule)
+    assert insert_per_rule_us(3) == pytest.approx(per_rule)
     assert done == pytest.approx(1.0 + 3 * per_rule * 1e-6)
     assert list(e.rules.items()) == [(S2C, batch[0]), (S2C.reverse(), batch[1])]
     assert [r.ready_at for r in batch] == [done, done]
@@ -291,12 +287,11 @@ def test_retarget_window_misses_then_hits_with_the_new_rewrite():
     old = Packet(key=S2C, seq=100, ack=500, flags=TcpFlags.ACK, payload=b"x")
     new = dataclasses.replace(old, ack=600)
     for pkt in (old, new):  # inside the window every packet misses
-        r = e.process(pkt, now=(1.0 + done) / 2)
-        assert (r.kind, r.packet) == (ResultKind.MISSED, pkt)
-    r = e.process(new, now=done)
-    assert r.kind is ResultKind.HAIRPIN
-    assert (r.packet.seq, r.packet.ack) == (110, 593)
-    assert e.process(old, now=done).kind is ResultKind.MISSED  # the ack match moved
+        assert e.process(pkt, now=(1.0 + done) / 2) == (pkt, e._steer(pkt))
+    out, worker = e.process(new, now=done)
+    assert worker is None
+    assert (out.seq, out.ack) == (110, 593)
+    assert e.process(old, now=done) == (old, e._steer(old))  # the ack match moved
 
 
 def test_divert_sends_payload_at_its_seq_to_the_worker():
@@ -304,14 +299,14 @@ def test_divert_sends_payload_at_its_seq_to_the_worker():
     installed_pair(e)
     done = e.retarget_rules([Rule(S2C, shift(seq=10), ack=500, divert_seq=77)], now=0.0)
 
-    def kind(seq, payload):
+    def hit(seq, payload):
         pkt = Packet(key=S2C, seq=seq, ack=500, flags=TcpFlags.ACK, payload=payload)
-        return e.process(pkt, now=done).kind
+        return e.process(pkt, now=done)[1] is None
 
-    assert kind(77, b"HTTP/1.1 200 OK\r\n") is ResultKind.MISSED
-    assert kind(77, b"") is ResultKind.HAIRPIN   # a pure ACK at that seq
-    assert kind(78, b"x") is ResultKind.HAIRPIN  # data at any other seq
-    assert kind(76, b"xy") is ResultKind.HAIRPIN
+    assert not hit(77, b"HTTP/1.1 200 OK\r\n")
+    assert hit(77, b"")   # a pure ACK at that seq
+    assert hit(78, b"x")  # data at any other seq
+    assert hit(76, b"xy")
     assert e.stats.matched == 3 and e.stats.sack_diverted == 0
 
 
@@ -332,7 +327,7 @@ def test_capacity_counts_the_divert():
 _u32 = st.integers(0, (1 << 32) - 1)
 _u16 = st.integers(0, (1 << 16) - 1)
 _deltas = st.one_of(_u32, st.integers(-(1 << 33), 1 << 33))
-_READY = LatencyModel().insert_batch_seconds(1)  # a rule inserted at 0
+_READY = insert_batch_seconds(1)  # a rule inserted at 0
 _times = st.one_of(st.floats(0.0, 1e-3), st.just(_READY))
 _sack_blocks = st.lists(
     st.tuples(_u32, st.integers(1, 1 << 20)).map(lambda b: (b[0], seq_add(*b))),
@@ -364,19 +359,19 @@ def test_rule_hairpins_exactly_its_rewrite(out_key, seq_delta, ack_delta, delete
     for now, pkt in sorted(arrivals, key=lambda a: a[0]):
         if delete_at is not None and gone_at is None and now >= delete_at:
             gone_at = e.delete_rules([rule.match], delete_at)
-        r = e.process(pkt, now)
+        out, worker = e.process(pkt, now)
         effective = (pkt.key == S2C and now >= ready_at
                      and (gone_at is None or now < gone_at))
         if effective and not (pkt.flags & (TcpFlags.FIN | TcpFlags.RST)
                               or pkt.options.sack_blocks):
-            assert r.kind is ResultKind.HAIRPIN and r.worker is None
-            assert r.packet == Packet(
+            assert worker is None
+            assert out == Packet(
                 key=out_key, seq=(pkt.seq + seq_delta) % (1 << 32),
                 ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
                 window=pkt.window, options=pkt.options, payload=pkt.payload)
             last_hit, hairpins = now, hairpins + 1
         else:
-            assert (r.kind, r.packet, r.worker) == (ResultKind.MISSED, pkt, e._steer(pkt))
+            assert (out, worker) == (pkt, e._steer(pkt))
             sack_diverted += effective and bool(pkt.options.sack_blocks)
         assert rule.last_hit == last_hit
     assert (e.stats.matched, e.stats.sack_diverted) == (hairpins, sack_diverted)
@@ -402,16 +397,16 @@ def test_seq_rule_hairpins_only_payload_free_packets_at_its_seq(rule_seq, seq_de
     hairpins = 0
     for off, drawn in arrivals:
         pkt = dataclasses.replace(drawn, key=C2S, seq=(rule_seq + off) % (1 << 32))
-        r = e.process(pkt, now)
+        out, worker = e.process(pkt, now)
         if (pkt.seq == rule_seq and not pkt.payload and not pkt.options.sack_blocks
                 and not pkt.flags & (TcpFlags.FIN | TcpFlags.RST)):
-            assert r.kind is ResultKind.HAIRPIN
-            assert r.packet == Packet(
+            assert worker is None
+            assert out == Packet(
                 key=S2C.reverse(), seq=(pkt.seq + seq_delta) % (1 << 32),
                 ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
                 window=pkt.window, options=pkt.options, payload=pkt.payload)
             hairpins += 1
         else:
-            assert (r.kind, r.packet, r.worker) == (ResultKind.MISSED, pkt, e._steer(pkt))
+            assert (out, worker) == (pkt, e._steer(pkt))
     assert e.stats.matched == hairpins
     assert e.stats.matched + e.stats.missed == len(arrivals)

@@ -8,7 +8,6 @@ import struct
 
 import pytest
 
-from lbsim.flow_engine import ResultKind
 from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, WorkloadParams
 from lbsim.netsim.apps import request_bytes
 from lbsim.netsim.events import EventQueue
@@ -577,10 +576,10 @@ def _hairpins_checked(sim) -> tuple[int, int]:
 
     def shadowed(pkt, now):
         res = process(pkt, now)
+        got, worker = res
         entry = entries.get(pkt.key)
-        if res.kind is not ResultKind.HAIRPIN or entry is None:
+        if worker is not None or entry is None:
             return res
-        got = res.packet
         if pkt.key == entry.client_key:
             want = sim.agent.on_client_ack(pkt, entry, now)
             assert [(w.key, w.seq, w.ack, w.flags, w.window) for w in want] == \
@@ -656,7 +655,7 @@ def test_warm_responses_stay_off_the_worker():
 
     def counted(pkt, now):
         res = process(pkt, now)
-        if res.kind is ResultKind.MISSED:
+        if res[1] is not None:  # missed to a worker
             entry = sim.table.lookup(pkt.key, now)  # as the worker's own lookup
             if entry is not None:
                 at = (entry.client_key.src_port, entry.resp_index)

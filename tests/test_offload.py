@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lbsim.conntable import CuckooTable, TableConfig
-from lbsim.flow_engine import FlowEngine, LatencyModel, ResultKind
+from lbsim.flow_engine import FlowEngine, insert_batch_seconds
 from lbsim.netsim import Simulation, SimParams, WorkloadParams
 from lbsim.offload import (
     OffloadManager,
@@ -16,7 +16,7 @@ from lbsim.offload import (
     formula_threshold,
 )
 from lbsim.packet import UNWRAP_ABOVE, FlowKey, Packet, TcpFlags, seq_add, seq_sub
-from lbsim.splice import Backend, ConnEntry, InsertionPoint, SpliceState
+from lbsim.splice import ConnEntry, InsertionPoint, SpliceState
 
 from test_splice_agent import (
     GET,
@@ -172,10 +172,9 @@ def test_engine_rewrite_matches_worker_rewrite_bit_for_bit():
         pkt = Packet(key=entry.server_in_key, seq=seq, ack=ack,
                      flags=TcpFlags.ACK | TcpFlags.PSH,
                      payload=rng.randbytes(rng.randrange(1, 64)))
-        got = engine.process(pkt, now=1.0)
-        assert got.kind is ResultKind.HAIRPIN
-        want = agent.on_server_data(pkt, entry, 1.0)[0]
-        assert got.packet == want
+        got, worker = engine.process(pkt, now=1.0)
+        assert worker is None
+        assert got == agent.on_server_data(pkt, entry, 1.0)[0]
 
 
 def test_rule_pair_installs_and_deletes_as_one_batch():
@@ -264,7 +263,7 @@ def test_next_request_held_until_rule_clean_then_replayed():
     assert entry.deferred
     mgr.on_response_complete(entry, 2.0)
     ready_at = engine.rules[ck].ready_at
-    assert ready_at == pytest.approx(2.0 + LatencyModel().insert_batch_seconds(3))
+    assert ready_at == pytest.approx(2.0 + insert_batch_seconds(3))
     sim.run_until(ready_at - 1e-9)
     assert not sim.emitted
     sim.run_until(3.0)
@@ -311,15 +310,15 @@ def test_abort_mid_offload_resets_the_client_past_the_hairpinned_bytes():
     agent.handle_packet(head, 1.0, worker_id=shard_of(ck.src_port))
     half = Packet(key=entry.server_in_key, seq=seq_add(head.seq, 2 << 20), ack=head.ack,
                   flags=TcpFlags.ACK | TcpFlags.PSH, payload=bytes(1460))
-    hairpinned = engine.process(half, 2.0)
-    assert hairpinned.kind is ResultKind.HAIRPIN
+    hairpinned, worker = engine.process(half, 2.0)
+    assert worker is None
     resp_end = len(head.payload) + (4 << 20)
     assert entry.resp_end == resp_end
     rst = agent._abort(entry, 2.0)[0]
     assert (rst.key, rst.flags) == (ck.reverse(), TcpFlags.RST)
     assert rst.seq == seq_add(entry.isn_lb_front, 1 + resp_end)
     # in server-stream offsets, past the hairpinned segment and the relayed bytes
-    hairpinned_end = seq_sub(hairpinned.packet.seq_end(), seq_add(entry.isn_lb_front, 1))
+    hairpinned_end = seq_sub(hairpinned.seq_end(), seq_add(entry.isn_lb_front, 1))
     assert resp_end > hairpinned_end and resp_end > entry.relayed_hi
 
 
@@ -522,8 +521,7 @@ def test_a_reused_client_tuple_waits_for_the_previous_pair_to_go():
                          for i in range(0, len(body), 1460)]
     out = []
     for pkt in segments:
-        res = engine.process(pkt, t)
-        assert res.kind is ResultKind.MISSED
+        assert engine.process(pkt, t) == (pkt, w)
         out += agent.handle_packet(pkt, t, worker_id=w)
     assert mgr.stats["install_refusals"] == 1 and not new.offloaded
     front = seq_add(new.isn_lb_front, 1)
@@ -533,7 +531,7 @@ def test_a_reused_client_tuple_waits_for_the_previous_pair_to_go():
     def client(off, ack_off, payload=b""):
         pkt = Packet(key=ck, seq=seq_add(1000, off), ack=seq_add(front, ack_off),
                      flags=TcpFlags.ACK | (TcpFlags.PSH if payload else 0), payload=payload)
-        assert engine.process(pkt, done).kind is ResultKind.MISSED
+        assert engine.process(pkt, done) == (pkt, w)
         return agent.handle_packet(pkt, done, worker_id=w)
 
     # at `done`, before the deleter's completion runs: the old rules are

@@ -10,7 +10,6 @@ import random
 from lbsim import oracles
 from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add
 from lbsim.splice import (
-    Backend,
     ConnEntry,
     InsertionPoint,
     SpliceState,
@@ -33,8 +32,7 @@ Z = 0xFFFFFFFF
 
 def make_entry(insertions, isn_client=Z, isn_lb_back=Z, isn_lb_front=Z, isn_server=Z):
     e = ConnEntry(state=SpliceState.ESTABLISHED, client_key=CK,
-                  backend=Backend(0x0A000002, 8080), isn_client=isn_client,
-                  isn_lb_front=isn_lb_front)
+                  isn_client=isn_client, isn_lb_front=isn_lb_front)
     e.isn_lb_back = isn_lb_back
     e.isn_server = isn_server
     e.server_key = FlowKey(0x0A000003, 0x0A000002, 40000, 8080)
