@@ -83,10 +83,11 @@ class ResponseEvent:
 
 class _ClientHost:
     def __init__(self):
+        # by the key the endpoint's packets arrive on: its own key reversed
         self.endpoints: dict[FlowKey, MiniTcpEndpoint] = {}
 
     def deliver(self, now: float, pkt: Packet) -> None:
-        ep = self.endpoints.get(pkt.key.reverse())
+        ep = self.endpoints.get(pkt.key)
         if ep is not None:
             ep.on_segment(pkt, now)
 
@@ -94,21 +95,22 @@ class _ClientHost:
 class _ServerHost:
     def __init__(self, sim):
         self.sim = sim
+        # by arriving key, as _ClientHost.endpoints; sessions by local key
         self.endpoints: dict[FlowKey, MiniTcpEndpoint] = {}
         self.sessions: dict[FlowKey, HttpServerSession] = {}
 
     def deliver(self, now: float, pkt: Packet) -> None:
-        local = pkt.key.reverse()
-        ep = self.endpoints.get(local)
+        ep = self.endpoints.get(pkt.key)
         if ep is None:
             if not pkt.syn or (pkt.flags & TcpFlags.ACK):
                 return
+            local = pkt.key.reverse()
             session = HttpServerSession()
             isn = mix64(self.sim.seed ^ local.pack() ^ 0x5E4E4) & 0xFFFFFFFF
             ep = self.sim.new_endpoint(local, isn, self.sim.send_to_lb_from_server,
                                        session)
             session.endpoint = ep
-            self.endpoints[local] = ep
+            self.endpoints[pkt.key] = ep
             self.sessions[local] = session
             ep.accept(pkt, now)
             return
@@ -185,7 +187,7 @@ class Simulation:
             isn = mix64(self.seed ^ key.pack() ^ 0xC11E47) & 0xFFFFFFFF
             ep = self.new_endpoint(key, isn, self._send_to_lb_from_client, session)
             session.endpoint = ep
-            self.client_host.endpoints[key] = ep
+            self.client_host.endpoints[key.reverse()] = ep
             self.queue.schedule(i * wl.start_spacing, self._start_conn, ep)
 
     def new_endpoint(self, key: FlowKey, isn: int, transmit, app) -> MiniTcpEndpoint:

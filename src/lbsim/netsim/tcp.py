@@ -330,7 +330,7 @@ class MiniTcpEndpoint:
 
     def _emit_data(self, off: int, n: int, now: float) -> None:
         # fields in order (key, seq, ack, flags, window, options, payload):
-        # the per-segment paths skip the keyword parsing of __init__
+        # the per-segment paths build packets positionally
         self.transmit(Packet(self.key, seq_add(seq_add(self.isn, 1), off),
                              self._ack_value(), TcpFlags.ACK | TcpFlags.PSH, 65535,
                              EMPTY_OPTIONS, self.tx.read(off, n)), now)
@@ -682,7 +682,7 @@ class MiniTcpEndpoint:
         base = seq_add(self.rcv_isn, 1)
         blocks = tuple((seq_add(base, lo), seq_add(base, hi))
                        for lo, hi in self.ooo_spans[:MAX_SACK_BLOCKS])
-        return TcpOptions(sack_blocks=blocks)
+        return TcpOptions(None, False, blocks)  # (mss, sack_permitted, sack_blocks)
 
     def _ack(self, now: float) -> None:
         # once sent, the FIN occupies the sequence number after the data

@@ -1,14 +1,14 @@
 """Packet data model and 32-bit sequence arithmetic.
 
 Everything else in the package trades in these types.  Packets are immutable
-values: rewriting a header means building a new packet (dataclasses.replace),
-so they can be freely shared across simulated cores.  No packet is ever
-turned into bytes: the simulator passes these values from hop to hop.
+`NamedTuple`s: rewriting a header means building a new packet (positionally
+on the per-packet paths, or with `_replace`), so they can be freely shared
+across simulated cores.  No packet is ever turned into bytes: the simulator
+passes these values from hop to hop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 SEQ_MOD = 1 << 32
@@ -81,8 +81,7 @@ class FlowKey(NamedTuple):
                        (v >> 24) & 0xFFFF, (v >> 8) & 0xFFFF, v & 0xFF)
 
 
-@dataclass(frozen=True, slots=True)
-class TcpOptions:
+class TcpOptions(NamedTuple):
     mss: Optional[int] = None
     sack_permitted: bool = False
     sack_blocks: tuple[tuple[int, int], ...] = ()
@@ -91,9 +90,10 @@ class TcpOptions:
 EMPTY_OPTIONS = TcpOptions()
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
-    """One simplified TCP/IP datagram.
+class Packet(NamedTuple):
+    """One simplified TCP/IP datagram.  Being a tuple, a packet equals any
+    tuple with the same items and can be unpacked: compare packets only
+    with packets.
 
     Invariants (checked by validate()):
       * non-empty payload implies SYN and RST are clear

@@ -494,7 +494,8 @@ def rewrite_s2c(entry: ConnEntry, pkt: Packet, a: Optional[int] = None) -> Packe
     if a is None:
         a = entry.recv_off(pkt.ack)
     # fields in order (key, seq, ack, flags, window, options, payload): the
-    # per-packet paths skip the keyword parsing of the dataclass's __init__
+    # per-packet paths build packets positionally, the cheapest way to
+    # build a NamedTuple
     return Packet(entry.client_key.reverse(),
                   seq_add(pkt.seq, seq_sub(entry.isn_lb_front, entry.isn_server)),
                   entry.ack_to_client(a), pkt.flags, pkt.window,
@@ -513,7 +514,7 @@ def _options_s2c(entry: ConnEntry, options: TcpOptions) -> TcpOptions:
                                     entry.recv_off(r), entry.folded)
         if mapped is not None:
             out.append((seq_add(cbase, mapped[0]), seq_add(cbase, mapped[1])))
-    return TcpOptions(sack_blocks=tuple(out))
+    return TcpOptions(None, False, tuple(out))  # (mss, sack_permitted, sack_blocks)
 
 
 class SpliceAgent:
@@ -845,7 +846,7 @@ class SpliceAgent:
         seq = seq_add(entry.isn_lb_back, 1 + recv_off)
         ack = entry.ack_to_server()
         flags, window = TcpFlags.ACK | TcpFlags.PSH, entry.client_window
-        # positional fields, as in rewrite_s2c
+        # built positionally, as in rewrite_s2c
         return [Packet(entry.server_key, seq_add(seq, i), ack, flags, window,
                        EMPTY_OPTIONS, data[i:i + mss])
                 for i in range(0, len(data), mss)]
@@ -857,9 +858,10 @@ class SpliceAgent:
             return []
         delta = seq_sub(entry.isn_server, entry.isn_lb_front)
         blocks = pkt.options.sack_blocks
+        # built positionally, as in rewrite_s2c; options are (mss,
+        # sack_permitted, sack_blocks)
         options = EMPTY_OPTIONS if not blocks else TcpOptions(
-            sack_blocks=tuple((seq_add(l, delta), seq_add(r, delta)) for l, r in blocks))
-        # positional fields, as in rewrite_s2c
+            None, False, tuple((seq_add(l, delta), seq_add(r, delta)) for l, r in blocks))
         return [Packet(entry.server_key, entry.seq_to_server(entry.fwd_hi),
                        seq_add(pkt.ack, delta), TcpFlags.ACK, pkt.window, options)]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -136,6 +135,7 @@ def test_full_action_chain_rewrites_and_hairpins():
                  payload=b"abc")
     out, worker = e.process(pkt, now=0.1)
     assert worker is None
+    assert type(out) is Packet  # a packet, not a bare tuple of its fields
     assert out.seq == 1005
     assert out.ack == seq_add(10, (1 << 32) - 7) == 3
     assert out.key == FlowKey(VIP[0], 0x0A000001, VIP[1], 40000)
@@ -285,7 +285,7 @@ def test_retarget_window_misses_then_hits_with_the_new_rewrite():
     installed_pair(e)
     done = e.retarget_rules([Rule(S2C, shift(seq=10, ack=-7), ack=600)], now=1.0)
     old = Packet(key=S2C, seq=100, ack=500, flags=TcpFlags.ACK, payload=b"x")
-    new = dataclasses.replace(old, ack=600)
+    new = old._replace(ack=600)
     for pkt in (old, new):  # inside the window every packet misses
         assert e.process(pkt, now=(1.0 + done) / 2) == (pkt, e._steer(pkt))
     out, worker = e.process(new, now=done)
@@ -396,7 +396,7 @@ def test_seq_rule_hairpins_only_payload_free_packets_at_its_seq(rule_seq, seq_de
     now = e.insert_rules([rule], now=0.0)
     hairpins = 0
     for off, drawn in arrivals:
-        pkt = dataclasses.replace(drawn, key=C2S, seq=(rule_seq + off) % (1 << 32))
+        pkt = drawn._replace(key=C2S, seq=(rule_seq + off) % (1 << 32))
         out, worker = e.process(pkt, now)
         if (pkt.seq == rule_seq and not pkt.payload and not pkt.options.sack_blocks
                 and not pkt.flags & (TcpFlags.FIN | TcpFlags.RST)):

@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import math
 import random
@@ -516,8 +515,8 @@ def test_a_reused_client_tuple_waits_for_the_previous_pair_to_go():
     assert (new.server_in_key, new.client_key) == (old.server_in_key, old.client_key)
     body = bytes(range(256)) * 12
     head = first_response_pkt(new, len(body))
-    segments = [head] + [dataclasses.replace(head, seq=seq_add(head.seq, len(head.payload) + i),
-                                             payload=body[i:i + 1460])
+    segments = [head] + [head._replace(seq=seq_add(head.seq, len(head.payload) + i),
+                                       payload=body[i:i + 1460])
                          for i in range(0, len(body), 1460)]
     out = []
     for pkt in segments:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -95,19 +94,19 @@ def valid_packets(draw):
 
 # Copies of a valid packet that each break one field's range.
 CORRUPTIONS = {
-    "seq_past_32_bits": lambda p: replace(p, seq=SEQ_MOD),
-    "ack_past_32_bits": lambda p: replace(p, ack=SEQ_MOD + p.ack),
-    "window_past_16_bits": lambda p: replace(p, window=1 << 16),
-    "five_sack_blocks": lambda p: replace(p, options=replace(
-        p.options, sack_blocks=((1, 2),) * (MAX_SACK_BLOCKS + 1))),
-    "empty_sack_block": lambda p: replace(p, options=replace(
-        p.options, sack_blocks=p.options.sack_blocks[:3] + ((p.seq, p.seq),))),
-    "reversed_sack_block": lambda p: replace(p, options=replace(
-        p.options, sack_blocks=((seq_add(p.seq, 10), p.seq),))),
-    "mss_zero": lambda p: replace(p, options=replace(p.options, mss=0)),
-    "mss_past_16_bits": lambda p: replace(p, options=replace(p.options, mss=1 << 16)),
-    "payload_on_rst": lambda p: replace(
-        p, flags=p.flags | TcpFlags.RST, payload=p.payload or b"x"),
+    "seq_past_32_bits": lambda p: p._replace(seq=SEQ_MOD),
+    "ack_past_32_bits": lambda p: p._replace(ack=SEQ_MOD + p.ack),
+    "window_past_16_bits": lambda p: p._replace(window=1 << 16),
+    "five_sack_blocks": lambda p: p._replace(options=p.options._replace(
+        sack_blocks=((1, 2),) * (MAX_SACK_BLOCKS + 1))),
+    "empty_sack_block": lambda p: p._replace(options=p.options._replace(
+        sack_blocks=p.options.sack_blocks[:3] + ((p.seq, p.seq),))),
+    "reversed_sack_block": lambda p: p._replace(options=p.options._replace(
+        sack_blocks=((seq_add(p.seq, 10), p.seq),))),
+    "mss_zero": lambda p: p._replace(options=p.options._replace(mss=0)),
+    "mss_past_16_bits": lambda p: p._replace(options=p.options._replace(mss=1 << 16)),
+    "payload_on_rst": lambda p: p._replace(
+        flags=p.flags | TcpFlags.RST, payload=p.payload or b"x"),
 }
 
 
@@ -123,6 +122,24 @@ def test_validate_accepts_valid_packets(p):
 def test_validate_rejects_corruption(corruption, p):
     with pytest.raises(MalformedPacketError):
         CORRUPTIONS[corruption](p).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=valid_packets(), q=valid_packets(), data=st.data())
+def test_packets_and_options_are_frozen_and_replace_one_field(p, q, data):
+    """Packets are shared between hops: no field can be assigned, and
+    `_replace` builds a new value of the same type, leaving the old one."""
+    for old, new in ((p, q), (p.options, q.options)):
+        cls = type(old)
+        name = data.draw(st.sampled_from(cls._fields))
+        value = getattr(new, name)
+        items = tuple(old)
+        with pytest.raises(AttributeError):
+            setattr(old, name, value)
+        out = old._replace(**{name: value})
+        assert type(out) is cls
+        assert out == cls(**{**old._asdict(), name: value})
+        assert tuple(old) == items
 
 
 def test_validate_accepts_range_boundaries():

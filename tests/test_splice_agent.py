@@ -3,7 +3,6 @@ flush with insertions, keep-alive, teardown."""
 
 import copy
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -541,7 +540,7 @@ def test_server_ack_and_sack_map_past_a_folded_insertion():
     assert entry.insertions == [] and entry.folded == 27
     b, cb = seq_add(entry.isn_lb_back, 1), seq_add(entry.isn_client, 1)
     sack = TcpOptions(sack_blocks=((seq_add(b, 69), seq_add(b, 79)),))
-    out = handle(replace(from_server(entry, len(RESP), 59), options=sack))
+    out = handle(from_server(entry, len(RESP), 59)._replace(options=sack))
     assert [(p.ack, p.options.sack_blocks) for p in out] == \
         [(seq_add(cb, 32), ((seq_add(cb, 42), seq_add(cb, 52)),))]
 
