@@ -39,6 +39,7 @@ import mmap
 import multiprocessing as mp
 import threading
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Iterator, Optional
 
 from .packet import FlowKey
@@ -475,25 +476,22 @@ class CuckooTable:
     def sweep_expired(self, now: float) -> list[tuple[FlowKey, Any]]:
         """Remove and return entries whose ttl_expiry < now at scan time.
         Entries refreshed concurrently (including spurious blind-write
-        refreshes) are retained; the expiry is re-checked under the lock."""
+        refreshes) are retained; the expiry is re-checked under the lock.
+        Versions and keys are read for the whole table at once, and only
+        the occupied slots are visited."""
         st = self.storage
+        spb = self._spb
+        versions, keys = st.read_bucket(0, self.config.bucket_count * spb)
+        candidates: dict[int, list[tuple[int, int]]] = {}  # by bucket
+        for i in compress(range(len(keys)), keys):  # the occupied slots
+            v = versions[i]
+            if not v & 1 and st.ttl_at(i) < now and st.version(i) == v:
+                candidates.setdefault(i // spb, []).append((i, keys[i]))
         evicted: list[tuple[FlowKey, Any]] = []
-        for b in range(self.config.bucket_count):
-            base = b * self._spb
-            candidates = []
-            for s in range(self._spb):
-                i = base + s
-                v = st.version(i)
-                if v & 1:
-                    continue
-                kp = st.key_at(i)
-                if kp != 0 and st.ttl_at(i) < now and st.version(i) == v:
-                    candidates.append((i, kp))
-            if not candidates:
-                continue
+        for b, slots in candidates.items():
             locks = self._acquire(b)
             try:
-                for i, kp in candidates:
+                for i, kp in slots:
                     if st.key_at(i) != kp or st.ttl_at(i) >= now:
                         continue
                     value = st.value_at(i)

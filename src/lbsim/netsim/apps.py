@@ -20,28 +20,34 @@ from .tcp import AppCallbacks, MiniTcpEndpoint
 
 PAGE = 4096
 STAMP = 16
+_PAGE_STAMP = struct.Struct("<QQ")  # (seed, page index): a page's first STAMP bytes
 HEAD_END = b"\r\n\r\n"
 
 
 def make_body(seed: int) -> Callable[[int, int], bytes]:
-    filler = random.Random(seed & 0xFFFFFFFFFFFFFFFF).randbytes(PAGE)
+    """The generator `gen(off, n)` of bytes [off, off + n) of the body of
+    `seed`: byte i is byte i % PAGE of page i // PAGE's stamp (the seed and
+    the page index, as little-endian u64s) when i % PAGE < STAMP, and of
+    one seeded filler page otherwise."""
+    seed64 = seed & 0xFFFFFFFFFFFFFFFF
+    filler = random.Random(seed64).randbytes(PAGE)
 
     def gen(off: int, n: int) -> bytes:
+        q = off % PAGE
+        if q >= STAMP and q + n <= PAGE:
+            return filler[q:q + n]  # inside one page, past its stamp
+        # filler page slices, then the stamp of each page start covered
         out = bytearray()
         pos = off
         end = off + n
         while pos < end:
             p, q = divmod(pos, PAGE)
-            stamp = struct.pack("<QQ", seed & 0xFFFFFFFFFFFFFFFF, p)
             take = min(end - pos, PAGE - q)
+            at = len(out)
+            out += filler[q:q + take]
             if q < STAMP:
-                head = stamp[q:min(STAMP, q + take)]
-                out += head
-                taken = len(head)
-                if taken < take:
-                    out += filler[STAMP:STAMP + take - taken]
-            else:
-                out += filler[q:q + take]
+                head = _PAGE_STAMP.pack(seed64, p)[q:q + take]
+                out[at:at + len(head)] = head
             pos += take
         return bytes(out)
 

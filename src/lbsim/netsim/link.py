@@ -40,17 +40,15 @@ class Link:
         self.dropped = 0
         self.dropped_bytes = 0
 
-    def wire_time(self, pkt: Packet) -> float:
-        return (len(pkt.payload) + WIRE_OVERHEAD_BYTES) / BYTES_PER_SEC
-
     def send(self, pkt: Packet, now: float) -> None:
+        size = len(pkt.payload)
         self.tx_packets += 1
-        self.tx_bytes += len(pkt.payload)
-        if self.params.loss > 0 and self._rng.random() < self.params.loss:
+        self.tx_bytes += size
+        loss = self.params.loss
+        if loss > 0 and self._rng.random() < loss:
             self.dropped += 1
-            self.dropped_bytes += len(pkt.payload)
+            self.dropped_bytes += size
             return
-        start = max(now, self._free_at)
-        ser = self.wire_time(pkt)
-        self._free_at = start + ser
+        start = now if now > self._free_at else self._free_at
+        self._free_at = start + (size + WIRE_OVERHEAD_BYTES) / BYTES_PER_SEC
         self.queue.schedule(self._free_at + LATENCY, self.deliver, pkt)

@@ -7,7 +7,11 @@ deadline, and a wake-up that finds it later sleeps again until it.
 
 The transmit stream can mix literal bytes with generated spans, so multi-
 megabyte response bodies never materialize wholesale: segments are
-rendered from (offset, length) on demand, retransmissions included.
+rendered from (offset, length) on demand, retransmissions included.  Every
+read starts at or above snd_una (new data, RTO, fast retransmit, NextSeg
+and lost resends alike), so the stream drops its chunks as snd_una passes
+their end: an endpoint holds only its unACKed stream, however many
+requests a keep-alive connection carries.
 
 Sending.  Outside recovery a segment goes only when all of min(seg, bytes
 left) fits the window (sender SWS avoidance, RFC 9293 3.8.6.2.1), so a
@@ -65,7 +69,7 @@ from ..packet import (
     unwrap,
 )
 
-_span_hi = itemgetter(1)
+_span_hi = itemgetter(1)  # the end of a [lo, hi) span, or of a (start, end, src) chunk
 
 
 def _add_span(spans: list[list[int]], lo: int, hi: int, mark: int = 0) -> tuple[int, int]:
@@ -94,10 +98,13 @@ def _add_span(spans: list[list[int]], lo: int, hi: int, mark: int = 0) -> tuple[
 
 
 class TxStream:
-    """Outbound byte stream assembled from literal and generated chunks."""
+    """Outbound byte stream assembled from literal and generated chunks.
+    `release(off)` drops the chunks that end at or below `off`; the owner
+    calls it as snd_una advances, and reads only at or above snd_una."""
 
     def __init__(self):
-        self._chunks: list[tuple[int, int, object]] = []  # (start, end, src)
+        # (start, end, src), in stream order; the first ends past snd_una
+        self._chunks: list[tuple[int, int, object]] = []
         self.length = 0
 
     def append_bytes(self, data: bytes) -> None:
@@ -108,12 +115,18 @@ class TxStream:
         self._chunks.append((self.length, self.length + n, gen))
         self.length += n
 
+    def release(self, off: int) -> None:
+        """Drop the chunks that end at or below `off`."""
+        del self._chunks[:bisect_right(self._chunks, off, key=_span_hi)]
+
     def read(self, off: int, n: int) -> bytes:
         end = min(off + n, self.length)
+        chunks = self._chunks
         parts = []
-        for start, stop, src in self._chunks:
-            if stop <= off or start >= end:
-                continue
+        for i in range(bisect_right(chunks, off, key=_span_hi), len(chunks)):
+            start, stop, src = chunks[i]
+            if start >= end:
+                break
             lo = max(off, start) - start
             hi = min(end, stop) - start
             if callable(src):
@@ -356,6 +369,7 @@ class MiniTcpEndpoint:
             if not self.fin_acked:
                 self.fin_acked = True
                 self.snd_una = self.tx.length
+                self.tx.release(self.snd_una)
                 self._reset_rto(now)
             return
         if ack_off > self.snd_nxt:
@@ -400,7 +414,8 @@ class MiniTcpEndpoint:
         self._pump(now)
 
     def _ack_through(self, ack_off: int) -> None:
-        """Move snd_una to `ack_off` and drop the SACKed bytes below it."""
+        """Move snd_una to `ack_off` and drop the SACKed bytes and the
+        stream chunks below it."""
         blocks = self.sacked
         gone = 0
         if blocks:
@@ -413,6 +428,7 @@ class MiniTcpEndpoint:
             del blocks[:i]
             self.sacked_bytes -= gone
         self.snd_una = ack_off
+        self.tx.release(ack_off)
         if ack_off >= self.high_rxt:
             self.high_rxt = ack_off
             self._sacked_below_rxt = 0

@@ -4,12 +4,15 @@ behavior, offload interplay, determinism."""
 import dataclasses
 import hashlib
 import math
+import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, WorkloadParams
-from lbsim.netsim.apps import request_bytes
+from lbsim.netsim.apps import PAGE, STAMP, make_body, request_bytes
 from lbsim.netsim.events import EventQueue
 from lbsim.netsim.tcp import AppCallbacks, MiniTcpEndpoint
 from lbsim.offload import RULE_IDLE_TIMEOUT, formula_threshold
@@ -254,6 +257,33 @@ def test_small_response_leaves_the_server_as_one_segment():
     assert [n for n in payloads if n] == [1065]
 
 
+def reference_body(seed: int, off: int, n: int) -> bytes:
+    """Bytes [off, off + n) of a body, one at a time: byte i is byte
+    i % PAGE of page i // PAGE's stamp (the seed and the page index, as
+    little-endian u64s) in the first STAMP bytes of a page, and of the
+    seeded filler page elsewhere."""
+    seed64 = seed & 0xFFFFFFFFFFFFFFFF
+    filler = random.Random(seed64).randbytes(PAGE)
+    out = bytearray()
+    for i in range(off, off + n):
+        p, q = divmod(i, PAGE)
+        out.append(struct.pack("<QQ", seed64, p)[q] if q < STAMP else filler[q])
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(-(1 << 64), 1 << 65), page=st.integers(0, 1 << 20),
+       at=st.sampled_from([0, STAMP]), delta=st.integers(-3, 3) | st.integers(0, PAGE),
+       n=st.integers(0, 2 * PAGE + 2 * STAMP))
+def test_body_generator_matches_the_byte_by_byte_reference(seed, page, at, delta, n):
+    """Ranges at and around page starts and stamp ends, inside one page
+    and across up to three."""
+    off = max(0, page * PAGE + at + delta)
+    body = make_body(seed)(off, n)
+    assert type(body) is bytes
+    assert body == reference_body(seed, off, n)
+
+
 def test_lb_ingress_packet_budget_of_small_keepalive_requests():
     """2 connections x 3 requests of 1 KiB, no loss: every request leaves
     the LB as one segment with its insertion, every response leaves the
@@ -445,6 +475,39 @@ def test_seeded_keepalive_worker_run_is_pinned():
         "forwarded_payload_bytes": 5668994, "entries_removed": 30,
         "cookie_failures": 0, "deferred_pkts": 0, "ttl_sweeps": 0}
     assert egress_digest(egress) == "c751ee529ed7db4620a2d6087f074b00"
+
+
+def test_keepalive_endpoints_hold_only_their_unacked_stream():
+    """Aim 2's O(1) per keep-alive connection, at the endpoints: on the
+    pinned keep-alive run (8 to 32 requests per connection), no endpoint
+    ever holds more than two transmit chunks, and after the drain none
+    holds a chunk that ends at or below snd_una; every connection, the
+    32-request one included, ends with no chunk left."""
+    sim = Simulation(*KEEPALIVE_PIN)
+    peak: dict[MiniTcpEndpoint, int] = {}
+
+    def watch(ep):
+        transmit = ep.transmit
+
+        def counted(pkt, now):
+            peak[ep] = max(peak.get(ep, 0), len(ep.tx._chunks))
+            transmit(pkt, now)
+        ep.transmit = counted
+        return ep
+
+    new_endpoint = sim.new_endpoint
+    sim.new_endpoint = lambda *args: watch(new_endpoint(*args))
+    for s in sim.sessions:
+        watch(s.endpoint)
+    sim.run()
+    assert_streams_equal(sim)
+    assert max(len(s.requests) for s in sim.sessions) == 32
+    endpoints = [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values())
+    assert len(peak) == len(endpoints) == 60
+    assert max(peak.values()) <= 2
+    for ep in endpoints:
+        assert all(end > ep.snd_una for _, end, _ in ep.tx._chunks)
+        assert ep.closed_cleanly and ep.tx._chunks == []
 
 
 @pytest.mark.parametrize("pin, mode, processed, engine_counts, digest", [

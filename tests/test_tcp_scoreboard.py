@@ -188,12 +188,16 @@ class ReferenceSender:
 
 def sender(n=400):
     """An established endpoint with `n` bytes queued and its first window
-    out; and the data segments it sends, as (offset, length)."""
+    out; and the data segments it sends, as (offset, length).  Each one
+    must carry the stream's bytes at its offset, so a resend that needs
+    bytes the endpoint has already dropped fails."""
     sent: list[tuple[int, int]] = []
 
     def transmit(pkt, now):
         if pkt.payload:
-            sent.append((seq_sub(pkt.seq, ISN + 1), len(pkt.payload)))
+            off = seq_sub(pkt.seq, ISN + 1)
+            assert pkt.payload == STREAM[off:off + len(pkt.payload)]
+            sent.append((off, len(pkt.payload)))
 
     ep = MiniTcpEndpoint(EventQueue(), KEY, mss=SEG, isn=ISN, transmit=transmit)
     ep.connect(0.0)
