@@ -507,16 +507,16 @@ class CuckooTable:
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        st = self.storage
-        return sum(1 for i in range(self.config.bucket_count * self._spb)
-                   if st.key_at(i) != 0)
+        keys = self.storage.read_bucket(0, self.config.bucket_count * self._spb)[1]
+        return len(keys) - keys.count(0)
 
     def items(self) -> Iterator[tuple[FlowKey, Any]]:
+        """Keys read for the whole table at once; values only for the
+        occupied slots."""
         st = self.storage
-        for i in range(self.config.bucket_count * self._spb):
-            kp = st.key_at(i)
-            if kp != 0:
-                yield FlowKey.unpack(kp), st.value_at(i)
+        keys = st.read_bucket(0, self.config.bucket_count * self._spb)[1]
+        for i in compress(range(len(keys)), keys):
+            yield FlowKey.unpack(keys[i]), st.value_at(i)
 
     def load_factor(self) -> float:
         return len(self) / (self.config.bucket_count * self._spb)

@@ -5,9 +5,9 @@ applies its `Rewrite`: the packet gets the rule's output 5-tuple, a constant
 is added modulo 2^32 to its seq and another to its ack, and it is hairpinned
 back to the wire.  Flags, window, options and payload pass through as they
 came.  There are no range matches, payload reads or SACK rewrites.  A
-matched packet that carries SACK blocks, a FIN or an RST is diverted to the
-worker path (`diverts`): the worker rewrites SACK blocks, and it must see a
-connection end to tear its entry down.
+matched packet that carries a FIN, an RST or SACK blocks is diverted to the
+worker path: the worker rewrites SACK blocks, and it must see a connection
+end to tear its entry down.
 
 A rule may also match one exact TCP seq (`Rule.seq`, as mlx5 steering's
 `outer_tcp_seq_num`).  Such a rule hairpins only a payload-free packet that
@@ -139,15 +139,11 @@ def delete_batch_seconds(batch_size: int) -> float:
     return delete_per_rule_us(batch_size) * batch_size * 1e-6
 
 
-def diverts(pkt: Packet) -> bool:
-    """A packet no rule handles, even one that matches: it carries SACK
-    blocks, a FIN or an RST."""
-    return bool(pkt.flags & (TcpFlags.FIN | TcpFlags.RST) or pkt.options.sack_blocks)
-
-
 # -- engine ----------------------------------------------------------------------
 
 _SHARD_SALT = 0x5EED0001  # of the port -> worker hash (FlowEngine.shard_of)
+_FIN_RST = TcpFlags.FIN | TcpFlags.RST  # with SACK blocks, what no rule handles
+_tuple_new = tuple.__new__  # builds a Packet from its fields, as Packet's own __new__ does
 
 
 @dataclass
@@ -273,27 +269,29 @@ class FlowEngine:
     def process(self, pkt: Packet, now: float) -> tuple[Packet, Optional[int]]:
         """Each ingress packet is exactly one of: hairpinned by the effective
         rule that matches it, `(rewritten packet, None)`, or missed to the
-        steered worker, `(pkt, worker)`: no such rule, a packet that
-        `diverts`, one whose seq or ack the rule does not match, or one the
-        rule's divert takes."""
+        steered worker, `(pkt, worker)`: no such rule, a packet that carries
+        a FIN, an RST or SACK blocks, one whose seq or ack the rule does not
+        match, or one the rule's divert takes.  A hit reads the packet's
+        fields once and builds the hairpinned `Packet` in one positional
+        construction."""
         rule = self.rules.get(pkt.key)
         if rule is not None:
             if rule.gone_at is not None and rule.gone_at <= now:
                 del self.rules[pkt.key]
             elif now >= rule.ready_at:
-                payload = pkt.payload
-                if not diverts(pkt) \
-                        and (rule.seq is None or pkt.seq == rule.seq and not payload) \
-                        and (rule.ack is None or pkt.ack == rule.ack) \
-                        and not (payload and pkt.seq == rule.divert_seq):
+                _, seq, ack, flags, window, options, payload = pkt
+                if not (flags & _FIN_RST or options.sack_blocks) \
+                        and (rule.seq is None or seq == rule.seq and not payload) \
+                        and (rule.ack is None or ack == rule.ack) \
+                        and not (payload and seq == rule.divert_seq):
                     rule.last_hit = now
-                    rw = rule.rewrite
+                    out_key, seq_delta, ack_delta = rule.rewrite
                     self.stats.matched += 1
-                    return Packet(
-                        rw.key, (pkt.seq + rw.seq_delta) & 0xFFFFFFFF,
-                        (pkt.ack + rw.ack_delta) & 0xFFFFFFFF, pkt.flags,
-                        pkt.window, pkt.options, pkt.payload), None
-                if pkt.options.sack_blocks:
+                    return _tuple_new(Packet, (
+                        out_key, (seq + seq_delta) & 0xFFFFFFFF,
+                        (ack + ack_delta) & 0xFFFFFFFF, flags, window, options,
+                        payload)), None
+                if options.sack_blocks:
                     self.stats.sack_diverted += 1
         self.stats.missed += 1
         return pkt, self._steer(pkt)

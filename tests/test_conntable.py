@@ -157,6 +157,7 @@ def _check_against_reference_map(shared):
             for kk in expected:
                 del ref[kk]
                 del ref_expiry[kk]
+            assert len(t) == len(ref)
     assert dict(t.items()) == ref
 
 

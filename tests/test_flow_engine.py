@@ -13,6 +13,7 @@ from lbsim.flow_engine import (
     Rewrite,
     Rule,
     RuleConflictError,
+    delete_batch_seconds,
     delete_per_rule_us,
     insert_batch_seconds,
     insert_per_rule_us,
@@ -365,6 +366,7 @@ def test_rule_hairpins_exactly_its_rewrite(out_key, seq_delta, ack_delta, delete
         if effective and not (pkt.flags & (TcpFlags.FIN | TcpFlags.RST)
                               or pkt.options.sack_blocks):
             assert worker is None
+            assert type(out) is Packet
             assert out == Packet(
                 key=out_key, seq=(pkt.seq + seq_delta) % (1 << 32),
                 ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
@@ -401,6 +403,7 @@ def test_seq_rule_hairpins_only_payload_free_packets_at_its_seq(rule_seq, seq_de
         if (pkt.seq == rule_seq and not pkt.payload and not pkt.options.sack_blocks
                 and not pkt.flags & (TcpFlags.FIN | TcpFlags.RST)):
             assert worker is None
+            assert type(out) is Packet
             assert out == Packet(
                 key=S2C.reverse(), seq=(pkt.seq + seq_delta) % (1 << 32),
                 ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
@@ -410,3 +413,65 @@ def test_seq_rule_hairpins_only_payload_free_packets_at_its_seq(rule_seq, seq_de
             assert (out, worker) == (pkt, e._steer(pkt))
     assert e.stats.matched == hairpins
     assert e.stats.matched + e.stats.missed == len(arrivals)
+
+
+# added to a rule's value: at it, next to it, or anywhere
+_offsets = st.one_of(st.just(0), st.integers(-1, 1), _u32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_ack=_u32, divert_seq=_u32, seq_delta=_deltas, ack_delta=_deltas,
+       delete_at=st.one_of(st.none(), _times),
+       arrivals=st.lists(st.tuples(
+           st.one_of(st.floats(0.0, 1e-3), st.sampled_from(["ready", "gone"])),
+           st.sampled_from([S2C, S2C, S2C.reverse()]), _offsets, _offsets,
+           st.sampled_from([TcpFlags.ACK, TcpFlags.ACK | TcpFlags.PSH,
+                            TcpFlags.ACK | TcpFlags.FIN, TcpFlags.ACK | TcpFlags.RST]),
+           st.one_of(st.just(()), _sack_blocks),
+           st.one_of(st.just(b""), st.binary(min_size=1, max_size=8))),
+           min_size=1, max_size=12))
+def test_server_rule_with_an_ack_and_a_divert_hairpins_exactly_its_matches(
+        rule_ack, divert_seq, seq_delta, ack_delta, delete_at, arrivals):
+    """The shape `build_offload_rule` gives a re-targeted server rule: an
+    exact ack and a divert seq.  An effective rule hits a packet at that ack
+    that carries no FIN, RST or SACK blocks unless it has payload at the
+    divert seq, and a hit is exactly the rewrite, as a `Packet`.  Every
+    other packet comes back as the same object on its steered worker.  A
+    packet of the rule's key at or past the delete's `gone_at` drops the
+    rule.  `last_hit` and the engine's counts follow the same predicate."""
+    e = make_engine()
+    rule = Rule(S2C, Rewrite(C_OUT, seq_delta, ack_delta), ack=rule_ack,
+                divert_seq=divert_seq)
+    ready_at = e.insert_rules([rule], now=0.0)
+    due_gone = None if delete_at is None else delete_at + delete_batch_seconds(1)
+    moments = {"ready": ready_at, "gone": due_gone or 2 * ready_at}
+    gone_at, dropped, last_hit = None, False, rule.last_hit
+    matched = missed = sack_diverted = 0
+    for at, key, ack_off, seq_off, flags, sack_blocks, payload in sorted(
+            arrivals, key=lambda a: moments.get(a[0], a[0])):
+        now = moments.get(at, at)
+        if delete_at is not None and gone_at is None and now >= delete_at:
+            gone_at = e.delete_rules([rule.match], delete_at)
+            assert gone_at == due_gone
+        pkt = Packet(key, (divert_seq + seq_off) % (1 << 32), (rule_ack + ack_off) % (1 << 32),
+                     flags, 4096, TcpOptions(sack_blocks=sack_blocks), payload)
+        out, worker = e.process(pkt, now)
+        live = gone_at is None or now < gone_at
+        effective = key == S2C and now >= ready_at and live
+        if (effective and not (flags & (TcpFlags.FIN | TcpFlags.RST) or sack_blocks)
+                and pkt.ack == rule_ack and not (payload and pkt.seq == divert_seq)):
+            assert worker is None
+            assert type(out) is Packet
+            assert out == Packet(
+                C_OUT, (pkt.seq + seq_delta) % (1 << 32), (pkt.ack + ack_delta) % (1 << 32),
+                flags, 4096, pkt.options, payload)
+            last_hit, matched = now, matched + 1
+        else:
+            assert out is pkt and worker == e._steer(pkt)
+            missed += 1
+            sack_diverted += effective and bool(sack_blocks)
+        dropped = dropped or (key == S2C and not live)
+        assert rule.last_hit == last_hit
+        assert (S2C in e.rules) is not dropped
+    assert (e.stats.matched, e.stats.missed, e.stats.sack_diverted) == \
+        (matched, missed, sack_diverted)

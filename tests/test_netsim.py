@@ -617,6 +617,39 @@ def test_each_worker_shard_replayed_alone_emits_the_live_packets(params, seed):
     assert [k for k in want.keys() | got.keys() if want.get(k) != got.get(k)] == []
 
 
+def test_lb_hooks_replaced_on_the_instance_see_every_call():
+    """`engine.process`, `_emit`, `agent.sweep` and `engine.poll_aged`,
+    replaced on a live instance, see every LB ingress packet, every LB
+    egress packet (the offload manager's releases included) and every
+    housekeeping call: the simulator looks each up when it calls it.  A
+    capture that wraps them, as the replay tests above do, would otherwise
+    see only part of a run and still replay it without a mismatch."""
+    sim = Simulation(SimParams(
+        workload=WorkloadParams(connections=3, sizes=((1 << 10, 1.0), (512 << 10, 1.0)),
+                                requests_per_connection=(2, 4)),
+        drain=31.0), seed=3)
+    calls = dict.fromkeys(["process", "emit", "sweep", "poll"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    sim.engine.process = counted("process", sim.engine.process)
+    sim._emit = counted("emit", sim._emit)
+    sim.agent.sweep = counted("sweep", sim.agent.sweep)
+    sim.engine.poll_aged = counted("poll", sim.engine.poll_aged)
+    sim.run()
+    assert_streams_equal(sim)
+    es = sim.engine.stats
+    assert es.matched > 0 and sim.offload_mgr.stats["latch_waits"] > 0
+    assert calls["process"] == es.matched + es.missed
+    assert calls["emit"] == sim.link_lb2c.tx_packets + sim.link_lb2s.tx_packets
+    assert calls["sweep"] == sim.agent.counters["ttl_sweeps"] > 0
+    assert calls["poll"] > 0
+
+
 def _hairpins_checked(sim) -> tuple[int, int]:
     """Run `sim`, checking every hairpin against what the worker would emit
     from the live entry at that moment: `on_client_ack` for the client's
