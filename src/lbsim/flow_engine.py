@@ -2,12 +2,26 @@
 
 Every rule has one shape.  It matches one exact 5-tuple, and on a hit it
 applies its `Rewrite`: the packet gets the rule's output 5-tuple, a constant
-is added modulo 2^32 to its seq and another to its ack, and it is hairpinned
-back to the wire.  Flags, window, options and payload pass through as they
-came.  There are no range matches, payload reads or SACK rewrites.  A
-matched packet that carries a FIN, an RST or SACK blocks is diverted to the
-worker path: the worker rewrites SACK blocks, and it must see a connection
-end to tear its entry down.
+is added modulo 2^32 to its seq and another to its ack, the ack's constant
+is added to each SACK edge too, and the packet is hairpinned back to the
+wire.  Flags, window, the other options and payload pass through as they
+came.  There are no range matches or payload reads.  A matched packet that
+carries a FIN or an RST is diverted to the worker path, which must see a
+connection end to tear its entry down.  So is one with a SACK block whose
+left edge lies below its ACK (a D-SACK, RFC 2883): below the server rule's
+ACK lie the inserted bytes, which the worker maps block by block.
+
+SACK edges are sequence numbers in the ACK's space (RFC 2018), and every
+rule's ACK shift is exact from its ACK up: the client rule's ACKs are on
+the response stream, which has no insertions, and the server rule's every
+insertion lies below the exact ACK it matches (`build_offload_rule`).  So a
+block at or above the ACK maps by the ACK's constant, as the worker would
+map it.  The seq/ack rewrite models mlx5 modify-header, which does not
+reach TCP options.  The SACK shift assumes a NIC pipeline that parses TCP
+options and can add to their words, as the custom packet-processing
+accelerators the paper names can (a P4 or DPA datapath).  It is an action
+on the rule's one entry, not a match entry of its own, so it takes no slot
+and adds nothing to a rule's price.
 
 A rule may also match one exact TCP seq (`Rule.seq`, as mlx5 steering's
 `outer_tcp_seq_num`).  Such a rule hairpins only a payload-free packet that
@@ -28,7 +42,7 @@ response's start, which carries the response head the worker must read.
 
 The engine answers each packet with `(packet, worker)`: the rewritten
 packet and None on a hit, which hairpins it; the packet unchanged and its
-steered worker on a miss.
+steered worker on a miss.  `EngineStats` counts each miss under one cause.
 
 Rule updates cost time.  Per-rule insert/delete costs were measured at
 batch sizes 1, 2, 8 and 16; they are linearly interpolated in between and
@@ -54,7 +68,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conntable import mix64
-from .packet import FlowKey, Packet, TcpFlags
+from .packet import SEQ_HALF, FlowKey, Packet, TcpFlags, TcpOptions
 
 RULE_CAPACITY_DEFAULT = 65536
 RULE_IDLE_TIMEOUT = 10.0  # seconds without a hit before the engine reports a rule aged
@@ -142,19 +156,41 @@ def delete_batch_seconds(batch_size: int) -> float:
 # -- engine ----------------------------------------------------------------------
 
 _SHARD_SALT = 0x5EED0001  # of the port -> worker hash (FlowEngine.shard_of)
-_FIN_RST = TcpFlags.FIN | TcpFlags.RST  # with SACK blocks, what no rule handles
+_FIN_RST = TcpFlags.FIN | TcpFlags.RST  # a connection end: every rule diverts it
 _tuple_new = tuple.__new__  # builds a Packet from its fields, as Packet's own __new__ does
+
+
+def _shift_sack(options: TcpOptions, ack: int, delta: int) -> Optional[TcpOptions]:
+    """`options` with `delta` added to each SACK edge, modulo 2^32; None
+    when a block's left edge lies below `ack`."""
+    blocks = []
+    for left, right in options.sack_blocks:
+        if (left - ack) & 0xFFFFFFFF >= SEQ_HALF:
+            return None
+        blocks.append(((left + delta) & 0xFFFFFFFF, (right + delta) & 0xFFFFFFFF))
+    return _tuple_new(TcpOptions, (options.mss, options.sack_permitted, tuple(blocks)))
 
 
 @dataclass
 class EngineStats:
     matched: int = 0
-    missed: int = 0
+    missed: int = 0        # no_rule plus the five causes below: each miss counts once
     dropped: int = 0       # no rule drops; stays 0 in ingress = matched + missed + dropped
-    sack_diverted: int = 0
+    not_ready: int = 0     # a rule before its ready_at: installing or re-targeting
+    mismatched: int = 0    # a seq or ACK the rule does not match
+    fin_rst_diverted: int = 0
+    head_diverted: int = 0  # payload at the rule's divert seq
+    sack_diverted: int = 0  # a SACK block's left edge below the packet's ACK
     rules_inserted: int = 0
     rules_deleted: int = 0
     rules_retargeted: int = 0  # rules modified in place, a divert counted as one more
+
+    @property
+    def no_rule(self) -> int:
+        """Misses with no rule for the key, or one past its `gone_at`:
+        derived, so a packet with no rule counts nothing more than `missed`."""
+        return (self.missed - self.not_ready - self.mismatched - self.fin_rst_diverted
+                - self.head_diverted - self.sack_diverted)
 
 
 class FlowEngine:
@@ -269,21 +305,32 @@ class FlowEngine:
     def process(self, pkt: Packet, now: float) -> tuple[Packet, Optional[int]]:
         """Each ingress packet is exactly one of: hairpinned by the effective
         rule that matches it, `(rewritten packet, None)`, or missed to the
-        steered worker, `(pkt, worker)`: no such rule, a packet that carries
-        a FIN, an RST or SACK blocks, one whose seq or ack the rule does not
-        match, or one the rule's divert takes.  A hit reads the packet's
-        fields once and builds the hairpinned `Packet` in one positional
-        construction."""
+        steered worker, `(pkt, worker)`, under one cause: no such rule, a
+        rule not yet ready, a seq or ack the rule does not match, a FIN or
+        an RST, payload the rule's divert takes, or a SACK block below the
+        packet's ACK.  A hit reads the packet's fields once, shifts its SACK
+        edges by the ACK's constant when it carries any, and builds the
+        hairpinned `Packet` in one positional construction."""
         rule = self.rules.get(pkt.key)
         if rule is not None:
             if rule.gone_at is not None and rule.gone_at <= now:
                 del self.rules[pkt.key]
-            elif now >= rule.ready_at:
+            elif now < rule.ready_at:
+                self.stats.not_ready += 1
+            else:
                 _, seq, ack, flags, window, options, payload = pkt
-                if not (flags & _FIN_RST or options.sack_blocks) \
-                        and (rule.seq is None or seq == rule.seq and not payload) \
-                        and (rule.ack is None or ack == rule.ack) \
-                        and not (payload and seq == rule.divert_seq):
+                if not ((rule.seq is None or seq == rule.seq and not payload)
+                        and (rule.ack is None or ack == rule.ack)):
+                    self.stats.mismatched += 1
+                elif flags & _FIN_RST:
+                    self.stats.fin_rst_diverted += 1
+                elif payload and seq == rule.divert_seq:
+                    self.stats.head_diverted += 1
+                # a packet with no SACK blocks keeps its options object
+                elif options.sack_blocks and (options := _shift_sack(
+                        options, ack, rule.rewrite.ack_delta)) is None:
+                    self.stats.sack_diverted += 1
+                else:
                     rule.last_hit = now
                     out_key, seq_delta, ack_delta = rule.rewrite
                     self.stats.matched += 1
@@ -291,8 +338,6 @@ class FlowEngine:
                         out_key, (seq + seq_delta) & 0xFFFFFFFF,
                         (ack + ack_delta) & 0xFFFFFFFF, flags, window, options,
                         payload)), None
-                if options.sack_blocks:
-                    self.stats.sack_diverted += 1
         self.stats.missed += 1
         return pkt, self._steer(pkt)
 

@@ -106,7 +106,8 @@ def build_offload_rule(entry: ConnEntry, divert_seq: Optional[int] = None) -> Ru
     the end of the forwarded request bytes; shift seq/ack by the same
     constant deltas the worker path applies to them (every insertion lies
     below that ACK, so the insertion-aware ACK map collapses to a
-    constant), rewrite addresses to the client-facing flow, hairpin.  A
+    constant, and so does the map of a SACK block at or above it), rewrite
+    addresses to the client-facing flow, hairpin.  A
     server packet sent before the server took in the last request, such as
     a late resend of the previous response, carries a lower ACK and misses
     to the worker.  `divert_seq`, set on a re-target, sends the segment at
@@ -124,12 +125,14 @@ def build_offload_rule(entry: ConnEntry, divert_seq: Optional[int] = None) -> Ru
 
 def build_client_ack_rule(entry: ConnEntry) -> Rule:
     """The client rule of an offload's pair: rewrite the client's pure ACKs
-    toward the server, as `SpliceAgent.on_client_ack` does in the response
-    phase.  Its deltas are the negatives of the server rule's ack and seq
-    deltas.  It matches only the seq at the end of the request bytes
-    forwarded so far: the latch holds `fwd_hi` there until the pair is
-    re-targeted, and an ACK at any other seq (sent after a request the
-    latch holds) needs the worker's mapping."""
+    toward the server, SACK blocks included, as `SpliceAgent.on_client_ack`
+    does in the response phase.  Its deltas are the negatives of the server
+    rule's ack and seq deltas; the engine adds the ack delta to each SACK
+    edge too, since the response stream has no insertions.  It matches only
+    the seq at the end of the request bytes forwarded so far: the latch
+    holds `fwd_hi` there until the pair is re-targeted, and an ACK at any
+    other seq (sent after a request the latch holds) needs the worker's
+    mapping."""
     rewrite = Rewrite(
         key=entry.server_key,
         seq_delta=seq_sub(seq_add(entry.isn_lb_back, entry.total_inserted),

@@ -853,7 +853,11 @@ class SpliceAgent:
 
     def on_client_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         """Pure ACK from the client: constant-delta rewrite (it acknowledges
-        the response stream, which has no insertions), SACK blocks included."""
+        the response stream, which has no insertions), SACK blocks included.
+        An offload's client rule applies the same delta to the ACK and to
+        every SACK edge in the engine, so past its `ready_at` the worker
+        sees only the pure ACKs at a seq the rule does not match, or with a
+        SACK block below the ACK."""
         if entry.state is not SpliceState.ESTABLISHED:
             return []
         delta = seq_sub(entry.isn_server, entry.isn_lb_front)

@@ -20,7 +20,7 @@ from lbsim.flow_engine import (
 )
 from lbsim.netsim import Simulation, SimParams, TopologyParams, WorkloadParams
 from lbsim.netsim.sim import LB_ADDR, VIP_ADDR, VIP_PORT
-from lbsim.packet import FlowKey, Packet, TcpFlags, TcpOptions, seq_add
+from lbsim.packet import SEQ_HALF, FlowKey, Packet, TcpFlags, TcpOptions, seq_add, seq_sub
 
 VIP = (0x0A0000FE, 80)
 S2C = FlowKey(0x0A000010, 0x0A010001, 8080, 40000)  # backend -> LB
@@ -144,13 +144,47 @@ def test_full_action_chain_rewrites_and_hairpins():
     assert rule.last_hit == 0.1
 
 
-def test_sack_bearing_packet_diverts_to_worker():
+M = 1 << 32
+
+
+@pytest.mark.parametrize("ack_delta, ack, blocks, want_ack, want_blocks", [
+    # shifted down: the block at the ACK and the next cross below 0
+    (M - 100, 50, ((50, 60), (80, 120), (150, 300)),
+     M - 50, ((M - 50, M - 40), (M - 20, 20), (50, 200))),
+    # shifted up: an ACK and blocks just below 2^32 wrap past it
+    (100, M - 60, ((M - 60, M - 50), (M - 10, 20), (40, 90)),
+     40, ((40, 50), (90, 120), (140, 190))),
+])
+def test_sack_blocks_at_or_above_the_ack_shift_by_the_ack_delta(
+        ack_delta, ack, blocks, want_ack, want_blocks):
     e = make_engine()
-    e.insert_rules([Rule(S2C, shift(seq=1))], now=0.0)
-    pkt = Packet(key=S2C, flags=TcpFlags.ACK,
-                 options=TcpOptions(sack_blocks=((5, 10),)))
-    assert e.process(pkt, now=1.0) == (pkt, e._steer(pkt))  # untouched
-    assert e.stats.sack_diverted == 1
+    rule = Rule(S2C, shift(seq=1, ack=ack_delta))
+    e.insert_rules([rule], now=0.0)
+    pkt = Packet(key=S2C, seq=7, ack=ack, flags=TcpFlags.ACK,
+                 options=TcpOptions(sack_blocks=blocks))
+    out, worker = e.process(pkt, now=1.0)
+    assert worker is None
+    assert out == Packet(C_OUT, 8, want_ack, TcpFlags.ACK,
+                         options=TcpOptions(sack_blocks=want_blocks))
+    assert type(out.options) is TcpOptions
+    assert rule.last_hit == 1.0
+    assert (e.stats.matched, e.stats.missed, e.stats.sack_diverted) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("ack, blocks", [
+    (50, ((60, 90), (40, 50))),                # one block below, one above
+    (5, ((M - 10, M - 2),)),                   # below across the wrap
+])
+def test_a_sack_block_below_the_ack_diverts_to_worker(ack, blocks):
+    e = make_engine()
+    rule = Rule(S2C, shift(seq=1, ack=3))
+    e.insert_rules([rule], now=0.0)
+    pkt = Packet(key=S2C, ack=ack, flags=TcpFlags.ACK,
+                 options=TcpOptions(sack_blocks=blocks))
+    out, worker = e.process(pkt, now=1.0)
+    assert out is pkt and worker == e._steer(pkt)  # untouched
+    assert rule.last_hit == rule.ready_at  # a diverted packet is no hit
+    assert (e.stats.matched, e.stats.missed, e.stats.sack_diverted) == (0, 1, 1)
 
 
 @pytest.mark.parametrize("flag", [TcpFlags.FIN, TcpFlags.RST])
@@ -161,7 +195,7 @@ def test_fin_and_rst_divert_to_worker(flag):
     pkt = Packet(key=S2C, flags=TcpFlags.ACK | flag)
     assert e.process(pkt, now=1.0) == (pkt, e._steer(pkt))
     assert rule.last_hit == rule.ready_at  # a diverted packet is no hit
-    assert e.stats.sack_diverted == 0  # counts SACK-bearing packets only
+    assert (e.stats.fin_rst_diverted, e.stats.sack_diverted) == (1, 0)
     assert e.process(Packet(key=S2C, flags=TcpFlags.ACK), now=1.0)[1] is None
 
 
@@ -308,7 +342,8 @@ def test_divert_sends_payload_at_its_seq_to_the_worker():
     assert hit(77, b"")   # a pure ACK at that seq
     assert hit(78, b"x")  # data at any other seq
     assert hit(76, b"xy")
-    assert e.stats.matched == 3 and e.stats.sack_diverted == 0
+    assert e.stats.matched == 3 and e.stats.head_diverted == 1
+    assert e.stats.sack_diverted == 0
 
 
 def test_capacity_counts_the_divert():
@@ -330,53 +365,102 @@ _u16 = st.integers(0, (1 << 16) - 1)
 _deltas = st.one_of(_u32, st.integers(-(1 << 33), 1 << 33))
 _READY = insert_batch_seconds(1)  # a rule inserted at 0
 _times = st.one_of(st.floats(0.0, 1e-3), st.just(_READY))
-_sack_blocks = st.lists(
-    st.tuples(_u32, st.integers(1, 1 << 20)).map(lambda b: (b[0], seq_add(*b))),
-    max_size=3).map(tuple)
-_packets = st.builds(
-    Packet,
-    key=st.sampled_from([S2C, S2C.reverse(), FlowKey(0x0A000011, 0x0A010001, 8080, 40001)]),
-    seq=_u32, ack=_u32,
-    flags=st.sampled_from([TcpFlags.ACK, TcpFlags.ACK | TcpFlags.PSH,
-                           TcpFlags.ACK | TcpFlags.FIN, TcpFlags.ACK | TcpFlags.RST,
-                           TcpFlags.RST]),
-    window=_u16, options=st.builds(TcpOptions, sack_blocks=_sack_blocks),
-    payload=st.binary(max_size=8))
+# SACK blocks as (left edge - ack, length): at the ack, next to it, above
+# it within a window, or anywhere
+_sack_offsets = st.lists(
+    st.tuples(st.one_of(st.integers(-2, 2), st.integers(0, 1 << 20), _u32),
+              st.integers(1, 1 << 20)),
+    max_size=3)
+
+
+def blocks_at(ack, offsets):
+    """SACK blocks whose left edges lie `offsets` past `ack`, modulo 2^32."""
+    return tuple((seq_add(ack, off), seq_add(ack, off + n)) for off, n in offsets)
+
+
+@st.composite
+def _packets(draw):
+    ack = draw(_u32)
+    return Packet(
+        draw(st.sampled_from([S2C, S2C.reverse(),
+                              FlowKey(0x0A000011, 0x0A010001, 8080, 40001)])),
+        draw(_u32), ack,
+        draw(st.sampled_from([TcpFlags.ACK, TcpFlags.ACK | TcpFlags.PSH,
+                              TcpFlags.ACK | TcpFlags.FIN, TcpFlags.ACK | TcpFlags.RST,
+                              TcpFlags.RST])),
+        draw(_u16), TcpOptions(sack_blocks=blocks_at(ack, draw(_sack_offsets))),
+        draw(st.binary(max_size=8)))
+
+
+def sack_below_ack(pkt):
+    """A SACK block of `pkt` starts below its ack, in wrapping order."""
+    return any(seq_sub(left, pkt.ack) >= SEQ_HALF for left, _ in pkt.options.sack_blocks)
+
+
+def hairpinned(pkt, key, seq_delta, ack_delta):
+    """What a hit makes of `pkt`: the rule's key, and seq, ack and each
+    SACK edge shifted modulo 2^32; everything else as it came."""
+    blocks = tuple(((left + ack_delta) % (1 << 32), (right + ack_delta) % (1 << 32))
+                   for left, right in pkt.options.sack_blocks)
+    return Packet(key, (pkt.seq + seq_delta) % (1 << 32), (pkt.ack + ack_delta) % (1 << 32),
+                  pkt.flags, pkt.window, pkt.options._replace(sack_blocks=blocks),
+                  pkt.payload)
+
+
+CAUSES = ("no_rule", "not_ready", "mismatched", "fin_rst_diverted", "head_diverted",
+          "sack_diverted")
+
+
+def assert_hit(out, worker, want, pkt):
+    assert worker is None
+    assert type(out) is Packet and type(out.options) is TcpOptions
+    assert out == want
+    if not pkt.options.sack_blocks:
+        assert out.options is pkt.options
+
+
+def assert_causes(stats, tally):
+    """The engine counted each miss under the cause the model gave it."""
+    assert {c: getattr(stats, c) for c in CAUSES} == {c: tally.get(c, 0) for c in CAUSES}
+    assert sum(tally.values()) == stats.missed
 
 
 @settings(max_examples=300, deadline=None)
 @given(out_key=st.builds(FlowKey, _u32, _u32, _u16, _u16), seq_delta=_deltas,
        ack_delta=_deltas, delete_at=st.one_of(st.none(), _times),
-       arrivals=st.lists(st.tuples(_times, _packets), min_size=1, max_size=12))
+       arrivals=st.lists(st.tuples(_times, _packets()), min_size=1, max_size=12))
 def test_rule_hairpins_exactly_its_rewrite(out_key, seq_delta, ack_delta, delete_at,
                                            arrivals):
-    """A hit rewrites key, seq and ack and nothing else; every other packet
-    (another key, before ready_at, from gone_at on, or one that diverts)
-    comes back unchanged on its steered worker."""
+    """A hit rewrites key, seq, ack and SACK edges and nothing else; every
+    other packet (another key, before ready_at, from gone_at on, or one
+    that diverts: a FIN, an RST or a SACK block below its ack) comes back
+    unchanged on its steered worker, counted under its cause."""
     e = make_engine()
     rule = Rule(S2C, Rewrite(out_key, seq_delta, ack_delta))
     ready_at = e.insert_rules([rule], now=0.0)
-    gone_at, last_hit, hairpins, sack_diverted = None, rule.last_hit, 0, 0
+    gone_at, last_hit, hairpins, tally = None, rule.last_hit, 0, {}
     for now, pkt in sorted(arrivals, key=lambda a: a[0]):
         if delete_at is not None and gone_at is None and now >= delete_at:
             gone_at = e.delete_rules([rule.match], delete_at)
         out, worker = e.process(pkt, now)
-        effective = (pkt.key == S2C and now >= ready_at
-                     and (gone_at is None or now < gone_at))
-        if effective and not (pkt.flags & (TcpFlags.FIN | TcpFlags.RST)
-                              or pkt.options.sack_blocks):
-            assert worker is None
-            assert type(out) is Packet
-            assert out == Packet(
-                key=out_key, seq=(pkt.seq + seq_delta) % (1 << 32),
-                ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
-                window=pkt.window, options=pkt.options, payload=pkt.payload)
-            last_hit, hairpins = now, hairpins + 1
+        if pkt.key != S2C or gone_at is not None and now >= gone_at:
+            cause = "no_rule"
+        elif now < ready_at:
+            cause = "not_ready"
+        elif pkt.flags & (TcpFlags.FIN | TcpFlags.RST):
+            cause = "fin_rst_diverted"
+        elif sack_below_ack(pkt):
+            cause = "sack_diverted"
         else:
+            assert_hit(out, worker, hairpinned(pkt, out_key, seq_delta, ack_delta), pkt)
+            last_hit, hairpins = now, hairpins + 1
+            cause = None
+        if cause is not None:
             assert (out, worker) == (pkt, e._steer(pkt))
-            sack_diverted += effective and bool(pkt.options.sack_blocks)
+            tally[cause] = tally.get(cause, 0) + 1
         assert rule.last_hit == last_hit
-    assert (e.stats.matched, e.stats.sack_diverted) == (hairpins, sack_diverted)
+    assert e.stats.matched == hairpins
+    assert_causes(e.stats, tally)
     assert e.stats.matched + e.stats.missed == len(arrivals)
 
 
@@ -386,32 +470,36 @@ C2S = FlowKey(0x0A000001, VIP[0], 40000, VIP[1])  # client -> VIP
 @settings(max_examples=300, deadline=None)
 @given(rule_seq=_u32, seq_delta=_deltas, ack_delta=_deltas,
        arrivals=st.lists(st.tuples(st.one_of(st.just(0), st.integers(-2, 2), _u32),
-                                   _packets), min_size=1, max_size=12))
+                                   _packets()), min_size=1, max_size=12))
 def test_seq_rule_hairpins_only_payload_free_packets_at_its_seq(rule_seq, seq_delta,
                                                                 ack_delta, arrivals):
-    """A rule with a seq hairpins exactly its rewrite on a packet with no
+    """The client rule's shape.  A rule with a seq hairpins exactly its
+    rewrite, SACK edges shifted by the ack delta, on a packet with no
     payload at that seq that does not divert; a packet with payload at that
-    seq, a pure ACK at any other seq, and FIN, RST or SACK-bearing packets
-    go to the worker unchanged."""
+    seq, a pure ACK at any other seq, a FIN or an RST, and a packet with a
+    SACK block below its ack go to the worker unchanged, each counted under
+    its cause."""
     e = make_engine()
     rule = Rule(C2S, Rewrite(S2C.reverse(), seq_delta, ack_delta), seq=rule_seq)
     now = e.insert_rules([rule], now=0.0)
-    hairpins = 0
+    hairpins, tally = 0, {}
     for off, drawn in arrivals:
         pkt = drawn._replace(key=C2S, seq=(rule_seq + off) % (1 << 32))
         out, worker = e.process(pkt, now)
-        if (pkt.seq == rule_seq and not pkt.payload and not pkt.options.sack_blocks
-                and not pkt.flags & (TcpFlags.FIN | TcpFlags.RST)):
-            assert worker is None
-            assert type(out) is Packet
-            assert out == Packet(
-                key=S2C.reverse(), seq=(pkt.seq + seq_delta) % (1 << 32),
-                ack=(pkt.ack + ack_delta) % (1 << 32), flags=pkt.flags,
-                window=pkt.window, options=pkt.options, payload=pkt.payload)
-            hairpins += 1
+        if pkt.seq != rule_seq or pkt.payload:
+            cause = "mismatched"
+        elif pkt.flags & (TcpFlags.FIN | TcpFlags.RST):
+            cause = "fin_rst_diverted"
+        elif sack_below_ack(pkt):
+            cause = "sack_diverted"
         else:
-            assert (out, worker) == (pkt, e._steer(pkt))
+            assert_hit(out, worker, hairpinned(pkt, S2C.reverse(), seq_delta, ack_delta), pkt)
+            hairpins += 1
+            continue
+        assert (out, worker) == (pkt, e._steer(pkt))
+        tally[cause] = tally.get(cause, 0) + 1
     assert e.stats.matched == hairpins
+    assert_causes(e.stats, tally)
     assert e.stats.matched + e.stats.missed == len(arrivals)
 
 
@@ -427,18 +515,20 @@ _offsets = st.one_of(st.just(0), st.integers(-1, 1), _u32)
            st.sampled_from([S2C, S2C, S2C.reverse()]), _offsets, _offsets,
            st.sampled_from([TcpFlags.ACK, TcpFlags.ACK | TcpFlags.PSH,
                             TcpFlags.ACK | TcpFlags.FIN, TcpFlags.ACK | TcpFlags.RST]),
-           st.one_of(st.just(()), _sack_blocks),
+           st.one_of(st.just([]), _sack_offsets),
            st.one_of(st.just(b""), st.binary(min_size=1, max_size=8))),
            min_size=1, max_size=12))
 def test_server_rule_with_an_ack_and_a_divert_hairpins_exactly_its_matches(
         rule_ack, divert_seq, seq_delta, ack_delta, delete_at, arrivals):
     """The shape `build_offload_rule` gives a re-targeted server rule: an
     exact ack and a divert seq.  An effective rule hits a packet at that ack
-    that carries no FIN, RST or SACK blocks unless it has payload at the
-    divert seq, and a hit is exactly the rewrite, as a `Packet`.  Every
-    other packet comes back as the same object on its steered worker.  A
-    packet of the rule's key at or past the delete's `gone_at` drops the
-    rule.  `last_hit` and the engine's counts follow the same predicate."""
+    that carries no FIN or RST and no SACK block below its ack, unless it
+    has payload at the divert seq, and a hit is exactly the rewrite, SACK
+    edges shifted by the ack delta, as a `Packet`.  Every other packet
+    comes back as the same object on its steered worker, counted under its
+    cause.  A packet of the rule's key at or past the delete's `gone_at`
+    drops the rule.  `last_hit` and the engine's counts follow the same
+    predicate."""
     e = make_engine()
     rule = Rule(S2C, Rewrite(C_OUT, seq_delta, ack_delta), ack=rule_ack,
                 divert_seq=divert_seq)
@@ -446,32 +536,38 @@ def test_server_rule_with_an_ack_and_a_divert_hairpins_exactly_its_matches(
     due_gone = None if delete_at is None else delete_at + delete_batch_seconds(1)
     moments = {"ready": ready_at, "gone": due_gone or 2 * ready_at}
     gone_at, dropped, last_hit = None, False, rule.last_hit
-    matched = missed = sack_diverted = 0
-    for at, key, ack_off, seq_off, flags, sack_blocks, payload in sorted(
+    matched, tally = 0, {}
+    for at, key, ack_off, seq_off, flags, sack_offsets, payload in sorted(
             arrivals, key=lambda a: moments.get(a[0], a[0])):
         now = moments.get(at, at)
         if delete_at is not None and gone_at is None and now >= delete_at:
             gone_at = e.delete_rules([rule.match], delete_at)
             assert gone_at == due_gone
-        pkt = Packet(key, (divert_seq + seq_off) % (1 << 32), (rule_ack + ack_off) % (1 << 32),
-                     flags, 4096, TcpOptions(sack_blocks=sack_blocks), payload)
+        ack = (rule_ack + ack_off) % (1 << 32)
+        pkt = Packet(key, (divert_seq + seq_off) % (1 << 32), ack, flags, 4096,
+                     TcpOptions(sack_blocks=blocks_at(ack, sack_offsets)), payload)
         out, worker = e.process(pkt, now)
         live = gone_at is None or now < gone_at
-        effective = key == S2C and now >= ready_at and live
-        if (effective and not (flags & (TcpFlags.FIN | TcpFlags.RST) or sack_blocks)
-                and pkt.ack == rule_ack and not (payload and pkt.seq == divert_seq)):
-            assert worker is None
-            assert type(out) is Packet
-            assert out == Packet(
-                C_OUT, (pkt.seq + seq_delta) % (1 << 32), (pkt.ack + ack_delta) % (1 << 32),
-                flags, 4096, pkt.options, payload)
-            last_hit, matched = now, matched + 1
+        if key != S2C or not live:
+            cause = "no_rule"
+        elif now < ready_at:
+            cause = "not_ready"
+        elif pkt.ack != rule_ack:
+            cause = "mismatched"
+        elif flags & (TcpFlags.FIN | TcpFlags.RST):
+            cause = "fin_rst_diverted"
+        elif payload and pkt.seq == divert_seq:
+            cause = "head_diverted"
+        elif sack_below_ack(pkt):
+            cause = "sack_diverted"
         else:
+            assert_hit(out, worker, hairpinned(pkt, C_OUT, seq_delta, ack_delta), pkt)
+            last_hit, matched, cause = now, matched + 1, None
+        if cause is not None:
             assert out is pkt and worker == e._steer(pkt)
-            missed += 1
-            sack_diverted += effective and bool(sack_blocks)
+            tally[cause] = tally.get(cause, 0) + 1
         dropped = dropped or (key == S2C and not live)
         assert rule.last_hit == last_hit
         assert (S2C in e.rules) is not dropped
-    assert (e.stats.matched, e.stats.missed, e.stats.sack_diverted) == \
-        (matched, missed, sack_diverted)
+    assert e.stats.matched == matched
+    assert_causes(e.stats, tally)
