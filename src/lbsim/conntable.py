@@ -30,13 +30,13 @@ Two storages back the same algorithm:
                      can hammer one table.  Only tests use it today (the
                      reference-map and multi-process tests in
                      tests/test_conntable.py); the simulator and the
-                     benchmark run on ListStorage.
+                     benchmark run on ListStorage.  It imports mmap and
+                     multiprocessing when one is built, so importing this
+                     module, or the simulator, loads neither.
 """
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing as mp
 import threading
 from dataclasses import dataclass
 from itertools import compress
@@ -156,6 +156,10 @@ class SharedMemStorage:
     values_are_ints = True
 
     def __init__(self, n_slots: int):
+        # imported here: only this storage needs them, and only tests build it
+        import mmap
+        import multiprocessing as mp
+
         self._mm = mmap.mmap(-1, n_slots * _SLOT_WORDS * 8)
         self._q = memoryview(self._mm).cast("Q")
         self._d = memoryview(self._mm).cast("d")

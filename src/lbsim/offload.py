@@ -13,11 +13,11 @@ rule work of a connection's first offload: one install and one delete of
 the pair, at the deleter's batch size.  Each later response on that
 connection pays a re-target instead (three rule slots, see below) and no
 delete; the formula does not price that difference, and its threshold is
-unchanged.  The first response's install window, during which a warm
-connection's open window of data and ACKs still passes through the
-worker, is not priced either.  A later response has no such window: the
-latch holds its request until the re-targeted rules are ready, so a
-re-target costs the request latency, not worker packets.
+unchanged.  No offloaded response pays its rules' window in worker packets,
+only in latency: the first response's is the hold's (below), later ones'
+the latch's, which holds the request until the re-targeted rules are
+ready.  Of a first response, only the server's first flight, which
+reaches the LB while the pair installs, still passes through a worker.
 
 An offload is a pair of rules, installed in one batch: the server rule
 rewrites the response's data toward the client, and the client rule
@@ -35,8 +35,22 @@ the deleter has seen both rules go.
 Rule lifecycle:
 
 - Install when a connection's first large response crosses the threshold,
-  without waiting for it (workers keep rewriting identically until the
-  rules turn ready), and keep the pair for the rest of the connection.
+  and keep the pair for the rest of the connection.  Until the install is
+  ready the entry holds what the worker sends toward the client (`held`:
+  the head that crossed the threshold, later data, relayed server ACKs, a
+  server FIN), in arrival order, and the manager emits it at the ready
+  time.  The client's first ACK of the response then leaves after the
+  rules are ready, so its ACKs and the server's later flights hairpin.
+  Held packets leave before any hairpin of their flow: until the ready
+  time every packet of the flow misses to the worker, which holds it, and
+  at that time the release runs before every event scheduled after the
+  install (a server packet already on the link at the install passes it
+  only by arriving at exactly that time).  The hold keeps no more payload
+  than the client's advertised window: the packet that would pass it
+  leaves at once with everything held, and the hold closes for this
+  response.  An RST from either side, an abort or the entry's removal
+  drops what it holds.  A refused install, a response past the reach
+  bound and a re-target hold nothing.
 - Re-target once per later request.  The client ACK that covers the whole
   response is hairpinned, so the worker sees completion on the next client
   packet the engine diverts to it: usually the next request, which the
@@ -183,7 +197,7 @@ class OffloadManager:
             self.stats["offloads_below_threshold"] += 1
             return
         try:
-            self.engine.insert_rules(
+            done = self.engine.insert_rules(
                 (build_offload_rule(entry), build_client_ack_rule(entry)), now)
         except (RuleConflictError, EngineCapacityError):
             self.stats["install_refusals"] += 1
@@ -191,6 +205,26 @@ class OffloadManager:
         entry.offloaded = True
         self._by_rule[entry.server_in_key] = self._by_rule[entry.client_key] = entry
         self.stats["rules_installed"] += 1
+        held = entry.held = []
+
+        def release(t: float) -> None:
+            if entry.held is held:  # not dropped, and not closed by the window cap
+                entry.held = None
+                self.emit(held, t)
+
+        self.schedule(done, release)
+
+    def hold(self, entry: ConnEntry, out: list[Packet]) -> list[Packet]:
+        """Add the worker's packets toward the client to the entry's open
+        hold; what leaves now.  Packets that would take the held payload
+        past the client's advertised window leave with everything held,
+        and the hold closes for this response."""
+        held = entry.held
+        held += out
+        if sum(len(p.payload) for p in held) <= entry.client_window:
+            return []
+        entry.held = None
+        return held
 
     def on_response_complete(self, entry: ConnEntry, now: float) -> None:
         """The response the pair serves is complete: the next request may
@@ -210,6 +244,7 @@ class OffloadManager:
         self._enqueue_delete(entry, now)
 
     def on_entry_removed(self, entry: ConnEntry, now: float) -> None:
+        entry.held = None  # an RST, an abort or a close drops the held packets
         self._enqueue_delete(entry, now)
 
     def on_rules_aged(self, matches: list[FlowKey], now: float) -> None:

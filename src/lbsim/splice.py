@@ -91,10 +91,12 @@ class InsertionPoint:
     path that resends them: a client segment that covers sender_off again
     before then carries them again (`_emit_spliced`).  When a server
     ACK first passes recv_end, fold_after records the server-stream offset
-    one past the highest server byte the agent has relayed, or the client's
-    ACK if that is higher.  Every server byte at or beyond it reached the
-    client with an ACK at or past sender_off: through the agent, it followed
-    that server ACK on a FIFO link and carries a higher ACK; through the
+    one past the highest server byte the agent has relayed or holds, or the
+    client's ACK if that is higher.  Every server byte at or beyond it
+    reached the client with an ACK at or past sender_off: through the
+    agent, it followed that server ACK on a FIFO link and carries a higher
+    ACK (a hold keeps the worker's packets in arrival order and releases
+    them before any hairpin of their flow, see offload.py); through the
     flow engine, it carries the ACK of the whole request, as the server
     rule hits only packets that ACK the forwarded request's end.
     So once the client ACKs such a byte, it has taken in an ACK at or past
@@ -405,7 +407,7 @@ class ConnEntry:
 
     # s2c (offsets in the server stream)
     client_acked: int = 0              # the client's cumulative ACK
-    relayed_hi: int = 0                # past the server bytes and FIN the agent relayed
+    relayed_hi: int = 0                # past the server bytes and FIN the agent relayed or holds
     resp_head_buf: Optional[StreamBuf] = None  # the next response head from its base
     resp_end: Optional[int] = None     # where the current response ends
     resp_len: Optional[int] = None     # Content-Length of the current response
@@ -420,6 +422,11 @@ class ConnEntry:
     offloaded: bool = False
     retarget_due: bool = False         # the pair's response is complete: re-target on the next request
     deferred: list[Packet] = field(default_factory=list)
+    # while a pair's first install is not ready: the worker's packets toward
+    # the client, in arrival order, at most the client's window of payload,
+    # for the manager to emit at the ready time (see offload.py); None when
+    # no hold is open
+    held: Optional[list[Packet]] = None
 
     client_fin: Optional[int] = None   # client-stream offset of the client's FIN
     server_fin: Optional[int] = None   # server-stream offset of the server's FIN
@@ -882,6 +889,8 @@ class SpliceAgent:
     # -- server-side packets --------------------------------------------------------
 
     def _on_server_packet(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
+        """A server packet's output, which waits while a hold is open
+        (`ConnEntry.held`, `OffloadManager.hold`)."""
         if entry.state is not SpliceState.ESTABLISHED:
             return []
         flags = pkt.flags
@@ -895,6 +904,8 @@ class SpliceAgent:
         if flags & TcpFlags.FIN:
             out += self._on_server_fin(pkt, entry, now)
         self._maybe_close(entry, now)
+        if entry.held is not None and out:
+            return self.offload.hold(entry, out)
         return out
 
     def on_server_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
@@ -999,8 +1010,8 @@ class SpliceAgent:
     def _abort(self, entry: ConnEntry, now: float) -> list[Packet]:
         """Reset the client, and the backend once its SYN went out, and drop
         the entry.  The client's RST carries the highest client-facing seq
-        that may have been sent: past the server bytes the agent relayed, or
-        the client's ACK if that is higher, or, while an offload pair lives
+        that may have been sent: past the server bytes the agent relayed or
+        holds, or the client's ACK if that is higher, or, while an offload pair lives
         and the response's end is known, past that end, the last byte the
         server rule may have hairpinned.  Mid-response the client's RCV.NXT
         may lie below that, so a client that checks an RST's seq exactly

@@ -1,5 +1,8 @@
 import multiprocessing as mp
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -14,6 +17,7 @@ from lbsim.conntable import (
     _hash_pair,
     mix64,
 )
+import lbsim
 from lbsim.packet import FlowKey
 
 DELTA = 60.0
@@ -330,6 +334,22 @@ def _mp_worker(table, keys, seed, n_ops, out):
         else:
             table.remove(k)
     out.put(bad)
+
+
+def test_the_simulator_loads_no_multiprocessing():
+    """Only SharedMemStorage needs mmap and multiprocessing, and it imports
+    them when built: a fresh interpreter that imports the simulator and runs
+    a small simulation has loaded neither."""
+    code = ("import sys\n"
+            "from lbsim.netsim.sim import Simulation, SimParams\n"
+            "Simulation(SimParams(), seed=1).run()\n"
+            "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(lbsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_shared_memory_table_multiprocess_stress():

@@ -437,22 +437,22 @@ def test_seeded_lossy_offload_run_is_pinned():
     egress = record_egress(sim)
     sim.run()
     assert_streams_equal(sim)
-    assert sim.queue.processed == 12976
-    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (6404, 93)
+    assert sim.queue.processed == 12955
+    assert (sim.engine.stats.matched, sim.engine.stats.missed) == (6428, 64)
     endpoint_stats = {}
     for ep in [s.endpoint for s in sim.sessions] + list(sim.server_host.endpoints.values()):
         for name, n in ep.stats.items():
             endpoint_stats[name] = endpoint_stats.get(name, 0) + n
     assert endpoint_stats == {
-        "retransmits": 67, "rto_fires": 8, "fast_retransmits": 44,
-        "segments_tx": 3305, "acks_tx": 3249, "bytes_delivered": 4719125}
+        "retransmits": 64, "rto_fires": 2, "fast_retransmits": 45,
+        "segments_tx": 3302, "acks_tx": 3247, "bytes_delivered": 4719125}
     assert sim.agent.counters == {
         "syn_rx": 3, "synack_tx": 3, "entries_created": 3, "resets_tx": 0,
-        "c2s_data_pkts": 6, "s2c_data_pkts": 30, "acks_suppressed": 0,
+        "c2s_data_pkts": 5, "s2c_data_pkts": 31, "acks_suppressed": 0,
         "inserted_bytes_tx": 108, "inserted_bytes_retx": 0,
-        "forwarded_payload_bytes": 44051, "entries_removed": 3,
+        "forwarded_payload_bytes": 45511, "entries_removed": 3,
         "cookie_failures": 0, "deferred_pkts": 1, "ttl_sweeps": 1}
-    assert egress_digest(egress) == "03354eab5114e54f70f937d708fa569f"
+    assert egress_digest(egress) == "da7779131ad936265a403c06fab9acb4"
 
 
 def test_seeded_keepalive_worker_run_is_pinned():
@@ -521,7 +521,7 @@ def test_keepalive_endpoints_hold_only_their_unacked_stream():
 
 @pytest.mark.parametrize("pin, mode, processed, engine_counts, digest", [
     (LOSSY_PIN, "never", 12969, (0, 6497, 0), "9e4345c7a615b6255594d5312491ebc6"),
-    (KEEPALIVE_PIN, "always", 20332, (7438, 2390, 60), "6513614701864118ab6bdc97141cd801"),
+    (KEEPALIVE_PIN, "always", 20364, (7578, 2250, 60), "379bacdb8a6129ddf34eb752763d12b5"),
 ], ids=["lossy_never", "keepalive_always"])
 def test_seeded_runs_in_the_other_offload_modes_are_pinned(
         pin, mode, processed, engine_counts, digest):
@@ -838,6 +838,44 @@ def test_warm_responses_stay_off_the_worker():
     assert all(r.offloaded for r in sim.response_log)
     now = sim.queue.now
     assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["auto", "always"])
+@pytest.mark.parametrize("params", [
+    SimParams(workload=WorkloadParams(connections=3, sizes=((2 << 20, 1.0), (4 << 20, 3.0)),
+                                      requests_per_connection=(1, 3))),
+    KEEPALIVE_PIN[0],
+], ids=["bulk", "keepalive"])
+def test_no_lossless_run_delivers_a_segment_out_of_order(params, seed, mode):
+    """With no loss, every endpoint receives each segment at its rcv_nxt:
+    the packets the worker holds while a first pair installs leave before
+    any hairpin of their flow, and a released request before the ACKs
+    that follow it."""
+    sim = Simulation(dataclasses.replace(params, offload_mode=mode), seed)
+    ahead = []
+
+    def watch(ep):
+        on_segment = ep.on_segment
+
+        def checked(pkt, now):
+            if (pkt.payload or pkt.flags & TcpFlags.FIN) and not pkt.flags & TcpFlags.SYN \
+                    and ep._seq_off(pkt.seq) > ep.rcv_nxt:
+                ahead.append((now, pkt))
+            on_segment(pkt, now)
+        ep.on_segment = checked
+        return ep
+
+    new_endpoint = sim.new_endpoint
+    sim.new_endpoint = lambda *args: watch(new_endpoint(*args))
+    for s in sim.sessions:
+        watch(s.endpoint)
+    sim.run()
+    assert_streams_equal(sim)
+    # the keep-alive run's responses all stay below the `auto` threshold
+    offloads = mode == "always" or params is not KEEPALIVE_PIN[0]
+    assert (sim.offload_mgr.stats["rules_installed"] > 0) == offloads
+    assert ahead == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

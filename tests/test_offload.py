@@ -48,6 +48,7 @@ class Sim:
         self.n = 0
         self.now = 0.0
         self.emitted = []
+        self.emit_times = []  # the time each packet of `emitted` left
 
     def schedule(self, at, fn):
         heapq.heappush(self.q, (at, self.n, fn))
@@ -55,6 +56,7 @@ class Sim:
 
     def emit(self, pkts, now):
         self.emitted.extend(pkts)
+        self.emit_times.extend([now] * len(pkts))
 
     def run_until(self, t):
         while self.q and self.q[0][0] <= t:
@@ -247,12 +249,15 @@ def test_single_removal_flushes_on_timeout_at_batch1_cost():
 def test_next_request_held_until_rule_clean_then_replayed():
     """The next request waits in the latch until the response completes and
     the pair is re-targeted at it, and leaves, with its insertion, only
-    when the re-targeted rules are ready."""
+    when the re-targeted rules are ready.  The response head, held while
+    the pair installs, leaves when the installed rules are ready."""
     agent, engine, sim, mgr = offload_setup()
     ck, entry = established_entry(agent)
-    agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
-                        worker_id=shard_of(ck.src_port))
+    assert agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
+                               worker_id=shard_of(ck.src_port)) == []
     assert entry.offloaded
+    installed = engine.rules[ck].ready_at
+    assert installed == pytest.approx(1.0 + insert_batch_seconds(2))
     req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
     pkt2 = Packet(key=ck, seq=seq_add(1000, len(GET)),
                   ack=seq_add(entry.isn_lb_front, 1),
@@ -264,8 +269,10 @@ def test_next_request_held_until_rule_clean_then_replayed():
     ready_at = engine.rules[ck].ready_at
     assert ready_at == pytest.approx(2.0 + insert_batch_seconds(3))
     sim.run_until(ready_at - 1e-9)
-    assert not sim.emitted
+    assert sim.emit_times == [installed]  # the head alone
+    assert sim.emitted[0].key == ck.reverse()
     sim.run_until(3.0)
+    assert set(sim.emit_times[1:]) == {ready_at}
     assert mgr._kept(entry)  # kept, and re-targeted at the request
     assert engine.rules[ck].seq == seq_add(1000, len(GET + req2))
     assert not entry.deferred
@@ -279,7 +286,7 @@ def test_held_resend_replayed_with_its_insertion_still_live():
     ck, entry = established_entry(agent)
     w = shard_of(ck.src_port)
     head = first_response_pkt(entry, 4 << 20)  # its ACK passes the insertion
-    agent.handle_packet(head, 1.0, worker_id=w)
+    assert agent.handle_packet(head, 1.0, worker_id=w) == []
     assert entry.offloaded
     # the client saw no ACK: it resends its request with the next one, and
     # the latch holds the segment
@@ -294,9 +301,130 @@ def test_held_resend_replayed_with_its_insertion_still_live():
                                flags=TcpFlags.ACK), 3.0, worker_id=w)
     sim.run_until(4.0)
     assert not entry.deferred
+    # the head, held while the pair installed, left when it was ready; the
+    # request, when the re-targeted pair was
+    assert sim.emit_times[0] == pytest.approx(1.0 + insert_batch_seconds(2))
+    assert sim.emitted[0].key == ck.reverse()
+    assert set(sim.emit_times[1:]) == {3.0 + insert_batch_seconds(3)}
     # the ACKed insertion's bytes are skipped; the rest of the first request,
     # req2 and req2's insertion leave as one run
-    assert spliced_payloads(entry, sim.emitted)[:2] == [(0, 30), (57, 2 + 32 + 27)]
+    assert spliced_payloads(entry, sim.emitted[1:])[:2] == [(0, 30), (57, 2 + 32 + 27)]
+
+
+def held_flight(entry, n, fin=False):
+    """The first response's head, then n full segments of its body, as the
+    server sends them, then a FIN when `fin`."""
+    head = first_response_pkt(entry, 4 << 20)
+    pkts = [head]
+    for i in range(n):
+        pkts.append(head._replace(seq=seq_add(head.seq, len(head.payload) + 1460 * i),
+                                  payload=bytes([i]) * 1460))
+    if fin:
+        pkts.append(head._replace(seq=seq_add(head.seq, len(head.payload) + 1460 * n),
+                                  flags=TcpFlags.ACK | TcpFlags.FIN, payload=b""))
+    return pkts
+
+
+def test_the_first_install_holds_the_response_until_its_pair_is_ready():
+    """While the first pair installs, the worker's packets toward the client,
+    the head that triggered the install, later data and a relayed server
+    ACK, wait on the entry; they leave in arrival order at the install's
+    ready time, none earlier, as the worker would have sent them."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    pkts = held_flight(entry, 3)
+    pkts.insert(2, pkts[0]._replace(seq=pkts[2].seq, flags=TcpFlags.ACK, payload=b""))
+    ready_at = 1.0 + insert_batch_seconds(2)
+    want = []
+    for i, pkt in enumerate(pkts):
+        now = 1.0 + i * 10e-6
+        assert agent.handle_packet(pkt, now, worker_id=w) == []
+        want.append(pkt._replace(key=ck.reverse(),
+                                 seq=seq_add(pkt.seq, seq_sub(entry.isn_lb_front,
+                                                              entry.isn_server)),
+                                 ack=seq_add(1000, len(GET))))
+    assert engine.rules[ck].ready_at == ready_at
+    assert entry.relayed_hi == len(pkts[0].payload) + 3 * 1460  # held bytes count
+    sim.run_until(ready_at - 1e-9)
+    assert sim.emitted == []
+    sim.run_until(ready_at)
+    assert sim.emitted == want and sim.emit_times == [ready_at] * len(want)
+    assert entry.held is None
+    later = pkts[-1]._replace(seq=seq_add(pkts[-1].seq, 1460))
+    assert len(agent.handle_packet(later, ready_at, worker_id=w)) == 1  # the hold is over
+
+
+def test_a_server_fin_in_the_hold_leaves_after_the_held_data():
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    pkts = held_flight(entry, 2, fin=True)
+    for pkt in pkts:
+        assert agent.handle_packet(pkt, 1.0, worker_id=w) == []
+    sim.run_until(2.0)
+    assert [bool(p.flags & TcpFlags.FIN) for p in sim.emitted] == [False] * 3 + [True]
+    assert [p.payload for p in sim.emitted[:3]] == [p.payload for p in pkts[:3]]
+    fin = sim.emitted[-1]
+    assert fin.seq == seq_add(sim.emitted[2].seq, 1460) and not fin.payload
+
+
+@pytest.mark.parametrize("close", ["client_rst", "server_rst", "abort"])
+def test_teardown_in_the_hold_drops_the_held_packets(close):
+    """An RST from either side, or an abort, drops what the hold keeps: the
+    RST itself leaves at once, and nothing leaves at the ready time."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    head, data = held_flight(entry, 1)
+    for pkt in (head, data):
+        assert agent.handle_packet(pkt, 1.0, worker_id=w) == []
+    if close == "abort":
+        out = agent._abort(entry, 1.0001)
+    else:
+        key, seq = (ck, 1000) if close == "client_rst" else (entry.server_in_key, data.seq)
+        out = agent.handle_packet(Packet(key=key, seq=seq, flags=TcpFlags.RST), 1.0001,
+                                  worker_id=w)
+    assert out and all(p.flags & TcpFlags.RST for p in out)
+    if close == "abort":
+        rst = next(p for p in out if p.key == ck.reverse())
+        # past the held bytes, though the client never saw them
+        assert seq_sub(rst.seq, seq_add(entry.isn_lb_front, 1)) >= entry.relayed_hi
+    assert entry.closed and entry.held is None
+    sim.run_until(2.0)
+    assert sim.emitted == []
+
+
+def test_the_hold_never_keeps_more_than_the_clients_window():
+    """The packet that would take the held payload past the client's
+    advertised window leaves with everything held, and the hold closes:
+    later packets pass at once, and nothing leaves at the ready time."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = established_entry(agent)
+    w = shard_of(ck.src_port)
+    entry.client_window = 3000
+    pkts = held_flight(entry, 4)
+    for pkt in pkts[:3]:  # the head and 2920 bytes: 2964 held
+        assert agent.handle_packet(pkt, 1.0, worker_id=w) == []
+        assert sum(len(p.payload) for p in entry.held) <= entry.client_window
+    out = agent.handle_packet(pkts[3], 1.0, worker_id=w)
+    assert [p.payload for p in out] == [p.payload for p in pkts[:4]]
+    assert entry.held is None
+    assert [p.payload for p in agent.handle_packet(pkts[4], 1.0, worker_id=w)] == \
+        [pkts[4].payload]
+    sim.run_until(2.0)
+    assert sim.emitted == []
+
+
+def test_a_retarget_opens_no_hold():
+    """A later response's rule window is the latch's: its head, which the
+    re-targeted rule diverts to the worker, leaves at once."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry = retargeted_at_req2(agent, engine, sim, mgr, 4 << 20)
+    head = diverted_head(engine, entry, response_head(4 << 20))
+    out = agent.handle_packet(head, 3.0, worker_id=shard_of(ck.src_port))
+    assert [p.payload for p in out] == [head.payload]
+    assert entry.resp_len == 4 << 20 and entry.held is None
 
 
 def test_abort_mid_offload_resets_the_client_past_the_hairpinned_bytes():
@@ -375,6 +503,7 @@ def test_a_response_past_the_reach_bound_stays_on_the_worker(slack, offloads):
     agent.handle_packet(first_response_pkt(entry, body_len), 1.0, worker_id=w)
     assert entry.resp_end + 1 == UNWRAP_ABOVE + slack
     assert entry.offloaded == offloads
+    assert (entry.held is not None) == offloads  # a response past the bound holds nothing
     out = agent.handle_packet(Packet(key=ck, seq=seq_add(1000, len(GET)),
                                      ack=seq_add(entry.isn_lb_front, 1),
                                      flags=TcpFlags.ACK | TcpFlags.PSH, payload=REQ2),
@@ -523,6 +652,7 @@ def test_a_reused_client_tuple_waits_for_the_previous_pair_to_go():
         assert engine.process(pkt, t) == (pkt, w)
         out += agent.handle_packet(pkt, t, worker_id=w)
     assert mgr.stats["install_refusals"] == 1 and not new.offloaded
+    assert new.held is None  # a refused install holds nothing
     front = seq_add(new.isn_lb_front, 1)
     got = {seq_sub(p.seq, front): p.payload for p in out if p.key == ck.reverse()}
     assert b"".join(got[off] for off in sorted(got)) == head.payload + body
