@@ -318,16 +318,14 @@ class OffloadManager:
             self._flush(now)
 
     def _flush(self, now: float) -> None:
-        """Delete up to `DELETE_BATCH_MAX` rules in one batch, whole pairs only."""
+        """Delete every pending pair's rules in one batch, at most
+        `DELETE_BATCH_MAX`: `_enqueue_delete` flushes at a full batch."""
         self._timer_gen += 1  # cancel any armed timer
-        batch = self.pending[:DELETE_BATCH_PAIRS]
-        self.pending = self.pending[len(batch):]
+        batch, self.pending = tuple(self.pending), []
         done = self.engine.delete_rules(
             [key for e in batch for key in (e.server_in_key, e.client_key)], now)
         self.stats["delete_batches"] += 1
-        self.schedule(done, lambda t, b=tuple(batch): self._deletion_done(b, t))
-        if self.pending:
-            self._arm_timer(now)
+        self.schedule(done, lambda t: self._deletion_done(batch, t))
 
     def _deletion_done(self, batch: tuple[ConnEntry, ...], now: float) -> None:
         for entry in batch:

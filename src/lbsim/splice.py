@@ -484,20 +484,13 @@ def _note_server_ack(entry: ConnEntry, a: int) -> None:
             pt.fold_after = max(entry.relayed_hi, entry.client_acked)
 
 
-def clamped_ack_s2c(entry: ConnEntry, ack_in: int) -> int:
-    """ACK-field rewrite for server data segments: never suppressed, the
-    value clamps to the last client byte fully covered."""
-    a = entry.recv_off(ack_in)
-    _note_server_ack(entry, a)
-    return entry.ack_to_client(a)
-
-
 def rewrite_s2c(entry: ConnEntry, pkt: Packet, a: Optional[int] = None) -> Packet:
-    """A server data segment or relayed pure ACK as the worker sends it to
-    the client, computed without changing the entry: address swap, constant
-    seq shift (no insertions server->client), the ACK clamped to the last
-    client byte fully covered, SACK blocks mapped to client space.  `a` is
-    the packet's ACK as a receiver offset, when the caller has read it."""
+    """A server packet as the worker relays it to the client (data, FIN or
+    pure ACK, `SpliceAgent.on_server_packet`), computed without changing
+    the entry: address swap, constant seq shift (no insertions
+    server->client), the ACK clamped to the last client byte fully
+    covered, SACK blocks mapped to client space.  `a` is the packet's ACK
+    as a receiver offset, when the caller has read it."""
     if a is None:
         a = entry.recv_off(pkt.ack)
     # fields in order (key, seq, ack, flags, window, options, payload): the
@@ -580,7 +573,7 @@ class SpliceAgent:
             return self.on_backend_synack(pkt, entry, now)
         if pkt.key == entry.client_key:
             return self._on_client_packet(pkt, entry, now)
-        return self._on_server_packet(pkt, entry, now)
+        return self.on_server_packet(pkt, entry, now)
 
     def _is_to_vip(self, key: FlowKey) -> bool:
         return key.dst_addr == self.vip_addr and key.dst_port == self.vip_port
@@ -626,10 +619,14 @@ class SpliceAgent:
             return []
         entry.isn_server = pkt.seq
         entry.state = SpliceState.ESTABLISHED
-        # the parser takes the first head from the buffer it waited in
+        # the parser takes the first head from the buffer it waited in, and
+        # a client FIN that came meanwhile follows it
         buf = entry.head_buf
-        return [self._pure_ack_to_server(entry)] + \
+        out = [self._pure_ack_to_server(entry)] + \
             self._ingest_new_data(bytes(buf.data), buf.base, entry, now)
+        if entry.client_fin is not None and not entry.closed:
+            out.append(self._fin_to_server(entry))
+        return out
 
     def _pure_ack_to_server(self, entry: ConnEntry) -> Packet:
         return Packet(key=entry.server_key, seq=entry.seq_to_server(entry.fwd_hi),
@@ -661,7 +658,7 @@ class SpliceAgent:
             out = self.on_client_ack(pkt, entry, now)
         else:
             out = []
-        if flags & TcpFlags.FIN:
+        if flags & TcpFlags.FIN and not entry.closed:
             out += self._on_client_fin(pkt, entry, now)
         self._check_response_complete(entry, now)
         self._maybe_close(entry, now)
@@ -717,11 +714,14 @@ class SpliceAgent:
         the server side with a SYN.  The head stays buffered until the
         SYNACK, which hands it to the parser.  A head whose framing is
         invalid resets the client and opens no backend connection, and so
-        do a backend with no free port in the client's shard and a table
-        with no room for the server's key."""
+        do a client FIN past a buffered stream with no head end, a backend
+        with no free port in the client's shard and a table with no room
+        for the server's key."""
         buf = entry.head_buf
         head_end = self._head_complete(buf)
         if head_end is None:
+            if entry.client_fin is not None and buf.end >= entry.client_fin:
+                return self._abort(entry, now)  # the stream ended short of a head
             return []
         head = bytes(buf.data[:head_end - buf.base])
         try:
@@ -877,65 +877,65 @@ class SpliceAgent:
                        seq_add(pkt.ack, delta), TcpFlags.ACK, pkt.window, options)]
 
     def _on_client_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        if entry.state is not SpliceState.ESTABLISHED:
-            # half-open teardown: nothing spliced yet, drop state quietly
-            self.remove_entry(entry, now)
-            return []
+        """Relay the client's FIN once the backend connection is
+        established; `on_backend_synack` relays one that came before.
+        Before routing, a FIN past a buffered stream with no head end
+        resets the client (`_try_route`)."""
         entry.client_fin = entry.client_off(pkt.seq) + len(pkt.payload)
-        return [Packet(key=entry.server_key, seq=entry.seq_to_server(entry.client_fin),
-                       ack=entry.ack_to_server(), flags=TcpFlags.FIN | TcpFlags.ACK,
-                       window=entry.client_window)]
+        if entry.state is SpliceState.ESTABLISHED:
+            return [self._fin_to_server(entry)]
+        if entry.state is SpliceState.FRONT_ESTABLISHED:
+            return self._try_route(entry, now)
+        return []
+
+    def _fin_to_server(self, entry: ConnEntry) -> Packet:
+        return Packet(key=entry.server_key, seq=entry.seq_to_server(entry.client_fin),
+                      ack=entry.ack_to_server(), flags=TcpFlags.FIN | TcpFlags.ACK,
+                      window=entry.client_window)
 
     # -- server-side packets --------------------------------------------------------
 
-    def _on_server_packet(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        """A server packet's output, which waits while a hold is open
-        (`ConnEntry.held`, `OffloadManager.hold`)."""
+    def on_server_packet(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
+        """A server packet leaves as `rewrite_s2c` builds it, the rewrite
+        the offload's server rule applies on a hit, after its payload is
+        tracked while a response head may be open and its ACK is noted.
+        The one exception is the worker's own: a pure ACK inside or at the
+        end of an inserted region is suppressed.  One parked at an unACKed
+        insertion's start reaches the client as a duplicate ACK at its
+        sender_off, so the client's own fast retransmit or RTO resends from
+        there, and `_emit_spliced` weaves the insertion back in: the agent
+        resends inserted bytes on that path only.  The output waits while a
+        hold is open (`ConnEntry.held`, `OffloadManager.hold`)."""
         if entry.state is not SpliceState.ESTABLISHED:
             return []
-        flags = pkt.flags
-        if pkt.payload:
-            self.counters["s2c_data_pkts"] += 1
-            out = self.on_server_data(pkt, entry, now)
-        elif (flags & (TcpFlags.ACK | TcpFlags.FIN)) == TcpFlags.ACK:
-            out = self.on_server_ack(pkt, entry, now)
-        else:
+        payload, fin = pkt.payload, pkt.flags & TcpFlags.FIN
+        if payload or fin:
+            off = entry.server_off(pkt.seq)
+            end = off + len(payload)
+            if payload:
+                self.counters["s2c_data_pkts"] += 1
+                self.counters["forwarded_payload_bytes"] += len(payload)
+                if entry.resp_end is None and not entry.resp_tracker_dead:
+                    self._track_response(pkt, off, entry, now)
+                entry.relayed_hi = max(entry.relayed_hi, end)
+            if fin:
+                # before the ACK is noted: fold_after reads relayed_hi
+                entry.server_fin = end
+                entry.relayed_hi = max(entry.relayed_hi, end + 1)
+        elif not pkt.flags & TcpFlags.ACK:
+            return []
+        a = entry.recv_off(pkt.ack)
+        _note_server_ack(entry, a)
+        if not (payload or fin) and \
+                classify_ack(entry.insertions, a, entry.folded)[0] == "inside":
+            self.counters["acks_suppressed"] += 1
             out = []
-        if flags & TcpFlags.FIN:
-            out += self._on_server_fin(pkt, entry, now)
+        else:
+            out = [rewrite_s2c(entry, pkt, a)]
         self._maybe_close(entry, now)
         if entry.held is not None and out:
             return self.offload.hold(entry, out)
         return out
-
-    def on_server_data(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        """Rewrite a response data segment toward the client (`rewrite_s2c`),
-        after tracking the response while its head may be open, and note
-        its ACK."""
-        off = entry.server_off(pkt.seq)
-        if entry.resp_end is None and not entry.resp_tracker_dead:
-            self._track_response(pkt, off, entry, now)
-        a = entry.recv_off(pkt.ack)
-        out = rewrite_s2c(entry, pkt, a)
-        entry.relayed_hi = max(entry.relayed_hi, off + len(pkt.payload))
-        _note_server_ack(entry, a)
-        self.counters["forwarded_payload_bytes"] += len(pkt.payload)
-        return [out]
-
-    def on_server_ack(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        """Pure ACK from the server.  One inside or at the end of an inserted
-        region is suppressed; the rest are relayed (`rewrite_s2c`).  One
-        parked at an unACKed insertion's start reaches the client as a
-        duplicate ACK at its sender_off, so the client's own fast
-        retransmit or RTO resends from there, and `_emit_spliced` weaves
-        the insertion back in: the agent resends inserted bytes on that
-        path only."""
-        a = entry.recv_off(pkt.ack)
-        _note_server_ack(entry, a)
-        if classify_ack(entry.insertions, a, entry.folded)[0] == "inside":
-            self.counters["acks_suppressed"] += 1
-            return []
-        return [rewrite_s2c(entry, pkt, a)]
 
     def _track_response(self, pkt: Packet, off: int, entry: ConnEntry, now: float) -> None:
         """Parse a response head from a server segment at offset off; the
@@ -979,14 +979,6 @@ class SpliceAgent:
             entry.resp_len = None
             entry.resp_index += 1
             self.offload.on_response_complete(entry, now)
-
-    def _on_server_fin(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
-        entry.server_fin = entry.server_off(pkt.seq) + len(pkt.payload)
-        entry.relayed_hi = max(entry.relayed_hi, entry.server_fin + 1)
-        return [Packet(key=entry.client_key.reverse(),
-                       seq=seq_add(entry.isn_lb_front, 1 + entry.server_fin),
-                       ack=clamped_ack_s2c(entry, pkt.ack),
-                       flags=TcpFlags.FIN | TcpFlags.ACK, window=pkt.window)]
 
     # -- teardown ---------------------------------------------------------------
 

@@ -218,6 +218,25 @@ def test_probe_memo_past_its_size_keeps_every_answer(shared):
     assert len(t) == n - len(removed)
 
 
+@pytest.mark.parametrize("present", [True, False])
+def test_a_stalled_writer_sends_lookups_to_the_locked_scan(present):
+    """A slot whose version a writer left odd, as one stalled between its
+    two bumps would, fails every optimistic read of its bucket: the lookup
+    retries `_READ_RETRIES` times, then answers from the locked scan, a hit
+    with its TTL refreshed or a miss."""
+    t = CuckooTable(TableConfig(bucket_count=16, ttl_delta=DELTA))
+    k, absent = FlowKey(1, 2, 3, 4), FlowKey(5, 6, 7, 8)
+    t.insert(k, "entry", now=0.0)
+    probe = k if present else absent
+    kp, b1, b2, bases = t._probe(probe)
+    i = t._find_slot(kp, b1, b2) if present else bases[0]
+    t.storage.begin_write(i)  # odd, and no lock held
+    assert t.lookup(probe, now=5.0) == ("entry" if present else None)
+    assert t.stats.read_retries == CuckooTable._READ_RETRIES == 64
+    if present:
+        assert t.ttl_of(k) == 5.0 + DELTA
+
+
 def test_sweep_evicts_expired_entry():
     t = CuckooTable(TableConfig(bucket_count=16, ttl_delta=10.0))
     k = FlowKey(1, 1, 1, 1)

@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, WorkloadParams
-from lbsim.netsim.apps import PAGE, STAMP, make_body, request_bytes
+from lbsim.netsim.apps import (
+    HttpClientSession,
+    PAGE,
+    RequestSpec,
+    STAMP,
+    make_body,
+    request_bytes,
+    response_head,
+)
 from lbsim.netsim.events import EventQueue
 from lbsim.netsim.tcp import AppCallbacks, MiniTcpEndpoint
 from lbsim.offload import RULE_IDLE_TIMEOUT, formula_threshold
@@ -291,6 +299,39 @@ def test_body_generator_matches_the_byte_by_byte_reference(seed, page, at, delta
     body = make_body(seed)(off, n)
     assert type(body) is bytes
     assert body == reference_body(seed, off, n)
+
+
+class _NoWire:
+    """An endpoint that takes what a session sends and drops it."""
+
+    def send_bytes(self, data, now):
+        pass
+
+    def close(self, now):
+        pass
+
+
+@pytest.mark.parametrize("fault", [None, "body", "head"])
+def test_the_client_session_counts_every_wrong_response_byte(fault):
+    """The byte check a run's correctness rests on: one flipped body byte is
+    one mismatch, a wrong head one head error, and either makes the session
+    unclean."""
+    size, seed = 5000, 7
+    session = HttpClientSession([RequestSpec(b"/s/%d/%d/0" % (size, seed), size, seed)])
+    session.endpoint = _NoWire()
+    session.on_connected(0.0)
+    head, body = response_head(size), bytearray(make_body(seed)(0, size))
+    if fault == "body":
+        body[PAGE + 1] ^= 0x01
+    if fault == "head":
+        head = head.replace(b"200", b"500")
+    session.on_data(head + bytes(body), 1.0)
+    rec = session.records[0]
+    assert rec.t_done == 1.0 and session.done
+    assert rec.mismatches == (fault == "body")
+    assert session.head_errors == (fault == "head")
+    assert rec.bytes_ok == (0 if fault == "body" else size)
+    assert session.clean is (fault is None)
 
 
 def test_lb_ingress_packet_budget_of_small_keepalive_requests():
@@ -673,11 +714,12 @@ def _hairpins_checked(sim) -> tuple[int, int, int]:
     """Run `sim`, checking every hairpin, whole, against what the worker
     would emit from the live entry at that moment: `on_client_ack` for the
     client's ACKs; for the server's packets `rewrite_s2c`, what
-    `on_server_data` and a relayed `on_server_ack` emit, computed without
-    changing the entry.  The worker must relay such a pure ACK (suppressing
-    or answering it with inserted bytes would differ), and no hairpin may
-    carry a response head the worker has yet to read.  Returns the numbers
-    checked: client, server, and of both those that carry SACK blocks."""
+    `on_server_packet` emits for a data segment or a relayed pure ACK,
+    computed without changing the entry.  The worker must relay such a
+    pure ACK (suppressing or answering it with inserted bytes would
+    differ), and no hairpin may carry a response head the worker has yet
+    to read.  Returns the numbers checked: client, server, and of both
+    those that carry SACK blocks."""
     entries = {}
     on_len = sim.offload_mgr.on_resp_len_known
 

@@ -19,6 +19,7 @@ from lbsim.splice import ConnEntry, InsertionPoint, SpliceState
 
 from test_splice_agent import (
     GET,
+    XFF,
     client_key,
     establish,
     make_agent,
@@ -175,7 +176,7 @@ def test_engine_rewrite_matches_worker_rewrite_bit_for_bit():
                      payload=rng.randbytes(rng.randrange(1, 64)))
         got, worker = engine.process(pkt, now=1.0)
         assert worker is None
-        assert got == agent.on_server_data(pkt, entry, 1.0)[0]
+        assert got == agent.on_server_packet(pkt, entry, 1.0)[0]
 
 
 def test_rule_pair_installs_and_deletes_as_one_batch():
@@ -610,6 +611,66 @@ def test_no_slot_for_the_divert_releases_the_request_and_deletes_the_pair():
     assert mgr.stats["install_refusals"] == 1 and len(mgr.pending) == 1
     sim.run_until(3.0)
     assert not entry.offloaded
+
+
+def completed_first_response(agent, sim):
+    """A connection whose offloaded first response was released from the
+    hold, and a builder of client bytes at an offset past the first
+    request that ACK that whole response."""
+    ck, entry = established_entry(agent)
+    agent.handle_packet(first_response_pkt(entry, 4 << 20), 1.0,
+                        worker_id=shard_of(ck.src_port))
+    sim.run_until(1.5)
+    assert entry.offloaded and entry.held is None
+    ack = seq_add(entry.isn_lb_front, 1 + entry.resp_end)
+
+    def client_bytes(off, payload):
+        return Packet(key=ck, seq=seq_add(1000, len(GET) + off), ack=ack,
+                      flags=TcpFlags.ACK | TcpFlags.PSH, payload=payload)
+
+    return ck, entry, client_bytes
+
+
+def test_a_split_head_retargets_only_once_it_is_complete():
+    """Held bytes short of a head leave nothing and re-target nothing; the
+    segment that completes the head re-targets the pair and leaves with the
+    whole request at the re-target's ready time."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry, client_bytes = completed_first_response(agent, sim)
+    w = shard_of(ck.src_port)
+    emitted = len(sim.emitted)
+    assert agent.handle_packet(client_bytes(0, REQ2[:10]), 2.0, worker_id=w) == []
+    assert len(sim.emitted) == emitted and mgr.stats["retargets"] == 0
+    assert not entry.deferred and mgr._kept(entry)
+    assert agent.handle_packet(client_bytes(10, REQ2[10:]), 2.0, worker_id=w) == []
+    assert mgr.stats["retargets"] == 1
+    ready_at = engine.rules[ck].ready_at
+    assert ready_at == pytest.approx(2.0 + insert_batch_seconds(3))
+    sim.run_until(3.0)
+    assert sim.emit_times[emitted:] == [ready_at]
+    assert sim.emitted[-1].payload == REQ2[:-2] + XFF + REQ2[-2:]
+
+
+def test_a_split_body_leaves_its_head_at_once_and_retargets_at_its_end():
+    """A request whose body arrives in two segments: its head and the first
+    body bytes leave at once, since the rules still match the previous
+    request's end; the rest completes the request and re-targets the pair."""
+    agent, engine, sim, mgr = offload_setup()
+    ck, entry, client_bytes = completed_first_response(agent, sim)
+    w = shard_of(ck.src_port)
+    body = bytes(range(100))
+    head = b"POST /api/p HTTP/1.1\r\nHost: h\r\nContent-Length: 100\r\n\r\n"
+    emitted = len(sim.emitted)
+    agent.handle_packet(client_bytes(0, head + body[:40]), 2.0, worker_id=w)
+    assert mgr.stats["retargets"] == 0
+    assert sim.emit_times[emitted:] == [2.0]
+    assert sim.emitted[-1].payload == head[:-2] + XFF + head[-2:] + body[:40]
+    agent.handle_packet(client_bytes(len(head) + 40, body[40:]), 2.0, worker_id=w)
+    assert mgr.stats["retargets"] == 1
+    ready_at = engine.rules[ck].ready_at
+    sim.run_until(3.0)
+    assert sim.emit_times[emitted + 1:] == [ready_at]
+    assert sim.emitted[-1].payload == body[40:]
 
 
 def test_entry_teardown_enqueues_rule_delete():

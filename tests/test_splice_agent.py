@@ -596,6 +596,92 @@ def test_fin_exchange_removes_entry():
     assert len(agent.table) == 0
 
 
+def test_a_server_segment_with_data_and_fin_leaves_as_one_packet():
+    # its ACK falls inside the insertion [30, 57) and clamps to the client
+    # byte before it, as any relayed server packet's does
+    entry, _, handle = established_with_handler()
+    seg = from_server(entry, 0, 40, RESP)
+    seg = seg._replace(flags=seg.flags | TcpFlags.FIN)
+    assert handle(seg) == [Packet(entry.client_key.reverse(),
+                                  seq_add(entry.isn_lb_front, 1),
+                                  seq_add(entry.isn_client, 1 + 30),
+                                  TcpFlags.FIN | TcpFlags.ACK | TcpFlags.PSH,
+                                  seg.window, payload=RESP)]
+    assert entry.server_fin == len(RESP)
+    assert entry.relayed_hi == len(RESP) + 1
+
+
+def request_with_fin(agent, ck):
+    """A request that carries the client's FIN, sent before the backend
+    answers; returns the entry and what the backend's SYNACK releases."""
+    synack = do_syn(agent, ck)
+    pkt = Packet(key=ck, seq=1000, ack=seq_add(synack.seq, 1),
+                 flags=TcpFlags.ACK | TcpFlags.PSH | TcpFlags.FIN, payload=GET)
+    out = agent.handle_packet(pkt, 0.0, worker_id=shard_of(ck.src_port))
+    assert [p.flags for p in out] == [TcpFlags.SYN]
+    entry = agent.table.lookup(ck, 0.0)
+    assert entry.state is SpliceState.SYN_SENT
+    sa = Packet(key=out[0].key.reverse(), seq=7_000_000, ack=seq_add(out[0].seq, 1),
+                flags=TcpFlags.SYN | TcpFlags.ACK)
+    return entry, agent.handle_packet(sa, 0.0, worker_id=shard_of(ck.src_port))
+
+
+def test_a_request_with_the_clients_fin_reaches_the_backend_and_is_answered():
+    agent, ck = make_agent(), client_key()
+    entry, out = request_with_fin(agent, ck)
+    spliced = GET[:-2] + XFF + GET[-2:]
+    assert out[0].flags == TcpFlags.ACK and not out[0].payload
+    assert b"".join(p.payload for p in out[1:-1]) == spliced
+    assert out[-1].flags == TcpFlags.FIN | TcpFlags.ACK and not out[-1].payload
+    assert out[-1].seq == seq_add(entry.isn_lb_back, 1 + len(spliced))
+    # the server ACKs the request and the FIN, and answers
+    resp = agent.handle_packet(from_server(entry, 0, len(spliced) + 1, RESP), 0.0,
+                               worker_id=shard_of(ck.src_port))
+    assert [(p.key, p.seq, p.ack, p.payload) for p in resp] == [
+        (ck.reverse(), seq_add(entry.isn_lb_front, 1), 1000 + len(GET) + 1, RESP)]
+
+
+def test_a_request_with_the_clients_fin_closes_after_both_fins():
+    agent, ck = make_agent(), client_key()
+    entry, _ = request_with_fin(agent, ck)
+    spliced_len = len(GET) + len(XFF)
+    fin_s = from_server(entry, 0, spliced_len + 1, RESP)
+    fin_s = fin_s._replace(flags=fin_s.flags | TcpFlags.FIN)
+    agent.handle_packet(fin_s, 0.0, worker_id=shard_of(ck.src_port))
+    agent.handle_packet(from_client(entry, len(GET) + 1, len(RESP) + 1), 0.0,
+                        worker_id=shard_of(ck.src_port))
+    assert entry.closed
+    assert len(agent.table) == 0 and not agent._used_ports
+
+
+@pytest.mark.parametrize("with_bytes", [False, True])
+def test_a_fin_after_a_partial_head_resets_the_client(with_bytes):
+    agent, ck = make_agent(), client_key()
+    synack = do_syn(agent, ck)
+    send_request(agent, ck, synack, GET[:5])
+    payload = GET[5:10] if with_bytes else b""
+    fin = Packet(key=ck, seq=1000 + 5, ack=seq_add(synack.seq, 1),
+                 flags=TcpFlags.ACK | TcpFlags.FIN, payload=payload)
+    out = agent.handle_packet(fin, 0.0, worker_id=shard_of(ck.src_port))
+    assert [(p.key, p.flags) for p in out] == [(ck.reverse(), TcpFlags.RST)]
+    assert len(agent.table) == 0 and agent.counters["resets_tx"] == 1
+
+
+def test_a_fin_before_a_missing_head_segment_waits_for_it():
+    agent, ck = make_agent(), client_key()
+    synack = do_syn(agent, ck)
+    send_request(agent, ck, synack, GET[:10])
+    fin = Packet(key=ck, seq=1000 + 20, ack=seq_add(synack.seq, 1),
+                 flags=TcpFlags.ACK | TcpFlags.PSH | TcpFlags.FIN, payload=GET[20:])
+    assert agent.handle_packet(fin, 0.0, worker_id=shard_of(ck.src_port)) == []
+    entry = agent.table.lookup(ck, 0.0)
+    assert entry.state is SpliceState.FRONT_ESTABLISHED and not entry.closed
+    out = send_request(agent, ck, synack, GET[10:20], seq_off=10)
+    assert [p.flags for p in out] == [TcpFlags.SYN]
+    assert entry.state is SpliceState.SYN_SENT
+    assert agent.counters["resets_tx"] == 0
+
+
 def test_rst_removes_entry_and_relays():
     agent = make_agent()
     ck = client_key()

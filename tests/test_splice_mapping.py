@@ -14,11 +14,11 @@ from lbsim.splice import (
     InsertionPoint,
     SpliceState,
     classify_ack,
-    clamped_ack_s2c,
     client_bytes_below,
     map_pos_c2s,
     map_sack_block_s2c,
     map_seq_c2s,
+    rewrite_s2c,
 )
 
 from test_splice_agent import make_agent
@@ -62,8 +62,8 @@ def test_seq_map_anchor_cases():
 
 def server_ack(agent, e, a):
     """Feed the agent a pure server ACK at absolute seq a; return its output."""
-    return agent.on_server_ack(Packet(key=e.server_in_key, seq=Z, ack=a,
-                                      flags=TcpFlags.ACK), e, 0.0)
+    return agent.on_server_packet(Packet(key=e.server_in_key, seq=Z, ack=a,
+                                         flags=TcpFlags.ACK), e, 0.0)
 
 
 def relayed_acks(agent, e, a):
@@ -116,9 +116,10 @@ def test_sack_block_s2c_inverse():
 
 def test_clamped_ack_inside_region():
     e = two_insertion_entry()
-    assert clamped_ack_s2c(e, 150) == 100
-    assert clamped_ack_s2c(e, 1150) == 1000
-    assert clamped_ack_s2c(e, 1700) == 1500
+    data = Packet(key=e.server_in_key, seq=Z, ack=0, flags=TcpFlags.ACK, payload=b"x")
+    assert rewrite_s2c(e, data._replace(ack=150)).ack == 100
+    assert rewrite_s2c(e, data._replace(ack=1150)).ack == 1000
+    assert rewrite_s2c(e, data._replace(ack=1700)).ack == 1500
 
 
 def test_mapping_survives_sequence_wraparound():
