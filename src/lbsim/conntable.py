@@ -4,10 +4,10 @@ Reads are lock-free.  A reader samples the slot's version counter, reads the
 (key, value, ttl) triple, performs the blind TTL refresh, then re-checks the
 version: an odd or changed version means a writer touched the slot and the
 read retries.  Writers (insert, relocation moves, remove, sweep eviction)
-serialize on striped bucket locks and bump the version to odd for the
-duration of the slot mutation.  Relocation chains are discovered without any
-locks and executed in reverse, one version-guarded move at a time; a move
-that fails verification is abandoned and the chain is re-discovered.
+serialize on striped bucket locks; the storage's `write` and `clear` hold the
+version odd while they store a slot's fields.  Relocation chains are found
+without locks and executed in reverse, one version-guarded move at a time; a
+move that fails verification is abandoned and the chain is re-discovered.
 Completed moves are never rolled back — a key sitting in either of its two
 candidate buckets keeps the cuckoo invariant.
 
@@ -93,10 +93,8 @@ def _hash_pair(kp: int) -> tuple[int, int]:
 
 
 class ListStorage:
-    """In-process slot arrays.  Single-element list reads/writes are atomic
-    under the GIL; multi-field consistency comes from the version protocol."""
-
-    values_are_ints = False
+    """In-process slot arrays.  Element reads and writes are atomic under the
+    GIL; `write` and `clear` keep a slot's fields consistent by its version."""
 
     def __init__(self, n_slots: int):
         self.versions = [0] * n_slots
@@ -124,21 +122,15 @@ class ListStorage:
     def set_ttl(self, i: int, ttl: float) -> None:
         self.ttls[i] = ttl
 
-    def begin_write(self, i: int) -> None:
+    def write(self, i: int, key: int, value: Any, ttl: float) -> None:
         self.versions[i] += 1
-
-    def end_write(self, i: int) -> None:
-        self.versions[i] += 1
-
-    def set_fields(self, i: int, key: int, value: Any, ttl: float) -> None:
         self.keys[i] = key
         self.values[i] = value
         self.ttls[i] = ttl
+        self.versions[i] += 1
 
-    def clear_fields(self, i: int) -> None:
-        self.keys[i] = 0
-        self.values[i] = None
-        self.ttls[i] = 0.0
+    def clear(self, i: int) -> None:
+        self.write(i, 0, None, 0.0)
 
     def lock(self, stripe: int):
         return self._locks[stripe]
@@ -149,11 +141,9 @@ class SharedMemStorage:
 
     Slot layout: 5 aligned u64 words — version, key_hi, key_lo | occupied
     bit, value, ttl (float64 bits).  Aligned 8-byte loads are atomic on the
-    platforms we care about; writers additionally serialize on striped
-    multiprocessing locks.  Values must be u64 ints.
+    platforms we care about; writers serialize on striped multiprocessing
+    locks and change a slot with `write` or `clear`.  Values are u64 ints.
     """
-
-    values_are_ints = True
 
     def __init__(self, n_slots: int):
         # imported here: only this storage needs them, and only tests build it
@@ -193,25 +183,22 @@ class SharedMemStorage:
     def set_ttl(self, i: int, ttl: float) -> None:
         self._d[i * _SLOT_WORDS + 4] = ttl
 
-    def begin_write(self, i: int) -> None:
-        self._q[i * _SLOT_WORDS] += 1
-
-    def end_write(self, i: int) -> None:
-        self._q[i * _SLOT_WORDS] += 1
-
-    def set_fields(self, i: int, key: int, value: int, ttl: float) -> None:
+    def write(self, i: int, key: int, value: int, ttl: float) -> None:
+        """Key 0 empties the slot.  A non-int value is refused before the
+        first bump, so it never leaves the slot odd."""
+        if not isinstance(value, int):
+            raise TypeError("shared-memory table stores int handles only")
+        q = self._q
         base = i * _SLOT_WORDS
-        self._q[base + 1] = key >> 40
-        self._q[base + 2] = (key & ((1 << 40) - 1)) | _OCCUPIED
-        self._q[base + 3] = value
+        q[base] += 1
+        q[base + 1] = key >> 40
+        q[base + 2] = ((key & ((1 << 40) - 1)) | _OCCUPIED) if key else 0
+        q[base + 3] = value
         self._d[base + 4] = ttl
+        q[base] += 1
 
-    def clear_fields(self, i: int) -> None:
-        base = i * _SLOT_WORDS
-        self._q[base + 1] = 0
-        self._q[base + 2] = 0
-        self._q[base + 3] = 0
-        self._d[base + 4] = 0.0
+    def clear(self, i: int) -> None:
+        self.write(i, 0, 0, 0.0)
 
     def lock(self, stripe: int):
         return self._locks[stripe]
@@ -356,28 +343,19 @@ class CuckooTable:
         kp, b1, b2, _ = self._probe(key)
         if kp == 0:
             raise ValueError("all-zero key is reserved for empty slots")
-        if self.storage.values_are_ints and not isinstance(value, int):
-            raise TypeError("shared-memory table stores int handles only")
         ttl = now + self.config.ttl_delta
         st = self.storage
 
         for _ in range(self._INSERT_RETRIES):
             locks = self._acquire(b1, b2)
             try:
-                existing = self._find_slot(kp, b1, b2)
-                if existing is not None:
-                    st.begin_write(existing)
-                    st.set_fields(existing, kp, value, ttl)
-                    st.end_write(existing)
-                    self.stats.inserts += 1
-                    return
-                i = self._empty_slot(b1)
+                i = self._find_slot(kp, b1, b2)
+                if i is None:
+                    i = self._empty_slot(b1)
                 if i is None:
                     i = self._empty_slot(b2)
                 if i is not None:
-                    st.begin_write(i)
-                    st.set_fields(i, kp, value, ttl)
-                    st.end_write(i)
+                    st.write(i, kp, value, ttl)
                     self.stats.inserts += 1
                     return
             finally:
@@ -449,14 +427,8 @@ class CuckooTable:
                 j = self._empty_slot(b_to)
                 if j is None:
                     return False
-                value = st.value_at(i)
-                ttl = st.ttl_at(i)
-                st.begin_write(j)
-                st.set_fields(j, expected_kp, value, ttl)
-                st.end_write(j)
-                st.begin_write(i)
-                st.clear_fields(i)
-                st.end_write(i)
+                st.write(j, expected_kp, st.value_at(i), st.ttl_at(i))
+                st.clear(i)
                 self.stats.relocations += 1
             finally:
                 self._release(locks)
@@ -469,9 +441,7 @@ class CuckooTable:
             i = self._find_slot(kp, b1, b2)
             if i is None:
                 return False
-            self.storage.begin_write(i)
-            self.storage.clear_fields(i)
-            self.storage.end_write(i)
+            self.storage.clear(i)
             self.stats.removes += 1
             return True
         finally:
@@ -499,9 +469,7 @@ class CuckooTable:
                     if st.key_at(i) != kp or st.ttl_at(i) >= now:
                         continue
                     value = st.value_at(i)
-                    st.begin_write(i)
-                    st.clear_fields(i)
-                    st.end_write(i)
+                    st.clear(i)
                     evicted.append((FlowKey.unpack(kp), value))
                     self.stats.sweep_evictions += 1
             finally:

@@ -560,8 +560,6 @@ class SpliceAgent:
             if pkt.payload and not flags & _SYN_RST and self._is_to_vip(pkt.key):
                 return self._on_first_client_data(pkt, now)
             return []  # handshake ACKs, and stray or stale packets: stateless
-        if entry.closed:
-            return []
         if entry.owner_worker != worker_id:
             raise ShardViolation(
                 f"flow {pkt.key} reached worker {worker_id}, owned by {entry.owner_worker}")
@@ -615,8 +613,6 @@ class SpliceAgent:
         if entry.state is SpliceState.ESTABLISHED:
             # duplicate SYNACK: our ACK was lost; re-ACK, never re-flush
             return [self._pure_ack_to_server(entry)]
-        if entry.state is not SpliceState.SYN_SENT:
-            return []
         entry.isn_server = pkt.seq
         entry.state = SpliceState.ESTABLISHED
         # the parser takes the first head from the buffer it waited in, and

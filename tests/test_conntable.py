@@ -173,6 +173,23 @@ def test_single_threaded_shared_storage_matches_reference_map():
     _check_against_reference_map(shared=True)
 
 
+def test_shared_table_refuses_a_non_int_value_and_leaves_its_slot_even():
+    """The shared table stores u64 handles: a non-int value is refused before
+    the slot's version moves, so the refused insert leaves no slot odd and
+    the next reader of that slot needs no retry."""
+    cfg = TableConfig(bucket_count=16)
+    t = CuckooTable(cfg, shared=True)
+    k = FlowKey(1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        t.insert(k, "x", now=0.0)
+    assert len(t) == 0
+    n_slots = cfg.bucket_count * cfg.slots_per_bucket
+    assert all(v % 2 == 0 for v in t.storage.read_bucket(0, n_slots)[0])
+    t.insert(k, 7, now=0.0)
+    assert t.lookup(k, now=1.0) == 7
+    assert t.stats.read_retries == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, (1 << 104) - 1))
 def test_hash_pair_matches_mix64_formula(kp):
@@ -230,7 +247,7 @@ def test_a_stalled_writer_sends_lookups_to_the_locked_scan(present):
     probe = k if present else absent
     kp, b1, b2, bases = t._probe(probe)
     i = t._find_slot(kp, b1, b2) if present else bases[0]
-    t.storage.begin_write(i)  # odd, and no lock held
+    t.storage.versions[i] += 1  # odd, and no lock held
     assert t.lookup(probe, now=5.0) == ("entry" if present else None)
     assert t.stats.read_retries == CuckooTable._READ_RETRIES == 64
     if present:
@@ -278,9 +295,7 @@ def test_spurious_blind_refresh_delays_eviction_at_most_delta():
     # reader matched k1 at slot i ... then a writer reuses the slot for k2
     t.remove(k1)
     st = t.storage
-    st.begin_write(i)
-    st.set_fields(i, k2.pack(), "two", 0.0 + delta)
-    st.end_write(i)
+    st.write(i, k2.pack(), "two", 0.0 + delta)
 
     refresh_time = 42.0
     st.set_ttl(i, refresh_time + delta)  # the blind write lands on the victim

@@ -201,6 +201,25 @@ def test_receiver_delivers_in_order_segments_past_1_gib_and_4_gib(off):
     assert received == [b"y" * 100] and ep.rcv_nxt == 0
 
 
+def test_a_peer_fin_ahead_of_a_hole_is_taken_after_the_last_byte():
+    """A FIN that comes on a segment past a hole waits with it: the fill
+    delivers both segments in order, then the FIN, and the ACK that follows
+    covers the FIN."""
+    sent, received = [], []
+    ep = _established_endpoint(sent, received)
+    ep.app.on_peer_fin = lambda now: received.append("FIN")
+    first, second = b"a" * 100, b"b" * 100
+    ep.on_segment(Packet(key=ep.key.reverse(), seq=9101, ack=501,
+                         flags=TcpFlags.ACK | TcpFlags.FIN, payload=second), 1.0)
+    assert received == [] and not ep.peer_fin_rcvd
+    assert sent[-1].ack == 9001
+    ep.on_segment(Packet(key=ep.key.reverse(), seq=9001, ack=501,
+                         flags=TcpFlags.ACK, payload=first), 1.0)
+    assert received == [first, second, "FIN"]
+    assert ep.peer_fin_rcvd
+    assert sent[-1].ack == ep.rcv_isn + 1 + len(first + second) + 1
+
+
 def test_sender_reads_acks_and_sack_blocks_past_4_gib():
     """The sender reads an ACK and its SACK edges against snd_una, so both
     advance it and the scoreboard past 2^32."""
@@ -949,6 +968,31 @@ def test_teardown_leaves_nothing_in_any_offload_mode(loss, mode, seed):
     assert not [r for r in sim.engine.rules.values() if r.gone_at is None or r.gone_at > now]
     assert not sim.offload_mgr.pending
     assert not sim.agent._used_ports
+
+
+def test_a_reset_from_a_full_table_ends_the_client_session():
+    """An 8-slot table takes 4 of 8 simultaneous connections; the LB resets
+    the other 4.  Each reset ends its client session and kills its endpoint,
+    so the run stops by itself, and the 4 accepted connections finish
+    cleanly and leave nothing behind."""
+    params = SimParams(
+        topology=TopologyParams(table_buckets=2),
+        workload=WorkloadParams(connections=8, sizes=((1 << 10, 1.0),),
+                                requests_per_connection=(2, 2), start_spacing=1e-6),
+        drain=5.0)
+    sim = Simulation(params, seed=1).run()
+    reset = [s for s in sim.sessions if s.reset]
+    clean = [s for s in sim.sessions if s.clean]
+    assert len(reset) == len(clean) == 4
+    assert not any(s.clean for s in reset)
+    assert sim.table.stats.insert_failures == sim.agent.counters["resets_tx"] == 4
+    assert all(s.endpoint.dead for s in reset)
+    assert sim._live_endpoints == 0
+    assert sim.queue.now < params.until / 10
+    assert len(sim.table) == 0
+    assert not sim.agent._used_ports
+    assert not sim.engine.rules
+    assert all(r.bytes_ok == r.size for s in clean for r in s.records)
 
 
 def test_idle_keepalive_connection_frees_its_rule_pair_by_aging():

@@ -310,6 +310,28 @@ def test_backend_synack_flushes_spliced_request():
     assert entry.total_inserted == len(b"x-forwarded-for: 10.0.0.1\r\n")
 
 
+def test_a_client_syn_without_mss_gets_the_default_536():
+    """A SYN without an MSS option leaves the default send MSS of 536
+    (RFC 9293) in its cookie: the request and its insertion leave toward
+    the backend in segments of at most 536 bytes."""
+    agent = make_agent()
+    ck = client_key()
+    synack = do_syn(agent, ck, mss=None)
+    req = b"GET /api/" + b"x" * 1200 + b" HTTP/1.1\r\nHost: h\r\n\r\n"
+    assert len(req) == 1231
+    backend_syn = send_request(agent, ck, synack, req)[0]
+    entry = agent.table.lookup(ck, 0.0)
+    assert entry.eff_mss == 536
+    sa = Packet(key=backend_syn.key.reverse(), seq=7_000_000,
+                ack=seq_add(backend_syn.seq, 1), flags=TcpFlags.SYN | TcpFlags.ACK,
+                options=TcpOptions(mss=1460, sack_permitted=True))
+    out = agent.handle_packet(sa, 0.0, worker_id=shard_of(ck.src_port))
+    assert out[0].flags == TcpFlags.ACK and not out[0].payload
+    assert [len(p.payload) for p in out[1:]] == [536, 536, 186]
+    inserted = b"x-forwarded-for: 10.0.0.1\r\n"
+    assert b"".join(p.payload for p in out[1:]) == req[:-2] + inserted + req[-2:]
+
+
 def test_insertion_splits_at_configured_offset():
     # 300-byte request, insertion lands before the trailing CRLF
     agent = make_agent()
