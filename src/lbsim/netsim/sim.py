@@ -107,8 +107,7 @@ class _ServerHost:
             local = pkt.key.reverse()
             session = HttpServerSession()
             isn = mix64(self.sim.seed ^ local.pack() ^ 0x5E4E4) & 0xFFFFFFFF
-            ep = self.sim.new_endpoint(local, isn, self.sim.send_to_lb_from_server,
-                                       session)
+            ep = self.sim.new_endpoint(local, isn, self.sim.link_s2lb.send, session)
             session.endpoint = ep
             self.endpoints[pkt.key] = ep
             self.sessions[local] = session
@@ -185,10 +184,10 @@ class Simulation:
             key = FlowKey(CLIENT_ADDR_BASE + 1 + i // 40000,
                           VIP_ADDR, CLIENT_PORT_BASE + i % 40000, VIP_PORT)
             isn = mix64(self.seed ^ key.pack() ^ 0xC11E47) & 0xFFFFFFFF
-            ep = self.new_endpoint(key, isn, self._send_to_lb_from_client, session)
+            ep = self.new_endpoint(key, isn, self.link_c2lb.send, session)
             session.endpoint = ep
             self.client_host.endpoints[key.reverse()] = ep
-            self.queue.schedule(i * wl.start_spacing, self._start_conn, ep)
+            self.queue.schedule(i * wl.start_spacing, ep.connect)
 
     def new_endpoint(self, key: FlowKey, isn: int, transmit, app) -> MiniTcpEndpoint:
         """An endpoint that the stop condition waits for."""
@@ -198,9 +197,6 @@ class Simulation:
 
     def _endpoint_terminal(self) -> None:
         self._live_endpoints -= 1
-
-    def _start_conn(self, now: float, ep: MiniTcpEndpoint) -> None:
-        ep.connect(now)
 
     def _schedule_housekeeping(self) -> None:
         topo = self.params.topology
@@ -221,12 +217,6 @@ class Simulation:
         self.queue.schedule(topo.aged_poll_interval, poll_aged)
 
     # -- datapath ---------------------------------------------------------------
-
-    def _send_to_lb_from_client(self, pkt: Packet, now: float) -> None:
-        self.link_c2lb.send(pkt, now)
-
-    def send_to_lb_from_server(self, pkt: Packet, now: float) -> None:
-        self.link_s2lb.send(pkt, now)
 
     def _lb_ingress(self, now: float, pkt: Packet) -> None:
         pkt, worker = self.engine.process(pkt, now)

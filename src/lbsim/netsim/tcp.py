@@ -46,9 +46,11 @@ Loss recovery (RFC 6675, without the rescue retransmission of NextSeg rule
 The RTO path is the plain one: go back one segment with cwnd 1 and leave
 recovery.
 
-The receiver keeps the merged [lo, hi) spans of its out-of-order segments,
-`ooo_spans`, next to the segments themselves; the SACK option is their
-first four, and a fold drops the spans it delivers.
+The receiver delivers a segment at rcv_nxt as it arrived.  It keeps the
+bytes above rcv_nxt as merged (offset, bytes) runs, `ooo`, the agent's head
+buffers' representation (`add_fragment`, `take_fragments`); the SACK
+option is the first four runs, and once rcv_nxt reaches a run, the run's
+rest is delivered in one piece.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ from ..packet import (
     Packet,
     TcpFlags,
     TcpOptions,
+    add_fragment,
     seq_add,
+    take_fragments,
     unwrap,
 )
 
@@ -191,8 +195,7 @@ class MiniTcpEndpoint:
         # receiver state
         self.rcv_isn = 0
         self.rcv_nxt = 0
-        self.ooo: dict[int, bytes] = {}       # out-of-order segments by offset
-        self.ooo_spans: list[list[int]] = []  # merged [lo, hi) of ooo, sorted
+        self.ooo: list[tuple[int, bytes]] = []  # merged runs above rcv_nxt
         self.peer_fin_off: Optional[int] = None
         self.peer_fin_rcvd = False
 
@@ -640,30 +643,13 @@ class MiniTcpEndpoint:
         if data:
             if off == self.rcv_nxt:
                 self._deliver(data, now)
-                self._fold_ooo(now)
-            elif off not in self.ooo or len(self.ooo[off]) < len(data):
-                self.ooo[off] = data
-                _add_span(self.ooo_spans, off, off + len(data))
+                if self.ooo:
+                    rest = take_fragments(self.ooo, self.rcv_nxt)
+                    if rest:
+                        self._deliver(rest, now)
+            else:
+                add_fragment(self.ooo, off, data)
         self._ack(now)
-
-    def _fold_ooo(self, now: float) -> None:
-        spans = self.ooo_spans
-        if not spans or spans[0][0] > self.rcv_nxt:
-            return
-        # Delivery only moves rcv_nxt forward, so one ascending pass folds
-        # every segment that becomes in-order.
-        for o in sorted(self.ooo):
-            if o > self.rcv_nxt:
-                break
-            chunk = self.ooo.pop(o)
-            if o + len(chunk) > self.rcv_nxt:
-                self._deliver(chunk[self.rcv_nxt - o:], now)
-        # The folded spans are the ones that now end at or below rcv_nxt;
-        # the rest start above it, since spans neither overlap nor touch.
-        i = 0
-        while i < len(spans) and spans[i][1] <= self.rcv_nxt:
-            i += 1
-        del spans[:i]
 
     def _deliver(self, chunk: bytes, now: float) -> None:
         self.rcv_nxt += len(chunk)
@@ -693,11 +679,11 @@ class MiniTcpEndpoint:
         return seq_add(seq_add(self.rcv_isn, 1), n)
 
     def _sack_option(self) -> TcpOptions:
-        if not self.ooo_spans:
+        if not self.ooo:
             return EMPTY_OPTIONS
         base = seq_add(self.rcv_isn, 1)
-        blocks = tuple((seq_add(base, lo), seq_add(base, hi))
-                       for lo, hi in self.ooo_spans[:MAX_SACK_BLOCKS])
+        blocks = tuple((seq_add(base, off), seq_add(base, off + len(run)))
+                       for off, run in self.ooo[:MAX_SACK_BLOCKS])
         return TcpOptions(None, False, blocks)  # (mss, sack_permitted, sack_blocks)
 
     def _ack(self, now: float) -> None:

@@ -9,6 +9,8 @@ passes these values from hop to hop.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 SEQ_MOD = 1 << 32
@@ -143,6 +145,47 @@ class Packet(NamedTuple):
         if self.flags & (TcpFlags.SYN | TcpFlags.FIN):
             n += 1
         return seq_add(self.seq, n)
+
+
+# ---------------------------------------------------------------------------
+# Out-of-order bytes, as a receiver keeps them: a list of (offset, bytes)
+# runs, sorted, disjoint and not touching.  The agent's head buffers and the
+# endpoints' receivers share these two functions.
+
+
+def _run_end(run: tuple[int, bytes]) -> int:
+    return run[0] + len(run[1])
+
+
+_run_start = itemgetter(0)
+
+
+def add_fragment(frags: list[tuple[int, bytes]], off: int, chunk: bytes) -> None:
+    """Merge `chunk`, at stream offset `off`, into the runs `frags`: it
+    joins every run it overlaps or touches."""
+    hi = off + len(chunk)
+    i = bisect_left(frags, off, key=_run_end)  # the first run ending at or past off
+    j = i
+    while j < len(frags) and frags[j][0] <= hi:
+        j += 1
+    if i < j:
+        first_off, first = frags[i]
+        last_off, last = frags[j - 1]
+        chunk = first[:max(0, off - first_off)] + chunk + last[hi - last_off:]
+        off = min(off, first_off)
+    frags[i:j] = [(off, chunk)]
+
+
+def take_fragments(frags: list[tuple[int, bytes]], end: int) -> bytes:
+    """Remove the runs that start at or below `end`, where a stream's
+    contiguous bytes end, and return the bytes they hold past it.  Runs do
+    not touch, so only the last of them can reach past `end`."""
+    n = bisect_right(frags, end, key=_run_start)
+    if not n:
+        return b""
+    off, run = frags[n - 1]
+    del frags[:n]
+    return run[end - off:]
 
 
 def addr_str(addr: int) -> str:

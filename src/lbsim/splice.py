@@ -22,9 +22,15 @@ The request parser's state is the entry's `head_buf`: while it is set, a
 head is open and its bytes collect there; once the head is complete, it
 leaves with the bytes buffered after it, and with no `head_buf` the agent
 passes a body through up to `body_end`.  Every head, the first included,
-takes that one path.  A head's body length follows RFC 9112 section 6.3:
-a request with any Transfer-Encoding or an invalid Content-Length resets
-the connection, and a response framed so is never offloaded.
+takes that one path.  A head buffer, request or response, has one bound:
+it clips what it is given at REQUEST_HEAD_CAP bytes past its base, and a
+head is over the cap only when the buffer is full with no head end in it:
+a request's connection is then reset, and a response is never offloaded.
+The bytes a completing segment carries past the cap are not lost; the
+walk goes on with them after the head.  A head's body length follows RFC
+9112 section 6.3: a request with any Transfer-Encoding or an invalid
+Content-Length resets the connection, and a response framed so is never
+offloaded.
 
 The client bytes one packet releases leave as one run of segments that is
 contiguous at the server: the client bytes with each insertion woven in
@@ -48,7 +54,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Callable, Optional, Sequence
@@ -60,16 +65,18 @@ from .packet import (
     Packet,
     TcpFlags,
     TcpOptions,
+    add_fragment,
     addr_str,
     seq_add,
     seq_sub,
+    take_fragments,
     unwrap,
 )
 
 _SYN_ACK_RST = TcpFlags.SYN | TcpFlags.ACK | TcpFlags.RST
 _SYN_RST = TcpFlags.SYN | TcpFlags.RST
 
-REQUEST_HEAD_CAP = 16384
+REQUEST_HEAD_CAP = 16384  # bytes a head buffer holds; a head must end within them
 MAX_LENGTH_DIGITS = 18  # significant digits of a valid Content-Length; every such value fits 63 bits
 HEAD_TERMINATOR = b"\r\n\r\n"
 
@@ -190,10 +197,6 @@ def map_sack_block_s2c(points: Sequence[InsertionPoint], left: int, right: int,
     return lo, hi
 
 
-class BufferCapExceeded(RuntimeError):
-    pass
-
-
 class FramingError(ValueError):
     """A message head whose body length RFC 9112 section 6.3 does not give
     by a valid Content-Length."""
@@ -206,67 +209,38 @@ class ShardViolation(RuntimeError):
 
 class StreamBuf:
     """Byte reassembly at a fixed base offset: a contiguous prefix plus
-    out-of-order fragments, kept sorted, disjoint and not touching (a new
-    fragment merges with those it overlaps or touches).  Duplicates and
-    overlaps are tolerated; bytes below base are clipped, and so are
-    fragment bytes at or past base + cap, so the prefix and the fragments
-    hold at most cap bytes together.  The prefix growing past cap raises
-    BufferCapExceeded."""
+    out-of-order runs past it (`add_fragment`).  Every chunk is clipped to
+    [base, base + cap), so the prefix and the runs hold at most cap bytes
+    together; duplicates and overlaps are tolerated.  `full` tells when the
+    prefix holds all cap bytes: a head with no end in it is over the cap."""
 
     def __init__(self, base: int = 0, cap: Optional[int] = None):
         self.base = base
         self.data = bytearray()
-        self.fragments: list[tuple[int, bytes]] = []  # (offset, bytes)
+        self.fragments: list[tuple[int, bytes]] = []  # (offset, bytes) runs
         self.cap = cap
 
     @property
     def end(self) -> int:
         return self.base + len(self.data)
 
+    @property
+    def full(self) -> bool:
+        return self.cap is not None and len(self.data) >= self.cap
+
     def add(self, off: int, chunk: bytes) -> None:
-        if not chunk or off + len(chunk) <= self.end:
-            return
-        if off < self.base:
-            chunk = chunk[self.base - off:]
-            off = self.base
-        if off <= self.end:
-            self.data += chunk[self.end - off:]
-            self._fold_fragments()
-            if self.cap is not None and len(self.data) > self.cap:
-                raise BufferCapExceeded(f"reassembly buffer over {self.cap} bytes")
-            return
+        end = self.end
+        lo, hi = max(off, end), off + len(chunk)
         if self.cap is not None:
-            chunk = chunk[:max(0, self.base + self.cap - off)]
-            if not chunk:
-                return
-        frags = self.fragments
-        hi = off + len(chunk)
-        i = bisect_left(frags, off, key=_fragment_end)  # first ending at or past off
-        j = i
-        while j < len(frags) and frags[j][0] <= hi:
-            j += 1
-        if i < j:
-            first_off, first = frags[i]
-            last_off, last = frags[j - 1]
-            chunk = first[:max(0, off - first_off)] + chunk + last[hi - last_off:]
-            off = min(off, first_off)
-        frags[i:j] = [(off, chunk)]
-
-    def _fold_fragments(self) -> None:
-        # Folding only moves `end` forward, so one ascending pass folds every
-        # fragment that becomes reachable.
-        frags = self.fragments
-        n = 0
-        while n < len(frags) and frags[n][0] <= self.end:
-            foff, frag = frags[n]
-            if foff + len(frag) > self.end:
-                self.data += frag[self.end - foff:]
-            n += 1
-        del frags[:n]
-
-
-def _fragment_end(fragment: tuple[int, bytes]) -> int:
-    return fragment[0] + len(fragment[1])
+            hi = min(hi, self.base + self.cap)
+        if hi <= lo:
+            return
+        chunk = chunk[lo - off:hi - off]
+        if lo == end:
+            self.data += chunk
+            self.data += take_fragments(self.fragments, self.end)
+        else:
+            add_fragment(self.fragments, lo, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +643,7 @@ class SpliceAgent:
                 # the client resends: the backend SYN or its SYNACK may be
                 # lost, and the agent keeps no timer of its own to resend it
                 return [self._backend_syn(entry)]
-            try:
-                entry.head_buf.add(off, pkt.payload)
-            except BufferCapExceeded:
-                return self._abort(entry, now)
+            entry.head_buf.add(off, pkt.payload)
             if entry.state is SpliceState.FRONT_ESTABLISHED:
                 return self._try_route(entry, now)
             return []
@@ -710,14 +681,14 @@ class SpliceAgent:
         the server side with a SYN.  The head stays buffered until the
         SYNACK, which hands it to the parser.  A head whose framing is
         invalid resets the client and opens no backend connection, and so
-        do a client FIN past a buffered stream with no head end, a backend
-        with no free port in the client's shard and a table with no room
-        for the server's key."""
+        do a full buffer with no head end, a client FIN past a buffered
+        stream with no head end, a backend with no free port in the
+        client's shard and a table with no room for the server's key."""
         buf = entry.head_buf
         head_end = self._head_complete(buf)
         if head_end is None:
-            if entry.client_fin is not None and buf.end >= entry.client_fin:
-                return self._abort(entry, now)  # the stream ended short of a head
+            if buf.full or (entry.client_fin is not None and buf.end >= entry.client_fin):
+                return self._abort(entry, now)  # over the cap, or no head before the FIN
             return []
         head = bytes(buf.data[:head_end - buf.base])
         try:
@@ -772,34 +743,40 @@ class SpliceAgent:
                          now: float) -> list[Packet]:
         """Walk fresh client bytes through the parse state (see the module
         docstring): an open head buffers them; a complete head leaves with
-        the bytes buffered after it, its insertion inside it; a body is
-        forwarded as it arrives.  The bytes that leave are contiguous in
-        the client stream, each head's buffer starting where the body
-        before it ends, so they leave in one `_emit_spliced` run.  A head
-        over REQUEST_HEAD_CAP or with invalid framing resets the connection."""
+        the bytes buffered after it and the rest of `data` that the cap
+        clipped, its insertion inside it; a body is forwarded as it
+        arrives.  The bytes that leave are contiguous in the client
+        stream, each head's buffer starting where the body before it ends,
+        so they leave in one `_emit_spliced` run.  A full head buffer with
+        no head end, or a head with invalid framing, resets the
+        connection."""
         pieces: list[bytes] = []
         start, base, end = off, off, off + len(data)
-        try:
-            while off < end:
-                buf = entry.head_buf
-                if buf is not None:
-                    buf.add(off, data[off - base:])
-                    head_end = self._head_complete(buf)
-                    if head_end is None:
-                        break
+        while off < end:
+            buf = entry.head_buf
+            if buf is not None:
+                buf.add(off, data[off - base:])
+                head_end = self._head_complete(buf)
+                if head_end is None:
+                    if buf.full:
+                        return self._abort(entry, now)
+                    break
+                try:
                     self._finish_head(entry, head_end)
-                    entry.head_buf = None
-                    data, base, off, end = bytes(buf.data), buf.base, buf.base, buf.end
-                    if not pieces:
-                        start = off
-                elif off < entry.body_end:
-                    take = min(end, entry.body_end)
-                    pieces.append(data[off - base:take - base])
-                    off = take
-                else:
-                    entry.head_buf = StreamBuf(base=entry.body_end, cap=REQUEST_HEAD_CAP)
-        except (BufferCapExceeded, FramingError):
-            return self._abort(entry, now)
+                except FramingError:
+                    return self._abort(entry, now)
+                entry.head_buf = None
+                data = bytes(buf.data) + data[buf.end - base:]
+                base = off = buf.base
+                end = max(end, buf.end)
+                if not pieces:
+                    start = off
+            elif off < entry.body_end:
+                take = min(end, entry.body_end)
+                pieces.append(data[off - base:take - base])
+                off = take
+            else:
+                entry.head_buf = StreamBuf(base=entry.body_end, cap=REQUEST_HEAD_CAP)
         if not pieces:
             return []
         return self._emit_spliced(entry, b"".join(pieces), start, now)
@@ -937,16 +914,11 @@ class SpliceAgent:
         """Parse a response head from a server segment at offset off; the
         caller checks that a head may be open (no `resp_end`, tracker live)."""
         buf = entry.resp_head_buf
-        # The head must end within REQUEST_HEAD_CAP bytes, so only that window
-        # is kept: out-of-order body segments past it never reach the buffer.
-        limit = buf.base + REQUEST_HEAD_CAP
-        if off + len(pkt.payload) <= buf.base or off >= limit:
-            return
-        buf.add(off, pkt.payload[:limit - off])
+        buf.add(off, pkt.payload)
         head_end = self._head_complete(buf)
         if head_end is None:
-            if buf.end >= limit:
-                self._tracker_dead(entry, now)  # a full window and no head end
+            if buf.full:
+                self._tracker_dead(entry, now)  # over the cap with no head end
             return
         try:
             length = _content_length(bytes(buf.data[:head_end - buf.base]))

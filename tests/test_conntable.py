@@ -405,6 +405,9 @@ def test_shared_memory_table_multiprocess_stress():
     assert all(p.exitcode == 0 for p in procs)
     torn = sum(out.get() for _ in procs)
     assert torn == 0
+    # every write made both of its version bumps: no slot is left odd
+    assert all(t.storage.version(i) % 2 == 0
+               for i in range(cfg.bucket_count * cfg.slots_per_bucket))
     # table still structurally sound afterwards
     for k, v in t.items():
         assert v == handle_for(k)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lbsim.netsim import LinkParams, Simulation, SimParams, TopologyParams, WorkloadParams
 from lbsim.netsim.apps import (
     HttpClientSession,
+    HttpServerSession,
     PAGE,
     RequestSpec,
     STAMP,
@@ -180,6 +181,37 @@ def _established_endpoint(sent, received=None):
     ep.on_segment(Packet(key=key.reverse(), seq=9000, ack=501,
                          flags=TcpFlags.SYN | TcpFlags.ACK), 0.0)
     return ep
+
+
+def test_a_duplicate_synack_is_acked_again():
+    """A SYNACK that comes again after the handshake (the endpoint's ACK of
+    the first was lost) draws the same ACK again and changes nothing."""
+    sent = []
+    ep = _established_endpoint(sent)
+    first_ack = sent[-1]
+    ep.on_segment(Packet(key=ep.key.reverse(), seq=9000, ack=501,
+                         flags=TcpFlags.SYN | TcpFlags.ACK), 0.5)
+    assert sent[-2:] == [first_ack, first_ack]
+    assert first_ack.flags == TcpFlags.ACK and first_ack.ack == 9001
+    assert ep.established and ep.rcv_nxt == 0 and ep.snd_nxt == 0
+
+
+def test_three_duplicate_acks_below_a_lone_fin_resend_it():
+    """With every data byte ACKed and the FIN outstanding, the third
+    duplicate ACK resends the FIN: it is all that is missing."""
+    sent = []
+    ep = _established_endpoint(sent)
+    ep.send_bytes(b"hello", 0.0)
+    ep.on_segment(Packet(key=ep.key.reverse(), seq=9001, ack=506, flags=TcpFlags.ACK), 0.0)
+    ep.close(0.0)
+    fin = sent[-1]
+    assert fin.fin and fin.seq == 506
+    del sent[:]
+    for _ in range(3):
+        ep.on_segment(Packet(key=ep.key.reverse(), seq=9001, ack=506,
+                             flags=TcpFlags.ACK), 0.1)
+    assert sent == [fin]
+    assert ep.stats["fast_retransmits"] == 1 and ep.stats["retransmits"] == 0
 
 
 @pytest.mark.parametrize("off", [(1 << 30) - 100, (1 << 30) + 100, (1 << 32) + 100])
@@ -351,6 +383,25 @@ def test_the_client_session_counts_every_wrong_response_byte(fault):
     assert session.head_errors == (fault == "head")
     assert rec.bytes_ok == (0 if fault == "body" else size)
     assert session.clean is (fault is None)
+
+
+def test_the_server_session_answers_a_path_it_cannot_parse_with_400():
+    """A head whose path names no size and seed gets an empty 400 reply, and
+    the next head on the connection is still answered."""
+    sent = []
+
+    class _Wire:
+        def send_bytes(self, data, now):
+            sent.append(data)
+
+        def send_generated(self, gen, n, now):
+            sent.append(gen(0, n))
+
+    session = HttpServerSession()
+    session.endpoint = _Wire()
+    session.on_data(request_bytes(b"/api/x") + request_bytes(b"/api/s/5/7/0"), 0.0)
+    assert sent == [b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n",
+                    response_head(5) + make_body(7)(0, 5)]
 
 
 def test_lb_ingress_packet_budget_of_small_keepalive_requests():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lbsim.netsim.events import EventQueue
 from lbsim.netsim.tcp import AppCallbacks, MiniTcpEndpoint
 from lbsim.packet import FlowKey, Packet, TcpFlags, seq_add
-from lbsim.splice import BufferCapExceeded, StreamBuf
+from lbsim.splice import StreamBuf
 
 STREAM = bytes(range(256)) * 12
 
@@ -40,22 +40,19 @@ def test_streambuf_shuffled_fragments_match_in_order(frags):
 @given(shuffled_fragments(), st.integers(1, len(STREAM) + 1))
 def test_capped_streambuf_holds_disjoint_fragments_within_its_cap(frags, cap):
     """Fragments are kept sorted, disjoint and not touching, past the
-    prefix and below the cap; the bytes below the cap are delivered, unless
-    a segment runs the prefix past it."""
+    prefix and below the cap; every byte below the cap is delivered, and
+    the buffer is full exactly when the stream reaches the cap."""
     buf = StreamBuf(cap=cap)
-    try:
-        for off, chunk in frags:
-            buf.add(off, chunk)
-            ends = [buf.end] + [x for off, f in buf.fragments for x in (off, off + len(f))]
-            assert ends == sorted(set(ends))
-            assert all(len(f) > 0 for _, f in buf.fragments)
-            assert ends[-1] <= cap
-            for off, f in buf.fragments:
-                assert f == STREAM[off:off + len(f)]
-    except BufferCapExceeded:
-        assert len(STREAM) > cap
-    else:
-        assert bytes(buf.data) == STREAM[:cap] and not buf.fragments
+    for off, chunk in frags:
+        buf.add(off, chunk)
+        ends = [buf.end] + [x for off, f in buf.fragments for x in (off, off + len(f))]
+        assert ends == sorted(set(ends))
+        assert all(len(f) > 0 for _, f in buf.fragments)
+        assert ends[-1] <= cap
+        for off, f in buf.fragments:
+            assert f == STREAM[off:off + len(f)]
+    assert bytes(buf.data) == STREAM[:cap] and not buf.fragments
+    assert buf.full == (cap <= len(STREAM))
 
 
 def test_streambuf_keeps_longer_fragment_at_same_offset():

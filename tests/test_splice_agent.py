@@ -809,6 +809,123 @@ def post(path: bytes, body: bytes) -> bytes:
         path, len(body), body)
 
 
+def padded_post(head_len: int, body: bytes) -> bytes:
+    """A POST to /api/p whose head is exactly head_len bytes, then its body."""
+    head = b"POST /api/p HTTP/1.1\r\nContent-Length: %d\r\nX-Pad: " % len(body)
+    return head + b"p" * (head_len - len(head) - 4) + b"\r\n\r\n" + body
+
+
+def answer_syn(agent, ck, backend_syn):
+    """The backend's SYNACK to `backend_syn`, through the agent."""
+    return agent.handle_packet(Packet(
+        key=backend_syn.key.reverse(), seq=7_000_000, ack=seq_add(backend_syn.seq, 1),
+        flags=TcpFlags.SYN | TcpFlags.ACK, options=TcpOptions(mss=1460, sack_permitted=True)),
+        0.0, worker_id=shard_of(ck.src_port))
+
+
+def received_from(entry, pkts, start):
+    """The receiver-stream bytes from offset `start` that `pkts` carry
+    toward the server, each byte carried at least once."""
+    stream, covered = bytearray(), bytearray()
+    data = [p for p in pkts if p.payload]
+    for (off, n), p in zip(spliced_payloads(entry, data), data):
+        lo = off - start
+        grow = lo + n - len(stream)
+        if grow > 0:
+            stream += bytes(grow)
+            covered += bytes(grow)
+        stream[lo:lo + n] = p.payload
+        covered[lo:lo + n] = b"\x01" * n
+    assert all(covered)
+    return bytes(stream)
+
+
+def test_a_later_head_near_the_cap_leaves_with_the_body_that_completes_it():
+    """A keep-alive POST whose head ends 100 bytes short of the cap, sent in
+    1,460-byte segments: the segment that completes the head carries body
+    bytes past the cap.  The head, its insertion and the whole body reach
+    the server, and nothing is reset."""
+    entry, _, handle = established_with_handler()
+    handle(from_server(entry, 0, len(GET) + len(XFF)))
+    head_len = REQUEST_HEAD_CAP - 100
+    req = padded_post(head_len, bytes(range(1, 251)) * 4)
+    out = []
+    for lo in range(0, len(req), 1460):
+        out += handle(from_client(entry, len(GET) + lo, 0, req[lo:lo + 1460]))
+    assert not any(p.rst for p in out) and not entry.closed
+    expected = req[:head_len - 2] + XFF + req[head_len - 2:]
+    assert len(expected) == 17_311
+    assert received_from(entry, out, len(GET) + len(XFF)) == expected
+
+
+def test_a_first_body_past_the_cap_before_the_synack_is_held_to_the_cap():
+    """A routed first request whose body runs past the cap before the
+    backend answers: the head buffer keeps the first REQUEST_HEAD_CAP bytes
+    and nothing is reset.  The SYNACK releases them with the insertion, and
+    the client's resend of the rest passes through."""
+    agent = make_agent()
+    ck = client_key()
+    synack = do_syn(agent, ck)
+    req = post(b"/api/p", bytes(range(1, 251)) * 80)
+    segments = [(lo, req[lo:lo + 1460]) for lo in range(0, len(req), 1460)]
+    out = []
+    for lo, chunk in segments:
+        out += send_request(agent, ck, synack, chunk, seq_off=lo)
+    entry = agent.table.lookup(ck, 0.0)
+    assert [p.flags for p in out] == [TcpFlags.SYN] and entry.state is SpliceState.SYN_SENT
+    assert entry.head_buf.full and bytes(entry.head_buf.data) == req[:REQUEST_HEAD_CAP]
+    out = answer_syn(agent, ck, out[0])
+    assert entry.fwd_hi == REQUEST_HEAD_CAP
+    for lo, chunk in segments:
+        if lo + len(chunk) > REQUEST_HEAD_CAP:
+            out += send_request(agent, ck, synack, chunk, seq_off=lo)
+    assert agent.counters["resets_tx"] == 0 and not entry.closed
+    head_len = req.index(b"\r\n\r\n") + 4
+    assert received_from(entry, out, 0) == req[:head_len - 2] + XFF + req[head_len - 2:]
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+@pytest.mark.parametrize("extra, parsed", [(0, True), (1, False)])
+def test_request_head_must_end_within_head_cap(extra, parsed, first):
+    """The request side of the response test above, on the first request and
+    on a later one: a head that ends exactly at the cap is forwarded with
+    its body, and one a byte longer resets the connection."""
+    agent = make_agent()
+    ck = client_key()
+    worker = shard_of(ck.src_port)
+    if first:
+        synack = do_syn(agent, ck)
+        base = start = 0
+
+        def send(off, chunk):
+            return send_request(agent, ck, synack, chunk, seq_off=off)
+    else:
+        entry, _ = establish(agent, ck)
+        base, start = len(GET), len(GET) + len(XFF)
+
+        def send(off, chunk):
+            return agent.handle_packet(from_client(entry, base + off, 0, chunk), 0.0,
+                                       worker_id=worker)
+    head_len = REQUEST_HEAD_CAP + extra
+    req = padded_post(head_len, b"ok")
+    # the first segment stops one byte short of the cap
+    cuts = ((0, REQUEST_HEAD_CAP - 1), (REQUEST_HEAD_CAP - 1, len(req)))
+    out = [p for lo, hi in cuts for p in send(lo, req[lo:hi])]
+    if not parsed:
+        assert sum(p.rst for p in out) == (1 if first else 2)
+        assert agent.table.lookup(ck, 0.0) is None
+        return
+    assert not any(p.rst for p in out)
+    entry = agent.table.lookup(ck, 0.0)
+    if first:
+        # routed with the head; the body the cap clipped comes with the
+        # client's resend
+        assert [p.flags for p in out] == [TcpFlags.SYN]
+        lo = cuts[1][0]
+        out = answer_syn(agent, ck, out[0]) + send(lo, req[lo:])
+    assert received_from(entry, out, start) == req[:head_len - 2] + XFF + req[head_len - 2:]
+
+
 def test_later_request_with_its_body_leaves_without_a_crlf_segment():
     # a later head whose body arrives with it leaves as the first one does:
     # the head, its insertion, the CRLF and the body are one run, cut only

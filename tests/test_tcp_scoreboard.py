@@ -418,6 +418,28 @@ def test_lost_fast_retransmit_is_resent_once_later_data_is_sacked():
     assert not ep.in_recovery
 
 
+def test_a_lost_resend_goes_again_around_a_sacked_block_inside_it():
+    """Segment 0 and its fast retransmit are both lost, and a SACK block
+    covers bytes [3, 5) of it.  Once the resend is lost, its unSACKed bytes
+    go again in two pieces: [0, 3), then [5, SEG) when pipe allows."""
+    ep, sent = sender(400)
+    for i in range(1, 4):
+        ack(ep, 0, [(SEG, (i + 1) * SEG)])
+    resent_at = ep.snd_nxt
+    sacked_hi = 4 * SEG
+    while sacked_hi < resent_at + 2 * SEG:
+        sacked_hi += SEG
+        ack(ep, 0, [(3, 5), (SEG, sacked_hi)])
+    assert sent.count((0, SEG)) == 2
+    sent.clear()
+    ack(ep, 0, [(3, 5), (SEG, sacked_hi + 1)])
+    assert sent == [(0, 3)]
+    sent.clear()
+    ack(ep, 0, [(3, 5), (SEG, sacked_hi + SEG)])
+    assert sent[0] == (5, SEG - 5)
+    assert not ep._relost and ep.stats["rto_fires"] == 0
+
+
 def test_only_a_stream_tail_goes_in_a_short_segment():
     """Under loss, with cwnd halved to fractions of a segment, every data
     segment either is full-sized or ends where the stream ended when the
@@ -459,17 +481,20 @@ def test_only_a_stream_tail_goes_in_a_short_segment():
 # -- receiver oracle ---
 
 
-def oracle_sack_option(self) -> TcpOptions:
-    if not self.ooo:
-        return TcpOptions()
+def oracle_sack_option(arrived) -> TcpOptions:
+    """The SACK option after the segments that arrived: the merged spans of
+    their bytes past the in-order prefix from offset 0, lowest first, at
+    most four."""
     spans: list[tuple[int, int]] = []
-    for o in sorted(self.ooo):
-        hi = o + len(self.ooo[o])
+    for o, n in sorted(arrived):
+        hi = min(o + n, len(STREAM))
         if spans and o <= spans[-1][1]:
             spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
         else:
             spans.append((o, hi))
-    base = seq_add(self.rcv_isn, 1)
+    if spans and spans[0][0] == 0:
+        del spans[0]  # delivered
+    base = PEER_ISN + 1
     blocks = tuple((seq_add(base, lo), seq_add(base, hi))
                    for lo, hi in spans[:4])
     return TcpOptions(sack_blocks=blocks)
@@ -508,7 +533,6 @@ def test_sack_option_and_spans_match_full_rescan(data):
         ep.on_segment(Packet(key=KEY.reverse(), seq=seq_add(PEER_ISN + 1, off),
                              ack=ISN + 1, flags=TcpFlags.ACK,
                              payload=STREAM[off:off + n]), 0.0)
-        assert acks[-1].options == oracle_sack_option(ep)
-        assert bool(ep.ooo_spans) == bool(ep.ooo)
-        assert all(lo > ep.rcv_nxt for lo, _ in ep.ooo_spans)
+        assert acks[-1].options == oracle_sack_option(arrived)
+        assert all(off > ep.rcv_nxt for off, _ in ep.ooo)
     assert bytes(delivered) == STREAM[:ep.rcv_nxt]
