@@ -71,9 +71,10 @@ class SimParams:
 @dataclass
 class ResponseEvent:
     """A response the worker saw complete, at `t`: on the client's ACK of
-    its last byte or, when the engine hairpinned that ACK (an offloaded
-    response), on the client's next request or FIN.  An offloaded response
-    on a connection that then stays idle is not logged."""
+    its last byte or, when the engine hairpinned that ACK, on the client's
+    next request or FIN (an offloaded response on a connection that stays
+    idle is not logged).  Pipelined responses one ACK passes are one event,
+    with the last one's `resp_len`; `index` counts the events before it."""
     conn: int
     index: int
     resp_len: int

@@ -270,11 +270,11 @@ class OffloadManager:
         when the engine has no slot for the divert."""
         fwd_hi, heads = entry.fwd_hi, entry.heads
         out = self.agent.replay_deferred(entry, now)
-        if entry.closed or entry.fwd_hi == fwd_hi or entry.fwd_hi < entry.body_end:
+        if entry.closed or entry.fwd_hi == fwd_hi or entry.fwd_hi < entry.head_buf.base:
             self.emit(out, now)
             return
         if entry.heads - heads <= 1:
-            divert = seq_add(entry.isn_server, 1 + entry.resp_head_buf.base)
+            divert = seq_add(entry.isn_server, 1 + entry.resp_end)
             try:
                 done = self.engine.retarget_rules(
                     (build_offload_rule(entry, divert), build_client_ack_rule(entry)), now)

@@ -18,19 +18,18 @@ bytes, and only when the client resends the bytes around them: a client
 segment that covers an unACKed insertion's point carries it again
 (`_emit_spliced`).
 
-The request parser's state is the entry's `head_buf`: while it is set, a
-head is open and its bytes collect there; once the head is complete, it
-leaves with the bytes buffered after it, and with no `head_buf` the agent
-passes a body through up to `body_end`.  Every head, the first included,
-takes that one path.  A head buffer, request or response, has one bound:
-it clips what it is given at REQUEST_HEAD_CAP bytes past its base, and a
-head is over the cap only when the buffer is full with no head end in it:
-a request's connection is then reset, and a response is never offloaded.
-The bytes a completing segment carries past the cap are not lost; the
-walk goes on with them after the head.  A head's body length follows RFC
-9112 section 6.3: a request with any Transfer-Encoding or an invalid
-Content-Length resets the connection, and a response framed so is never
-offloaded.
+Each direction's framing state is its head buffer alone.  A head buffer
+opens where the message before it ends, at offset 0 or at the end of the
+body before it: bytes below its base pass as that body, and bytes past it
+collect until a head ends there.  The buffer is then replaced by one at
+the head's end plus its body length, which takes the bytes held past it.
+Requests and responses, pipelined ones too, are framed so as they pass.
+A head buffer clips what it is given at REQUEST_HEAD_CAP bytes past its
+base; a head is over the cap only when the buffer is full with no head end
+in it.  The bytes a completing segment carries past the cap are not lost:
+the walk goes on with them after the head.  A request over the cap, or
+whose head `_parse_head` refuses, resets the connection; a response so
+framed is never offloaded.
 
 The client bytes one packet releases leave as one run of segments that is
 contiguous at the server: the client bytes with each insertion woven in
@@ -38,16 +37,16 @@ before its head's final CRLF, cut only at eff_mss.  A short request and
 its insertion are one segment, and the server ACKs it once.
 
 Positions.  Every position an entry keeps is an unbounded offset from the
-byte after an ISN, in the client stream (`fwd_hi`, `body_end`, the head
-buffer, `sender_off`, `client_fin`), the receiver stream, which is the
-client's with the insertions woven in (`recv_start`, `recv_end`), or the
-server stream (`client_acked`, `relayed_hi`, `fold_after`, `server_fin`,
-the response's), which the client sees shifted by a constant.  `unwrap`
-reads a packet's seq or ACK against a reference no later position lies far
-below: `fwd_hi` for client seqs, `fwd_hi + total_inserted` for server ACKs
-and SACK edges, `client_acked` for server seqs and client ACKs.  Modulo-2^32
-arithmetic remains only there, where a packet is built, and in the constant
-deltas the engine's rules share with the worker's rewrite.
+byte after an ISN, in the client stream (`fwd_hi`, the head buffer,
+`sender_off`, `client_fin`), the receiver stream, which is the client's
+with the insertions woven in (`recv_start`, `recv_end`), or the server
+stream (`client_acked`, `relayed_hi`, `fold_after`, `server_fin`, the
+response head buffer), which the client sees shifted by a constant.
+`unwrap` reads a packet's seq or ACK against a reference no later position
+lies far below: `fwd_hi` for client seqs, `fwd_hi + total_inserted` for
+server ACKs and SACK edges, `client_acked` for server seqs and client ACKs.
+Modulo-2^32 arithmetic remains only there, where a packet is built, and in
+the constant deltas the engine's rules share with the worker's rewrite.
 """
 
 from __future__ import annotations
@@ -198,8 +197,8 @@ def map_sack_block_s2c(points: Sequence[InsertionPoint], left: int, right: int,
 
 
 class FramingError(ValueError):
-    """A message head whose body length RFC 9112 section 6.3 does not give
-    by a valid Content-Length."""
+    """A message head whose field lines RFC 9112 says to reject, or whose
+    body length section 6.3 does not give by a valid Content-Length."""
 
 
 class ShardViolation(RuntimeError):
@@ -214,7 +213,7 @@ class StreamBuf:
     together; duplicates and overlaps are tolerated.  `full` tells when the
     prefix holds all cap bytes: a head with no end in it is over the cap."""
 
-    def __init__(self, base: int = 0, cap: Optional[int] = None):
+    def __init__(self, base: int = 0, cap: int = REQUEST_HEAD_CAP):
         self.base = base
         self.data = bytearray()
         self.fragments: list[tuple[int, bytes]] = []  # (offset, bytes) runs
@@ -226,13 +225,20 @@ class StreamBuf:
 
     @property
     def full(self) -> bool:
-        return self.cap is not None and len(self.data) >= self.cap
+        return len(self.data) >= self.cap
+
+    def past(self, base: int) -> StreamBuf:
+        """A buffer at base with the bytes this one holds past it."""
+        buf = StreamBuf(base, self.cap)
+        if self.end > base:
+            buf.add(self.base, self.data)
+        for off, chunk in self.fragments:
+            buf.add(off, chunk)
+        return buf
 
     def add(self, off: int, chunk: bytes) -> None:
         end = self.end
-        lo, hi = max(off, end), off + len(chunk)
-        if self.cap is not None:
-            hi = min(hi, self.base + self.cap)
+        lo, hi = max(off, end), min(off + len(chunk), self.base + self.cap)
         if hi <= lo:
             return
         chunk = chunk[lo - off:hi - off]
@@ -373,8 +379,7 @@ class ConnEntry:
     total_inserted: int = 0
 
     # c2s request parsing (offsets in the client stream)
-    head_buf: Optional[StreamBuf] = None  # the open head from its base; None: in a body
-    body_end: int = 0                  # where the body being passed ends
+    head_buf: StreamBuf = field(default_factory=StreamBuf)  # the next head, where the last body ends
     heads: int = 0                     # request heads parsed
     fwd_hi: int = 0                    # past the highest client byte forwarded
     client_window: int = 65535
@@ -382,11 +387,10 @@ class ConnEntry:
     # s2c (offsets in the server stream)
     client_acked: int = 0              # the client's cumulative ACK
     relayed_hi: int = 0                # past the server bytes and FIN the agent relayed or holds
-    resp_head_buf: Optional[StreamBuf] = None  # the next response head from its base
-    resp_end: Optional[int] = None     # where the current response ends
-    resp_len: Optional[int] = None     # Content-Length of the current response
+    resp_head_buf: StreamBuf = field(default_factory=StreamBuf)  # the next response head
+    resp_len: Optional[int] = None     # Content-Length of the last response framed
     resp_tracker_dead: bool = False    # unparseable/chunked: never offload again
-    resp_index: int = 0
+    resp_index: int = 0                # response completions seen
 
     # offload rule lifecycle (driven by the offload manager).  The pair's
     # rules match `server_in_key` and `client_key`, so the keys name them.
@@ -411,6 +415,10 @@ class ConnEntry:
     def server_in_key(self) -> FlowKey:
         assert self.server_key is not None
         return self.server_key.reverse()
+
+    @property
+    def resp_end(self) -> int:  # where the last response framed ends; 0 before one
+        return self.resp_head_buf.base
 
     @property
     def folded(self) -> int:
@@ -574,8 +582,6 @@ class SpliceAgent:
             eff_mss=min(cookie_mss, self.mss),
             owner_worker=self.shard_of(pkt.key.src_port),
         )
-        entry.head_buf = StreamBuf(base=0, cap=REQUEST_HEAD_CAP)
-        entry.resp_head_buf = StreamBuf(base=0, cap=REQUEST_HEAD_CAP)
         try:
             self.table.insert(pkt.key, entry, now)
         except TableFullError:
@@ -613,6 +619,7 @@ class SpliceAgent:
     def _on_client_packet(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         flags = pkt.flags
         entry.client_window = pkt.window
+        acked_before = entry.client_acked
         if flags & TcpFlags.ACK:
             acked = entry.client_acked = max(entry.client_acked, unwrap(
                 pkt.ack - entry.isn_lb_front - 1, entry.client_acked))
@@ -630,7 +637,12 @@ class SpliceAgent:
             out = []
         if flags & TcpFlags.FIN and not entry.closed:
             out += self._on_client_fin(pkt, entry, now)
-        self._check_response_complete(entry, now)
+        if acked_before < entry.resp_end <= entry.client_acked:
+            # the last response framed is complete, with any pipelined before it
+            if self.response_observer is not None:
+                self.response_observer(entry, now)
+            entry.resp_index += 1
+            self.offload.on_response_complete(entry, now)
         self._maybe_close(entry, now)
         return out
 
@@ -690,12 +702,10 @@ class SpliceAgent:
             if buf.full or (entry.client_fin is not None and buf.end >= entry.client_fin):
                 return self._abort(entry, now)  # over the cap, or no head before the FIN
             return []
-        head = bytes(buf.data[:head_end - buf.base])
         try:
-            _content_length(head)
+            path, _ = _parse_head(bytes(buf.data[:head_end - buf.base]))
         except FramingError:
             return self._abort(entry, now)
-        path = _request_path(head)
         backend = self.routes.pick_backend(self.routes.match(path).pool, entry.client_key)
         port = self._alloc_port(entry.client_key.src_port, backend)
         if port is None:
@@ -722,15 +732,15 @@ class SpliceAgent:
         return buf.base + i + len(HEAD_TERMINATOR)
 
     def _finish_head(self, entry: ConnEntry, head_end: int) -> None:
-        """The open request head is complete: set where its body ends, and
-        build this request's insertion from its route's edits.  Raises
-        FramingError for a Transfer-Encoding or an invalid Content-Length."""
+        """The open request head is complete: the next head buffer opens
+        where its body ends, and this request's insertion is built from its
+        route's edits.  FramingError for a head `_parse_head` refuses."""
         buf = entry.head_buf
-        head = bytes(buf.data[:head_end - buf.base])
-        entry.body_end = head_end + (_content_length(head) or 0)
+        path, length = _parse_head(bytes(buf.data[:head_end - buf.base]))
+        entry.head_buf = buf.past(head_end + (length or 0))
         entry.heads += 1
         inserted = b"".join(e.render(entry.client_key.src_addr)
-                            for e in self.routes.match(_request_path(head)).edits)
+                            for e in self.routes.match(path).edits)
         if inserted:
             sender_off = head_end - 2  # just before the final CRLF
             assert not entry.insertions or sender_off > entry.insertions[-1].sender_off
@@ -741,42 +751,38 @@ class SpliceAgent:
 
     def _ingest_new_data(self, data: bytes, off: int, entry: ConnEntry,
                          now: float) -> list[Packet]:
-        """Walk fresh client bytes through the parse state (see the module
-        docstring): an open head buffers them; a complete head leaves with
-        the bytes buffered after it and the rest of `data` that the cap
-        clipped, its insertion inside it; a body is forwarded as it
-        arrives.  The bytes that leave are contiguous in the client
-        stream, each head's buffer starting where the body before it ends,
-        so they leave in one `_emit_spliced` run.  A full head buffer with
-        no head end, or a head with invalid framing, resets the
-        connection."""
+        """Walk client bytes through the parse state (see the module
+        docstring): bytes below the head buffer's base are a body's and
+        leave as they arrive; the buffer takes the rest.  A complete head
+        leaves with its insertion, the bytes buffered after it and the rest
+        of `data` that the cap clipped, up to where its body ends.  The
+        bytes that leave are contiguous in the client stream, so they leave
+        in one `_emit_spliced` run.  A full head buffer with no head end,
+        or a head `_parse_head` refuses, resets the connection."""
         pieces: list[bytes] = []
         start, base, end = off, off, off + len(data)
         while off < end:
             buf = entry.head_buf
-            if buf is not None:
-                buf.add(off, data[off - base:])
-                head_end = self._head_complete(buf)
-                if head_end is None:
-                    if buf.full:
-                        return self._abort(entry, now)
-                    break
-                try:
-                    self._finish_head(entry, head_end)
-                except FramingError:
-                    return self._abort(entry, now)
-                entry.head_buf = None
-                data = bytes(buf.data) + data[buf.end - base:]
-                base = off = buf.base
-                end = max(end, buf.end)
-                if not pieces:
-                    start = off
-            elif off < entry.body_end:
-                take = min(end, entry.body_end)
+            if off < buf.base:  # in a body
+                take = min(end, buf.base)
                 pieces.append(data[off - base:take - base])
                 off = take
-            else:
-                entry.head_buf = StreamBuf(base=entry.body_end, cap=REQUEST_HEAD_CAP)
+                continue
+            buf.add(off, data[off - base:])
+            head_end = self._head_complete(buf)
+            if head_end is None:
+                if buf.full:
+                    return self._abort(entry, now)
+                break
+            try:
+                self._finish_head(entry, head_end)
+            except FramingError:
+                return self._abort(entry, now)
+            data = bytes(buf.data) + data[buf.end - base:]
+            base = off = buf.base
+            end = max(end, buf.end)
+            if not pieces:
+                start = off
         if not pieces:
             return []
         return self._emit_spliced(entry, b"".join(pieces), start, now)
@@ -871,14 +877,14 @@ class SpliceAgent:
     def on_server_packet(self, pkt: Packet, entry: ConnEntry, now: float) -> list[Packet]:
         """A server packet leaves as `rewrite_s2c` builds it, the rewrite
         the offload's server rule applies on a hit, after its payload is
-        tracked while a response head may be open and its ACK is noted.
-        The one exception is the worker's own: a pure ACK inside or at the
-        end of an inserted region is suppressed.  One parked at an unACKed
-        insertion's start reaches the client as a duplicate ACK at its
-        sender_off, so the client's own fast retransmit or RTO resends from
-        there, and `_emit_spliced` weaves the insertion back in: the agent
-        resends inserted bytes on that path only.  The output waits while a
-        hold is open (`ConnEntry.held`, `OffloadManager.hold`)."""
+        tracked if it reaches past the last response framed and its ACK
+        is noted.  The one exception is the worker's own: a pure ACK inside
+        or at the end of an inserted region is suppressed.  One parked at
+        an unACKed insertion's start reaches the client as a duplicate ACK
+        at its sender_off, so the client's own fast retransmit or RTO
+        resends from there, and `_emit_spliced` weaves the insertion back
+        in: the agent resends inserted bytes on that path only.  The output
+        waits while a hold is open (`ConnEntry.held`, `OffloadManager.hold`)."""
         if entry.state is not SpliceState.ESTABLISHED:
             return []
         payload, fin = pkt.payload, pkt.flags & TcpFlags.FIN
@@ -888,8 +894,8 @@ class SpliceAgent:
             if payload:
                 self.counters["s2c_data_pkts"] += 1
                 self.counters["forwarded_payload_bytes"] += len(payload)
-                if entry.resp_end is None and not entry.resp_tracker_dead:
-                    self._track_response(pkt, off, entry, now)
+                if end > entry.resp_head_buf.base and not entry.resp_tracker_dead:
+                    self._track_response(payload, off, entry, now)
                 entry.relayed_hi = max(entry.relayed_hi, end)
             if fin:
                 # before the ACK is noted: fold_after reads relayed_hi
@@ -910,43 +916,32 @@ class SpliceAgent:
             return self.offload.hold(entry, out)
         return out
 
-    def _track_response(self, pkt: Packet, off: int, entry: ConnEntry, now: float) -> None:
-        """Parse a response head from a server segment at offset off; the
-        caller checks that a head may be open (no `resp_end`, tracker live)."""
+    def _track_response(self, payload: bytes, off: int, entry: ConnEntry,
+                        now: float) -> None:
+        """Frame the response heads a server segment at offset off completes,
+        in turn, as `_ingest_new_data` frames requests: each moves the buffer
+        to its response's end, where a client ACK completes the response."""
         buf = entry.resp_head_buf
-        buf.add(off, pkt.payload)
-        head_end = self._head_complete(buf)
-        if head_end is None:
-            if buf.full:
-                self._tracker_dead(entry, now)  # over the cap with no head end
-            return
-        try:
-            length = _content_length(bytes(buf.data[:head_end - buf.base]))
-        except FramingError:
-            length = None
-        if length is None:
-            self._tracker_dead(entry, now)  # unframed by a length: never offload
-            return
-        entry.resp_len = length
-        entry.resp_end = head_end + length
-        self.offload.on_resp_len_known(entry, length, now)
+        buf.add(off, payload)
+        while (head_end := self._head_complete(buf)) is not None:
+            try:
+                length = _parse_head(bytes(buf.data[:head_end - buf.base]))[1]
+            except FramingError:
+                length = None
+            if length is None:
+                self._tracker_dead(entry, now)  # unframed by a length: never offload
+                return
+            entry.resp_len = length
+            buf = entry.resp_head_buf = buf.past(head_end + length)
+            if off + len(payload) > buf.base:
+                buf.add(off, payload)  # with the bytes the old buffer's cap clipped
+            self.offload.on_resp_len_known(entry, length, now)
+        if buf.full:
+            self._tracker_dead(entry, now)  # over the cap with no head end
 
     def _tracker_dead(self, entry: ConnEntry, now: float) -> None:
         entry.resp_tracker_dead = True
         self.offload.on_tracker_dead(entry, now)
-
-    def _check_response_complete(self, entry: ConnEntry, now: float) -> None:
-        if entry.resp_end is None:
-            return
-        if entry.client_acked >= entry.resp_end:
-            if self.response_observer is not None:
-                self.response_observer(entry, now)
-            # re-arm for the next response on this connection
-            entry.resp_head_buf = StreamBuf(base=entry.resp_end, cap=REQUEST_HEAD_CAP)
-            entry.resp_end = None
-            entry.resp_len = None
-            entry.resp_index += 1
-            self.offload.on_response_complete(entry, now)
 
     # -- teardown ---------------------------------------------------------------
 
@@ -971,15 +966,15 @@ class SpliceAgent:
         """Reset the client, and the backend once its SYN went out, and drop
         the entry.  The client's RST carries the highest client-facing seq
         that may have been sent: past the server bytes the agent relayed or
-        holds, or the client's ACK if that is higher, or, while an offload pair lives
-        and the response's end is known, past that end, the last byte the
-        server rule may have hairpinned.  Mid-response the client's RCV.NXT
+        holds, or the client's ACK if that is higher, or, while an offload pair lives,
+        past the end of the last response framed, the last byte the server
+        rule may have hairpinned.  Mid-response the client's RCV.NXT
         may lie below that, so a client that checks an RST's seq exactly
         (RFC 5961) answers it with a challenge ACK; the RST is never below
         a byte the client took in."""
         self.counters["resets_tx"] += 1
         off = max(entry.relayed_hi, entry.client_acked)
-        if entry.offloaded and entry.resp_end is not None:
+        if entry.offloaded:
             off = max(off, entry.resp_end)
         out = [Packet(key=entry.client_key.reverse(),
                       seq=seq_add(entry.isn_lb_front, 1 + off), flags=TcpFlags.RST)]
@@ -1037,23 +1032,25 @@ class SpliceAgent:
         return int.from_bytes(h.digest(), "big")
 
 
-def _request_path(head: bytes) -> bytes:
-    parts = head.split(b"\r\n", 1)[0].split(b" ")
-    return parts[1] if len(parts) >= 2 else b"/"
-
-
-def _content_length(head: bytes) -> Optional[int]:
-    """The body length a head's Content-Length gives (RFC 9112 section 6.3),
-    or None when it has none.  FramingError for any Transfer-Encoding, or
-    for a Content-Length that is not digits, that has more than
-    MAX_LENGTH_DIGITS significant digits, or that conflicts with another
-    (a repeated equal value is one length, RFC 9110 section 8.6)."""
+def _parse_head(head: bytes) -> tuple[bytes, Optional[int]]:
+    """A head's start-line target (the path a request routes by) and body
+    length by RFC 9112 section 6.3, None with no Content-Length.
+    FramingError for a field line that starts with whitespace (obs-fold,
+    or a first field line so, sections 5.2 and 2.2) or has any before its
+    colon (5.1); any Transfer-Encoding; a Content-Length that is not
+    digits, has over MAX_LENGTH_DIGITS significant digits, or conflicts
+    with another (an equal repeat is one, RFC 9110 section 8.6).  Bare LF
+    and bare CR are out of scope: lines split at CRLF only."""
+    start, *lines = head.split(b"\r\n")
+    parts = start.split(b" ")
     length = None
-    for line in head.split(b"\r\n")[1:]:
+    for line in lines:
         if not line:
             break
         name, _, value = line.partition(b":")
-        name = name.strip().lower()
+        if name.strip() != name:
+            raise FramingError(f"field line {line!r}")
+        name = name.lower()
         if name == b"transfer-encoding":
             raise FramingError("Transfer-Encoding")
         if name == b"content-length":
@@ -1064,4 +1061,4 @@ def _content_length(head: bytes) -> Optional[int]:
                         or (length is not None and int(digits) != length):
                     raise FramingError(f"Content-Length {value!r}")
                 length = int(digits)
-    return length
+    return parts[1] if len(parts) >= 2 else b"/", length

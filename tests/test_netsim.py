@@ -818,8 +818,7 @@ def _hairpins_checked(sim) -> tuple[int, int, int]:
             assert classify_ack(entry.insertions, a, entry.folded)[0] == "forward"
         off = seq_sub(pkt.seq, seq_add(entry.isn_server, 1))
         head = entry.resp_head_buf.base
-        assert entry.resp_end is not None or entry.resp_tracker_dead \
-            or not off <= head < off + len(pkt.payload)
+        assert entry.resp_tracker_dead or not off <= head < off + len(pkt.payload)
         checked[1] += 1
         return res
 

@@ -117,7 +117,8 @@ def test_the_formula_threshold_is_the_only_offload_boundary(mss, threshold):
     assert math.ceil(mgr.threshold) == threshold
     _, below = established_entry(agent, port=40000)
     _, at = established_entry(agent, port=40004)
-    below.resp_end, at.resp_end = threshold - 1, threshold  # as the agent sets them first
+    # where the agent's response walk moves the buffers first
+    below.resp_head_buf.base, at.resp_head_buf.base = threshold - 1, threshold
     mgr.on_resp_len_known(below, threshold - 1, 1.0)
     assert not below.offloaded
     assert mgr.stats["offloads_below_threshold"] == 1

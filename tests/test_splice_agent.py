@@ -23,7 +23,7 @@ from lbsim.splice import (
     SpliceAgent,
     SpliceState,
     StreamBuf,
-    _content_length,
+    _parse_head,
 )
 
 VIP = 0x0A0000FE
@@ -304,7 +304,7 @@ def test_backend_synack_flushes_spliced_request():
     joined = b"".join(stream[o] for o in sorted(stream))
     expected = GET[:-2] + b"x-forwarded-for: 10.0.0.1\r\n" + GET[-2:]
     assert joined == expected
-    assert entry.head_buf is None
+    assert entry.head_buf.base == len(GET) and not entry.head_buf.data
     # inserted bytes held until server ACK
     assert entry.insertions[0].data is not None
     assert entry.total_inserted == len(b"x-forwarded-for: 10.0.0.1\r\n")
@@ -351,7 +351,7 @@ def test_zero_insertions_releases_buffers_immediately():
     agent = make_agent(edits=())
     ck = client_key()
     entry, out = establish(agent, ck)
-    assert entry.head_buf is None
+    assert entry.head_buf.base == len(GET) and not entry.head_buf.data
     assert entry.insertions == []
     data = b"".join(p.payload for p in out if p.payload)
     assert data == GET
@@ -938,6 +938,55 @@ def test_later_request_with_its_body_leaves_without_a_crlf_segment():
     assert spliced_payloads(entry, out) == [(59, 1460), (1519, 27)]
 
 
+def test_a_resend_across_a_body_tail_and_an_open_head_forwards_the_body_again():
+    """One client segment carries the last bytes of a POST's body and the
+    first bytes of a pipelined head.  The body bytes leave at once, and
+    again when the client resends the segment: the open head buffer holds
+    only what lies past the body's end."""
+    agent = make_agent()
+    ck = client_key()
+    head = post(b"/api/p", bytes(10))[:-10]
+    entry, _ = establish(agent, ck, payload=head)
+    seg = from_client(entry, len(head), 0, b"0123456789" + GET[:13])
+    for _ in range(2):
+        out = agent.handle_packet(seg, 0.0, worker_id=shard_of(ck.src_port))
+        assert spliced_payloads(entry, out) == [(80, 10)]
+        assert out[0].payload == b"0123456789"
+    assert entry.head_buf.base == len(head) + 10
+    assert bytes(entry.head_buf.data) == GET[:13]
+
+
+def test_pipelined_responses_are_framed_in_turn():
+    """Two pipelined requests are answered in two segments, and one client
+    ACK passes both responses: they complete together, in one observer
+    call.  A third request's response is framed after them."""
+    agent = make_agent()
+    ck = client_key()
+    req2 = b"GET /api/y HTTP/1.1\r\nHost: h\r\n\r\n"
+    req3 = b"GET /api/z HTTP/1.1\r\nHost: h\r\n\r\n"
+    entry, _ = establish(agent, ck, payload=GET + req2)
+    seen = []
+    agent.response_observer = lambda e, now: seen.append((e.resp_index, e.resp_len))
+
+    def handle(pkt):
+        return agent.handle_packet(pkt, 0.0, worker_id=shard_of(ck.src_port))
+
+    resp1 = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+    resp2 = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nhey"
+    assert (len(resp1), len(resp2), len(RESP)) == (43, 41, 40)
+    sent = len(GET + req2) + 2 * len(XFF)
+    handle(from_server(entry, 0, sent, resp1))
+    handle(from_server(entry, 43, sent, resp2))
+    assert entry.resp_end == 84 and entry.resp_len == 3
+    handle(from_client(entry, len(GET + req2), 84))
+    assert seen == [(0, 3)] and entry.resp_index == 1
+    handle(from_client(entry, len(GET + req2), 84, req3))
+    handle(from_server(entry, 84, sent + len(req3) + len(XFF), RESP))
+    handle(from_client(entry, len(GET + req2 + req3), 124))
+    assert entry.resp_index == 2 and entry.resp_end == 124
+    assert seen == [(0, 3), (1, 2)]
+
+
 @st.composite
 def pipelined_streams(draw):
     """1-4 pipelined GETs or POSTs with bodies of 0-3,000 bytes, cut into
@@ -1056,14 +1105,18 @@ def test_request_body_past_4_gib_leaves_the_next_head_parsed():
     (b"Content-Length: 1" + b"0" * 18 + b"\r\n", FramingError),
     pytest.param(b"Content-Length: " + b"9" * 5000 + b"\r\n", FramingError,
                  id="5000-digits"),
+    (b"Content-Length : 5\r\n", FramingError),
+    pytest.param(b"Content-Length: 5\r\n 7\r\n", FramingError, id="obs-fold"),
+    pytest.param(b" Content-Length: 5\r\n", FramingError, id="space-first-field-line"),
 ])
 def test_content_length_follows_rfc_9112_framing(fields, length):
-    head = b"POST /api/p HTTP/1.1\r\nHost: h\r\n" + fields + b"\r\n"
+    # the fields open the head: the last case needs its first field line
+    head = b"POST /api/p HTTP/1.1\r\n" + fields + b"Host: h\r\n\r\n"
     if length is FramingError:
         with pytest.raises(FramingError):
-            _content_length(head)
+            _parse_head(head)
     else:
-        assert _content_length(head) == length
+        assert _parse_head(head) == (b"/api/p", length)
 
 
 UNFRAMED = [
@@ -1073,12 +1126,16 @@ UNFRAMED = [
     b"Content-Length: 5\r\nContent-Length: 6\r\n",
     b"Transfer-Encoding: chunked\r\n",
     pytest.param(b"Content-Length: " + b"9" * 5000 + b"\r\n", id="5000-digits"),
+    b"Content-Length : 5\r\n",
+    pytest.param(b"Content-Length: 5\r\n 7\r\n", id="obs-fold"),
+    pytest.param(b" Content-Length: 5\r\n", id="space-first-field-line"),
 ]
 CHUNKED_BODY = b"5\r\nhello\r\n0\r\n\r\n"
 
 
 def unframed_post(fields: bytes) -> bytes:
-    return b"POST /api/p HTTP/1.1\r\nHost: h\r\n" + fields + b"\r\n" + CHUNKED_BODY
+    # the fields open the head, as they do the response's below
+    return b"POST /api/p HTTP/1.1\r\n" + fields + b"Host: h\r\n\r\n" + CHUNKED_BODY
 
 
 @pytest.mark.parametrize("fields", UNFRAMED)
@@ -1131,4 +1188,4 @@ def test_response_without_a_valid_length_is_never_offloaded(fields):
     head = b"HTTP/1.1 200 OK\r\n" + fields + b"\r\n"
     out = handle(from_server(entry, 0, len(GET) + len(XFF), head + CHUNKED_BODY))
     assert [p.payload for p in out] == [head + CHUNKED_BODY]  # still relayed
-    assert entry.resp_tracker_dead and entry.resp_len is None and entry.resp_end is None
+    assert entry.resp_tracker_dead and entry.resp_len is None and entry.resp_end == 0
